@@ -7,7 +7,9 @@ region that could dominate the candidate's worst corner.
 
 The implementation is a classical Guttman R-tree: grow by insertion with
 quadratic split, or build balanced from scratch with Sort-Tile-Recursive
-(STR) packing.  Payloads are arbitrary Python objects.
+(STR) packing.  Payloads are arbitrary Python objects.  :class:`FlatRTree`
+freezes a packed tree into entry arrays kept in the tree's visit order,
+so a window query is one vectorised mask instead of a node walk.
 """
 
 from __future__ import annotations
@@ -349,62 +351,50 @@ def _str_tile(items: List, centers: List[np.ndarray], capacity: int) -> List[Lis
 
 
 class FlatRTree:
-    """A read-only R-tree packed into flat numpy arrays.
+    """A read-only packed R-tree whose window query is one array mask.
 
-    Built once from a constructed :class:`RTree` (``tree.pack()``), this
-    representation exists for the parallel IN/LO path: the whole tree is a
-    handful of contiguous ndarrays, so it ships to pool workers through
-    ``multiprocessing.shared_memory`` without pickling a node graph, and a
-    worker reconstructs a queryable index from the mapped buffers in O(1)
-    (:meth:`from_arrays` keeps views, never copies).
+    Built from a constructed :class:`RTree` (``tree.pack()``) or straight
+    from a point matrix (:meth:`bulk_load_points`), the whole index is
+    three contiguous ndarrays: ``entry_lows`` and ``entry_highs``
+    (``d × n``: row ``k`` holds coordinate ``k`` of every entry, so the
+    window mask reduces across whole rows) and ``entry_items`` (the
+    ``int64`` payloads; the aggregate skyline stores group positions).
+    They ship to pool workers through ``multiprocessing.shared_memory``
+    without pickling, and :meth:`from_arrays` rebuilds a queryable index
+    from the mapped buffers in O(1) (views, never copies).
 
-    Layout: nodes in BFS order; an internal node's children are the
-    contiguous node-id range ``[child_start, child_stop)``; a leaf's
-    entries are the contiguous entry range ``[child_start, child_stop)``
-    into the entry arrays.  Payloads must be integers (the aggregate
-    skyline stores group positions), enforcing a compact ``int64`` item
-    column.  Window queries are deterministic: the DFS order is a pure
-    function of the arrays, so every process sees candidates in the same
-    order — the foundation of the parallel determinism contract.
+    Entry-order contract: the entries are stored in the order the tree's
+    depth-first window walk reaches them — from the root, the *last*
+    child first (the walk pops a stack its children were pushed onto in
+    order), and a leaf's entries in their stored order.  A window prunes
+    only subtrees whose bounding box rules out every entry inside, so
+    masking all entries at once makes :meth:`search_window` return
+    exactly the payloads :meth:`RTree.search_window` returns, in the same
+    order.  That order is a pure function of the arrays, so every process
+    sees candidates in the same order — the foundation of the parallel
+    determinism contract and of the IN/LO work counters.
     """
 
     __slots__ = (
-        "node_lows",
-        "node_highs",
-        "node_leaf",
-        "child_start",
-        "child_stop",
         "entry_lows",
         "entry_highs",
         "entry_items",
         "window_queries",
         "candidates_returned",
-        "nodes_visited",
     )
 
     def __init__(
         self,
-        node_lows: np.ndarray,
-        node_highs: np.ndarray,
-        node_leaf: np.ndarray,
-        child_start: np.ndarray,
-        child_stop: np.ndarray,
         entry_lows: np.ndarray,
         entry_highs: np.ndarray,
         entry_items: np.ndarray,
     ):
-        self.node_lows = node_lows
-        self.node_highs = node_highs
-        self.node_leaf = node_leaf
-        self.child_start = child_start
-        self.child_stop = child_stop
         self.entry_lows = entry_lows
         self.entry_highs = entry_highs
         self.entry_items = entry_items
         # same observability counters as RTree, flushed by IN/LO
         self.window_queries = 0
         self.candidates_returned = 0
-        self.nodes_visited = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -415,69 +405,28 @@ class FlatRTree:
         """Pack a built :class:`RTree`; payloads must be integers."""
         root = tree._root
         if root.rect is None:
-            dims = 0
-            return cls(
-                np.zeros((0, dims)), np.zeros((0, dims)),
-                np.zeros(0, dtype=np.uint8),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros((0, dims)), np.zeros((0, dims)),
-                np.zeros(0, dtype=np.int64),
-            )
-        # BFS order: a node's children occupy a contiguous id range.
-        nodes: List[_Node] = [root]
-        cursor = 0
-        while cursor < len(nodes):
-            node = nodes[cursor]
-            if not node.leaf:
-                nodes.extend(node.children)
-            cursor += 1
-
-        dims = int(root.rect.dimensions)
-        count = len(nodes)
-        node_lows = np.empty((count, dims))
-        node_highs = np.empty((count, dims))
-        node_leaf = np.zeros(count, dtype=np.uint8)
-        child_start = np.zeros(count, dtype=np.int64)
-        child_stop = np.zeros(count, dtype=np.int64)
-        entry_lows: List[np.ndarray] = []
-        entry_highs: List[np.ndarray] = []
-        entry_items: List[int] = []
-
-        next_child = 1  # node id 0 is the root
-        next_entry = 0
-        for node_id, node in enumerate(nodes):
-            assert node.rect is not None
-            node_lows[node_id] = node.rect.low
-            node_highs[node_id] = node.rect.high
+            return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
+        entries: List[RTreeEntry] = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
             if node.leaf:
-                node_leaf[node_id] = 1
-                child_start[node_id] = next_entry
-                for entry in node.entries:
-                    entry_lows.append(entry.rect.low)
-                    entry_highs.append(entry.rect.high)
-                    try:
-                        entry_items.append(operator.index(entry.item))
-                    except TypeError:
-                        raise TypeError(
-                            "FlatRTree payloads must be integers, got "
-                            f"{type(entry.item).__name__}"
-                        ) from None
-                next_entry += len(node.entries)
-                child_stop[node_id] = next_entry
+                entries.extend(node.entries)
             else:
-                child_start[node_id] = next_child
-                next_child += len(node.children)
-                child_stop[node_id] = next_child
-
+                stack.extend(node.children)
+        items: List[int] = []
+        for entry in entries:
+            try:
+                items.append(operator.index(entry.item))
+            except TypeError:
+                raise TypeError(
+                    "FlatRTree payloads must be integers, got "
+                    f"{type(entry.item).__name__}"
+                ) from None
         return cls(
-            node_lows,
-            node_highs,
-            node_leaf,
-            child_start,
-            child_stop,
-            np.asarray(entry_lows).reshape(next_entry, dims),
-            np.asarray(entry_highs).reshape(next_entry, dims),
-            np.asarray(entry_items, dtype=np.int64),
+            np.array([e.rect.low for e in entries]).T.copy(),
+            np.array([e.rect.high for e in entries]).T.copy(),
+            np.asarray(items, dtype=np.int64),
         )
 
     @classmethod
@@ -502,9 +451,9 @@ class FlatRTree:
         but never materialises ``Rect``/node objects per entry, so the
         columnar dataset's corner matrices feed the index directly.  The
         tiling mirrors :func:`_str_tile` operation for operation (same
-        stable sorts, same slab arithmetic) and the flatten mirrors
-        :meth:`from_tree` (same BFS order, same entry emission), keeping
-        the window-query candidate *order* — and therefore the IN/LO
+        stable sorts, same slab arithmetic) and the entry emission mirrors
+        :meth:`from_tree` (same depth-first order), keeping the
+        window-query candidate *order* — and therefore the IN/LO
         algorithms' counters — unchanged.
         """
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -518,13 +467,7 @@ class FlatRTree:
             if payload.shape != (count,):
                 raise ValueError("items must be 1-d, one per point")
         if count == 0:
-            return cls(
-                np.zeros((0, 0)), np.zeros((0, 0)),
-                np.zeros(0, dtype=np.uint8),
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros((0, 0)), np.zeros((0, 0)),
-                np.zeros(0, dtype=np.int64),
-            )
+            return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
 
         def tile(indices: List[int], centers: np.ndarray, dim: int) -> List[List[int]]:
             # Mirror of _str_tile: stable sort by centre coordinate,
@@ -548,90 +491,43 @@ class FlatRTree:
             return groups
 
         # ---- leaf level: partition the points themselves -------------
-        # (a point rect's centre is the point)
-        leaf_parts = tile(list(range(count)), points, 0)
-        # each level is (lows, highs, member_lists); members of level 0
-        # are entry ids, members of level k>0 are node ids of level k-1.
-        level_lows = np.empty((len(leaf_parts), dims))
-        level_highs = np.empty((len(leaf_parts), dims))
-        for node_id, part in enumerate(leaf_parts):
-            rows = points[part]
-            level_lows[node_id] = rows.min(axis=0)
-            level_highs[node_id] = rows.max(axis=0)
-        levels: List[Tuple[np.ndarray, np.ndarray, List[List[int]], bool]] = [
-            (level_lows, level_highs, leaf_parts, True)
-        ]
+        # (a point rect's centre is the point).  levels[k][i] lists the
+        # members of node i on level k: entry ids on level 0, node ids of
+        # level k-1 above it.
+        parts = tile(list(range(count)), points, 0)
+        levels: List[List[List[int]]] = [parts]
+        lows = np.array([points[part].min(axis=0) for part in parts])
+        highs = np.array([points[part].max(axis=0) for part in parts])
 
         # ---- internal levels until a single root ---------------------
-        while len(levels[-1][2]) > 1:
-            lows, highs, below_parts, _ = levels[-1]
+        while len(parts) > 1:
             centers = (lows + highs) / 2.0  # Rect.center, elementwise
-            parts = tile(list(range(len(below_parts))), centers, 0)
-            up_lows = np.empty((len(parts), dims))
-            up_highs = np.empty((len(parts), dims))
-            for node_id, part in enumerate(parts):
-                up_lows[node_id] = lows[part].min(axis=0)
-                up_highs[node_id] = highs[part].max(axis=0)
-            levels.append((up_lows, up_highs, parts, False))
+            parts = tile(list(range(len(parts))), centers, 0)
+            levels.append(parts)
+            lows = np.array([lows[part].min(axis=0) for part in parts])
+            highs = np.array([highs[part].max(axis=0) for part in parts])
 
-        # ---- BFS flatten (mirror of from_tree) -----------------------
-        # Walk from the root down; a node is (level_index, local_id).
-        order: List[Tuple[int, int]] = [(len(levels) - 1, 0)]
-        cursor = 0
-        while cursor < len(order):
-            level_index, local_id = order[cursor]
-            if level_index > 0:
-                for child in levels[level_index][2][local_id]:
-                    order.append((level_index - 1, child))
-            cursor += 1
-
-        total = len(order)
-        node_lows = np.empty((total, dims))
-        node_highs = np.empty((total, dims))
-        node_leaf = np.zeros(total, dtype=np.uint8)
-        child_start = np.zeros(total, dtype=np.int64)
-        child_stop = np.zeros(total, dtype=np.int64)
+        # ---- depth-first entry order (mirror of from_tree) -----------
         entry_order: List[int] = []
-
-        next_child = 1
-        next_entry = 0
-        for node_id, (level_index, local_id) in enumerate(order):
-            lows, highs, parts, is_leaf = levels[level_index]
-            node_lows[node_id] = lows[local_id]
-            node_highs[node_id] = highs[local_id]
-            members = parts[local_id]
-            if is_leaf:
-                node_leaf[node_id] = 1
-                child_start[node_id] = next_entry
+        stack = [(len(levels) - 1, 0)]
+        while stack:
+            level, node = stack.pop()
+            members = levels[level][node]
+            if level == 0:
                 entry_order.extend(members)
-                next_entry += len(members)
-                child_stop[node_id] = next_entry
             else:
-                child_start[node_id] = next_child
-                next_child += len(members)
-                child_stop[node_id] = next_child
+                stack.extend((level - 1, child) for child in members)
 
         entry_rows = np.asarray(entry_order, dtype=np.int64)
-        entry_points = points[entry_rows]
-        return cls(
-            node_lows,
-            node_highs,
-            node_leaf,
-            child_start,
-            child_stop,
-            entry_points.copy(),
-            entry_points.copy(),
-            payload[entry_rows],
-        )
+        # A point's low and high corners coincide: one array serves both.
+        entry_points = points[entry_rows].T.copy()
+        return cls(entry_points, entry_points, payload[entry_rows])
 
     # ------------------------------------------------------------------
     # (de)serialisation to plain arrays (for shared-memory shipping)
     # ------------------------------------------------------------------
 
-    _ARRAY_FIELDS = (
-        "node_lows", "node_highs", "node_leaf", "child_start",
-        "child_stop", "entry_lows", "entry_highs", "entry_items",
-    )
+    _ARRAY_FIELDS = ("entry_lows", "entry_highs", "entry_items")
 
     def arrays(self) -> Dict[str, np.ndarray]:
         """The flat representation as named arrays (zero-copy)."""
@@ -647,35 +543,14 @@ class FlatRTree:
     # ------------------------------------------------------------------
 
     def search_window(self, low: Sequence[float], high: Sequence[float]) -> List[int]:
-        """Integer payloads intersecting ``[low, high]``; deterministic order."""
-        lo = np.asarray(low, dtype=np.float64)
-        hi = np.asarray(high, dtype=np.float64)
+        """Integer payloads intersecting ``[low, high]``, in entry order."""
         self.window_queries += 1
-        results: List[int] = []
-        if len(self.node_leaf) == 0:
-            return results
-        visited = 0
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            visited += 1
-            if np.any(self.node_lows[node] > hi) or np.any(self.node_highs[node] < lo):
-                continue
-            start = int(self.child_start[node])
-            stop = int(self.child_stop[node])
-            if self.node_leaf[node]:
-                span_lows = self.entry_lows[start:stop]
-                span_highs = self.entry_highs[start:stop]
-                hit = np.all(span_lows <= hi, axis=1) & np.all(span_highs >= lo, axis=1)
-                results.extend(int(item) for item in self.entry_items[start:stop][hit])
-            else:
-                for child in range(start, stop):
-                    if not (
-                        np.any(self.node_lows[child] > hi)
-                        or np.any(self.node_highs[child] < lo)
-                    ):
-                        stack.append(child)
-        self.nodes_visited += visited
+        if not len(self.entry_items):
+            return []
+        lo = np.asarray(low, dtype=np.float64)[:, None]
+        hi = np.asarray(high, dtype=np.float64)[:, None]
+        hit = (self.entry_lows <= hi).all(axis=0) & (self.entry_highs >= lo).all(axis=0)
+        results = self.entry_items[hit].tolist()
         self.candidates_returned += len(results)
         return results
 

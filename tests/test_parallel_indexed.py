@@ -420,8 +420,7 @@ class TestFlatRTree:
         flat = tree.pack()
         assert len(flat) == len(points)
         for low, high in self._windows():
-            expected = sorted(tree.search_window(low, high))
-            assert sorted(flat.search_window(low, high)) == expected
+            assert flat.search_window(low, high) == tree.search_window(low, high)
         assert flat.window_queries == tree.window_queries
         assert flat.candidates_returned == tree.candidates_returned
 
@@ -432,9 +431,51 @@ class TestFlatRTree:
         ).pack()
         clone = FlatRTree.from_arrays(flat.arrays())
         for low, high in self._windows(seed=7, n=10):
-            assert sorted(clone.search_window(low, high)) == sorted(
-                flat.search_window(low, high)
-            )
+            assert clone.search_window(low, high) == flat.search_window(low, high)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=300),
+        dims=st.integers(min_value=1, max_value=4),
+        shape=st.sampled_from(["uniform", "duplicates", "tied", "infinite"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_window_order_matches_the_object_walk(self, n, dims, shape, seed):
+        """Both packed builds return the object walk's list, in its order.
+
+        IN/LO counters depend on candidate order, so lists are compared,
+        not sets.  Up to 300 points give trees of one to three levels.
+        """
+        rng = np.random.default_rng(seed)
+        if shape == "uniform":
+            points = rng.random((n, dims))
+        elif shape == "duplicates":
+            points = rng.integers(0, 3, size=(n, dims)) / 2.0
+        elif shape == "tied":
+            points = np.full((n, dims), rng.random())
+        else:
+            points = rng.random((n, dims))
+            points[rng.random((n, dims)) < 0.2] = np.inf
+            points[rng.random((n, dims)) < 0.2] = -np.inf
+        # A node spanning -inf..+inf has a NaN centre; both builds must
+        # still tile it identically.
+        with np.errstate(invalid="ignore"):
+            tree = RTree.bulk_load((Rect.point(p), i) for i, p in enumerate(points))
+            direct = FlatRTree.bulk_load_points(points)
+        packed = tree.pack()
+
+        lows = rng.uniform(-0.25, 1.0, size=(12, dims))
+        windows = [(low, low + rng.uniform(0.0, 0.75, size=dims)) for low in lows]
+        upper = np.full(dims, np.inf)
+        for p in points[rng.permutation(n)[:12]]:
+            windows += [(p, upper), (p, p)]
+        for low, high in windows:
+            expected = tree.search_window(low, high)
+            assert packed.search_window(low, high) == expected
+            assert direct.search_window(low, high) == expected
+        for flat in (packed, direct):
+            assert flat.window_queries == tree.window_queries
+            assert flat.candidates_returned == tree.candidates_returned
 
     def test_empty_tree_packs(self):
         flat = RTree.bulk_load([]).pack()
