@@ -7,21 +7,26 @@ shipping and worker-side ``Group`` materialisation again.  This module
 keeps the worker processes *alive across queries*:
 
 * **slots** — the pool is a fixed set of worker slots, each one long-lived
-  ``Process`` with its own control queue; chunk tasks flow through one
-  shared task queue that idle workers claim dynamically (the engine
-  analogue of the work-stealing scheduler: decreasing guided chunks +
-  self-scheduling against a shared tail).
+  ``Process`` with one inbox pipe that carries its control messages and
+  its chunk tasks in send order; the worker's only blocking call is an
+  untimed ``recv()`` on it.  The parent's router thread keeps one FIFO
+  backlog of ``(qid, span)`` tasks and tops every live slot up to two
+  tasks (one running, one queued) as deliveries come back, so a drained
+  worker is fed from the shared tail without waiting on any poll (the
+  engine analogue of the work-stealing scheduler).  A slot gets a
+  query's ``prepare`` right before that query's first task, in the same
+  pipe, and its ``finish`` when the query ends.  The parent writes the
+  pipe itself, under the pool lock, with no feeder thread in between.
 * **attach once** — a dataset is shipped once (``ShmArena`` segments when
   shared memory is available, pickled inline otherwise) and pinned in
   every worker under a token; packed R-tree arrays and candidate orders
   are pinned the same way, keyed by content digest, so repeat queries
   ship nothing but tiny ``(qid, span)`` tuples.
 * **surviving-pool reuse** — when a worker dies the pool respawns *only
-  the dead slot* (PR 7's "next step"): the survivors keep their pids and
-  their pinned state, the replacement replays the attach/pin log, and the
-  in-flight query's undelivered chunks are re-enqueued.  Duplicated
-  deliveries are harmless — chunks are deterministic, the parent keeps
-  the first result per span.
+  the dead slot*: the survivors keep their pids and their pinned state,
+  the replacement replays the attach/pin log, and exactly the tasks the
+  dead slot held go back to the front of the backlog.  Duplicated deliveries are harmless — chunks are
+  deterministic, the parent keeps the first result per span.
 * **per-worker retry budgets** — each slot may be respawned at most
   ``max_respawns`` times over the pool's lifetime (not per run).  A slot
   that exhausts its budget is retired; the pool narrows.  When every slot
@@ -30,8 +35,8 @@ keeps the worker processes *alive across queries*:
   :class:`~repro.parallel.executor.WorkerCrashError`.
 * **concurrent admission** — many threads may call :meth:`run_query`
   at once (the network front-end in :mod:`repro.net` does).  Every
-  delivery is tagged ``(qid, span)``: a parent-side *router thread*
-  drains the one shared result queue and routes each message to its
+  delivery is tagged ``(qid, span)``: the router thread drains the one
+  shared result queue and routes each message to its
   query's pending record, deduplicating by span within the query, so
   interleaved chunk streams never cross.  Workers hold one
   ``_WorkerQuery`` per active qid — each query keeps its own
@@ -58,9 +63,10 @@ import os
 import threading
 import time
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as obs_metrics
 from ..obs import runlog as obs_runlog
@@ -96,18 +102,13 @@ class EngineClosedError(RuntimeError):
     """The engine (or its pool) was used after :meth:`close`."""
 
 
-#: How long a worker sleeps on the shared task queue before re-checking
-#: its control queue — the latency ceiling for attach/prepare/stop.
-_TASK_POLL_SECONDS = 0.05
-
 #: Parent-side liveness cadence while draining results (mirrors the
 #: one-shot executor's ``_LIVENESS_POLL_SECONDS``).
 _LIVENESS_POLL_SECONDS = 0.25
 
-#: A worker that waits longer than this for the prepare of a claimed
-#: chunk gives the task up as stale (defensive; the parent's pool
-#: timeout is the real backstop).
-_PREPARE_WAIT_SECONDS = 60.0
+#: Tasks a live slot holds at most: one running and one queued behind it,
+#: so a worker never idles while its next task crosses the pipe.
+_SLOT_DEPTH = 2
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +205,6 @@ class _WorkerState:
         self.groups: Dict[str, list] = {}  # token -> List[Group]
         self.pinned: Dict[str, Any] = {}  # digest key -> index / order
         self.queries: Dict[int, _WorkerQuery] = {}
-        self.finished: set = set()
-        self.watermark: int = -1  # qids below this and unknown are stale
-        self.stop = False
 
 
 def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
@@ -242,79 +240,50 @@ def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
     elif kind == "finish":
         _, qid = msg
         state.queries.pop(qid, None)
-        state.finished.add(qid)
     elif kind == "detach":
         _, token, keys = msg
         state.groups.pop(token, None)
         for key in keys:
             state.pinned.pop(key, None)
         results.put(("ack", slot, os.getpid(), token))
-    elif kind == "watermark":
-        state.watermark = max(state.watermark, msg[1])
-    elif kind == "stop":
-        state.stop = True
 
 
-def _engine_worker_main(slot, ctrl, tasks, results, faults, fault_state) -> None:
+def _engine_worker_main(slot, inbox, results, faults, fault_state) -> None:
     """Main loop of one engine worker slot.
 
-    Control messages (attach / pin / prepare / finish / stop) arrive on
-    the slot's private ``ctrl`` queue and are drained before every task
-    claim; chunk tasks ``(qid, span)`` are claimed from the shared
-    ``tasks`` queue.  Observability mirrors the pool initializer: the
-    run log is silenced, the global tracer is a no-op, and each query
-    carries its own :class:`TraceContext` so worker chunk spans graft
-    back onto the parent trace.
+    Everything arrives on the slot's ``inbox`` pipe in send order:
+    control messages (attach / pin / prepare / finish / detach / stop)
+    and chunk tasks ``("task", qid, span)``.  The parent sends a query's
+    prepare before its first task here and its finish after the last,
+    so a task always finds its query prepared, and every task gets
+    exactly one reply.
+
+    Observability mirrors the pool initializer: the run log is silenced,
+    the global tracer is a no-op, and each query carries its own
+    :class:`TraceContext` so worker chunk spans graft back onto the
+    parent trace.
     """
     obs_runlog.set_runlog(obs_runlog.NOOP_RUNLOG)
     obs_tracing.set_tracer(obs_tracing.NOOP_TRACER)
     fault = faults.arm(fault_state) if faults is not None else None
     state = _WorkerState()
     try:
-        while not state.stop:
-            while True:
-                try:
-                    msg = ctrl.get_nowait()
-                except Empty:
-                    break
-                _worker_handle_ctrl(state, msg, slot, results)
-            if state.stop:
+        while True:
+            try:
+                msg = inbox.recv()
+            except EOFError:  # the parent closed the pipe without a stop
                 break
-            try:
-                task = tasks.get(timeout=_TASK_POLL_SECONDS)
-            except Empty:
-                continue
-            qid, span = task
-            if qid in state.finished:
-                continue
-            waited = 0.0
-            stale = False
-            while qid not in state.queries:
-                # The prepare for this qid is still in flight on the ctrl
-                # queue (the parent always sends prepares before chunks) —
-                # or the task predates this worker's respawn watermark.
-                if qid in state.finished or qid < state.watermark:
-                    stale = True
-                    break
-                try:
-                    msg = ctrl.get(timeout=1.0)
-                except Empty:
-                    waited += 1.0
-                    if waited >= _PREPARE_WAIT_SECONDS:
-                        stale = True
-                        break
-                    continue
+            kind = msg[0]
+            if kind == "stop":
+                break
+            if kind != "task":
                 _worker_handle_ctrl(state, msg, slot, results)
-                if state.stop:
-                    return
-            if stale or qid not in state.queries:
                 continue
+            _, qid, span = msg
             try:
-                outcome = _execute_worker_chunk(
-                    state.queries[qid], tuple(span), slot, fault
-                )
+                outcome = _execute_worker_chunk(state.queries[qid], span, slot, fault)
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                results.put(("chunk_error", slot, os.getpid(), qid, tuple(span), exc))
+                results.put(("chunk_error", slot, os.getpid(), qid, span, exc))
                 continue
             results.put(("chunk", slot, os.getpid(), qid, outcome))
     finally:
@@ -328,19 +297,25 @@ def _engine_worker_main(slot, ctrl, tasks, results, faults, fault_state) -> None
 
 @dataclass
 class _Slot:
-    """One worker slot: its live process, control queue and retry budget."""
+    """One worker slot: its live process, inbox, tasks and retry budget."""
 
     index: int
     process: Any
-    ctrl: Any
+    inbox: Any
     pid: int
+    #: ``(qid, span)`` tasks sent to this process and not yet answered,
+    #: in send order (at most ``_SLOT_DEPTH``)
+    outstanding: List[Tuple[int, Tuple[int, int]]] = field(default_factory=list)
+    #: qids whose prepare this process has been sent and no finish yet
+    prepared: Set[int] = field(default_factory=set)
     respawns: int = 0
     failures: int = 0  # worker tracebacks charged against the budget
     disabled: bool = False
 
 
 def _release_pool_state(state: Dict[str, list]) -> None:
-    """GC / exit-time cleanup: kill processes, drop queues, free segments.
+    """GC / exit-time cleanup: kill processes, close queues and pipes,
+    free segments.
 
     Idempotent and exception-safe; registered through ``weakref.finalize``
     so an engine that is never closed still cannot leak processes, pipe
@@ -361,6 +336,9 @@ def _release_pool_state(state: Dict[str, list]) -> None:
         except Exception:  # pragma: no cover - best-effort cleanup
             pass
     state["queues"] = []
+    for conn in state.get("pipes", ()):
+        conn.close()
+    state["pipes"] = []
     for arena in state.get("arenas", ()):
         try:
             arena.close()
@@ -396,15 +374,16 @@ class _PendingQuery:
     """
 
     __slots__ = (
-        "qid", "outstanding", "outcomes", "inline", "total", "on_failure",
-        "progress", "inline_fallback", "cond", "error",
+        "qid", "prepare", "outstanding", "outcomes", "inline", "total",
+        "on_failure", "progress", "inline_fallback", "cond", "error",
     )
 
     def __init__(
-        self, qid, outstanding, total, on_failure, progress,
+        self, qid, prepare, outstanding, total, on_failure, progress,
         inline_fallback, cond,
     ):
         self.qid = qid
+        self.prepare = prepare  # sent to a slot before its first task
         self.outstanding: Set[Tuple[int, int]] = outstanding
         self.outcomes: List[ChunkOutcome] = []
         self.inline: List[Tuple[int, int]] = []
@@ -424,10 +403,9 @@ class _PendingQuery:
 class PersistentPool:
     """A fixed set of long-lived worker slots shared by many queries.
 
-    Created by :class:`~repro.engine.SkylineEngine` at first attach;
-    everything here is synchronous and single-owner (one engine, one
-    thread).  See the module docstring for the protocol and the fault
-    model.
+    Created by :class:`~repro.engine.SkylineEngine` at first attach and
+    safe to use from many threads at once.  See the module docstring for
+    the protocol and the fault model.
     """
 
     def __init__(
@@ -454,18 +432,18 @@ class PersistentPool:
         self.total_respawns = 0
         self._faults = faults
         self._fault_state = self._ctx.Value("i", 0) if faults is not None else None
-        self._tasks = self._ctx.Queue()
         self._results = self._ctx.Queue()
+        #: ``(qid, span)`` tasks not yet sent to any slot, oldest first
+        self._backlog: Deque[Tuple[int, Tuple[int, int]]] = deque()
         self._replay: List[tuple] = []  # attach/pin log replayed on respawn
         self._arenas: Dict[str, ShmArena] = {}
         self._pinned: Dict[str, tuple] = {}  # key -> (tag, strong payload ref)
         self._pin_keys_by_token: Dict[str, List[str]] = {}
-        #: prepare messages of every in-flight query, replayed on respawn
-        self._active_prepares: Dict[int, tuple] = {}
         self._next_qid = 0
         self._closed = False
-        # Concurrent admission: the pool lock guards qid allocation, slot
-        # casualty handling, the replay log and every pending record; the
+        # Concurrent admission: the pool lock guards qid allocation, the
+        # backlog and every slot's sends, slot casualty handling, the
+        # replay log and every pending record; the
         # ship lock serialises attach/pin shipping (rare, content-deduped)
         # so two threads never double-ship the same payload.
         self._lock = threading.Lock()
@@ -476,7 +454,8 @@ class PersistentPool:
         self._last_survey = time.monotonic()
         self._state = {
             "processes": [],
-            "queues": [self._tasks, self._results],
+            "queues": [self._results],
+            "pipes": [],
             "arenas": [],
         }
         self._finalizer = weakref.finalize(self, _release_pool_state, self._state)
@@ -503,42 +482,40 @@ class PersistentPool:
         return [slot.pid for slot in self.live_slots]
 
     def _spawn_slot(self, index: int) -> _Slot:
-        ctrl = self._ctx.Queue()
+        """Start a worker for slot *index* (caller holds the pool lock, or
+        is the constructor); its inbox first replays the attach/pin log.
+
+        The parent keeps only the pipe's write end, so once the worker is
+        gone a send fails with ``BrokenPipeError`` instead of filling the
+        pipe and blocking.
+        """
+        reader, inbox = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_engine_worker_main,
-            args=(
-                index,
-                ctrl,
-                self._tasks,
-                self._results,
-                self._faults,
-                self._fault_state,
-            ),
+            args=(index, reader, self._results, self._faults, self._fault_state),
             daemon=True,
             name=f"repro-engine-{index}",
         )
-        process.start()
-        # The watermark marks qids *below every in-flight query* stale —
-        # using _next_qid here would race the replayed prepares and let
-        # the fresh worker drop live tasks it claims before its ctrl
-        # queue drains.
-        watermark = min(self._active_prepares, default=self._next_qid)
-        ctrl.put(("watermark", watermark))
-        for msg in self._replay:
-            ctrl.put(msg)
-        for qid in sorted(self._active_prepares):
-            ctrl.put(self._active_prepares[qid])
+        try:
+            process.start()
+        finally:
+            reader.close()
         self._state["processes"].append(process)
-        self._state["queues"].append(ctrl)
-        return _Slot(index=index, process=process, ctrl=ctrl, pid=process.pid)
+        self._state["pipes"].append(inbox)
+        slot = _Slot(index=index, process=process, inbox=inbox, pid=process.pid)
+        for msg in self._replay:
+            self._send(slot, msg)
+        return slot
 
     def close(self) -> None:
         """Stop the workers and release every owned resource (idempotent).
 
-        Graceful first — a ``stop`` message lets workers run their own
-        teardown (shm detach) — then the ``weakref.finalize`` hook
-        terminates stragglers, drops the queue feeder threads and unlinks
-        the shared-memory arenas.
+        The router goes first, woken by a sentinel on the result queue so
+        it neither waits out its liveness poll nor mistakes the stopping
+        workers for casualties.  Then a ``stop`` message lets each worker
+        run its own teardown (shm detach), and the ``weakref.finalize``
+        hook terminates stragglers, drops the queue feeder threads and
+        unlinks the shared-memory arenas.
         """
         if self._closed:
             return
@@ -550,6 +527,7 @@ class PersistentPool:
             and router.is_alive()
             and router is not threading.current_thread()
         ):
+            self._results.put(("wake",))
             router.join(timeout=2.0)
         with self._lock:
             closed = EngineClosedError("the engine pool has been closed")
@@ -559,11 +537,8 @@ class PersistentPool:
                 for wait in waits:
                     wait.error = closed
                     wait.cond.notify_all()
-        for slot in self.live_slots:
-            try:
-                slot.ctrl.put(("stop",))
-            except Exception:  # pragma: no cover - queue already broken
-                pass
+            for slot in self.live_slots:
+                self._send(slot, ("stop",))
         deadline = time.monotonic() + 5.0
         for slot in self.live_slots:
             slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -702,7 +677,18 @@ class PersistentPool:
     def _broadcast(self, msg: tuple) -> None:
         """Send *msg* to every live slot (caller holds the pool lock)."""
         for slot in self.live_slots:
-            slot.ctrl.put(msg)
+            self._send(slot, msg)
+
+    @staticmethod
+    def _send(slot: _Slot, msg: tuple) -> None:
+        """Write *msg* to a slot's inbox (caller holds the pool lock, which
+        keeps each pipe's messages whole and in order).  A dead worker's
+        pipe is broken: the liveness survey replaces the slot and reclaims
+        its tasks, so the message is simply dropped."""
+        try:
+            slot.inbox.send(msg)
+        except BrokenPipeError:
+            pass
 
     def _await_acks(self, wait: _AckWait, timeout: float) -> None:
         """Block until every live slot acknowledged the wait's key.
@@ -710,7 +696,8 @@ class PersistentPool:
         Crashes during the wait are handled by the router's liveness
         survey: a dead slot is respawned (budget permitting) and its
         replayed attach/pin log produces the missing ack from the new
-        process; a retired slot is dropped from the wait.
+        process; a retired slot is dropped from the wait.  The router
+        notifies on every change, so the wait needs no poll.
         """
         deadline = time.monotonic() + timeout
         try:
@@ -723,7 +710,7 @@ class PersistentPool:
                             f" {wait.key!r} within {timeout:.0f}s"
                             f" ({len(wait.pending)} slot(s) pending)"
                         )
-                    wait.cond.wait(timeout=min(_LIVENESS_POLL_SECONDS, remaining))
+                    wait.cond.wait(timeout=remaining)
             if wait.error is not None:
                 raise wait.error
         finally:
@@ -753,14 +740,15 @@ class PersistentPool:
     ) -> List[ChunkOutcome]:
         """Run *spans* of one query over the warm pool; ordered outcomes.
 
-        Safe to call from many threads at once: the parent enqueues every
-        chunk as a ``(qid, span)``-tagged task on the shared queue, the
-        router thread routes deliveries back to this query's pending
-        record (deduplicating by span within the query), and the calling
-        thread blocks on the record until it completes, fails, or the
-        pool timeout expires.  On a crash the router respawns only the
-        dead slot and re-enqueues every in-flight query's undelivered
-        chunks (``on_failure != "raise"``).  ``inline_fallback`` finishes
+        Safe to call from many threads at once: the parent broadcasts the
+        query's prepare, appends every chunk as a ``(qid, span)`` task to
+        the shared backlog, and the router feeds the backlog to the slots
+        as they deliver; deliveries are routed back to this query's
+        pending record (deduplicating by span within the query), and the
+        calling thread blocks on the record until it completes, fails, or
+        the pool timeout expires.  On a crash the router respawns only
+        the dead slot and re-dispatches exactly the tasks it held
+        (``on_failure != "raise"``).  ``inline_fallback`` finishes
         remaining chunks on the *calling* thread when no slot survives
         and the policy is ``"serial"``.
         """
@@ -787,9 +775,9 @@ class PersistentPool:
                 order_key,
                 trace_ctx,
             )
-            self._active_prepares[qid] = prepare
             pending = _PendingQuery(
                 qid,
+                prepare,
                 outstanding=set(outstanding),
                 total=len(outstanding),
                 on_failure=on_failure,
@@ -798,17 +786,25 @@ class PersistentPool:
                 cond=threading.Condition(self._lock),
             )
             self._pending[qid] = pending
-            self._broadcast(prepare)
-            for span in sorted(outstanding):
-                self._tasks.put((qid, span))
+            self._backlog.extend((qid, span) for span in sorted(outstanding))
+            self._dispatch_locked()
         try:
             self._drain_pending(pending, pool_timeout)
         finally:
             with self._lock:
                 self._pending.pop(qid, None)
-                self._active_prepares.pop(qid, None)
+                if any(task[0] == qid for task in self._backlog):
+                    # failed, fell back inline, or a late delivery beat a
+                    # re-dispatch: drop what the query no longer needs
+                    self._backlog = deque(
+                        task for task in self._backlog if task[0] != qid
+                    )
                 if not self._closed:
-                    self._broadcast(("finish", qid))
+                    # after any task of the query still held by a slot
+                    for slot in self.live_slots:
+                        if qid in slot.prepared:
+                            slot.prepared.discard(qid)
+                            self._send(slot, ("finish", qid))
         outcomes = pending.outcomes
         outcomes.sort(key=lambda outcome: (outcome.start, outcome.stop))
         return outcomes
@@ -840,9 +836,7 @@ class PersistentPool:
                             f" slots, {len(pending.outstanding)} chunks"
                             f" outstanding)"
                         )
-                    pending.cond.wait(
-                        timeout=min(_LIVENESS_POLL_SECONDS, remaining)
-                    )
+                    pending.cond.wait(timeout=remaining)
             for span in inline_spans:
                 outcome = pending.inline_fallback(tuple(span))
                 with self._lock:
@@ -856,8 +850,10 @@ class PersistentPool:
 
         The single reader of ``self._results``: chunk deliveries, chunk
         errors and attach/pin acks are routed to their pending records
-        under the pool lock.  Casualties are detected here too, on the
-        same cadence as the one-shot executor's liveness poll.
+        under the pool lock, and every answered task frees its slot for
+        the next one in the backlog.  Casualties are detected here too,
+        on the same cadence as the one-shot executor's liveness poll;
+        :meth:`close` wakes the loop with a sentinel.
         """
         while not self._router_stop:
             try:
@@ -866,6 +862,8 @@ class PersistentPool:
                 msg = None
             except (OSError, ValueError, EOFError):  # pragma: no cover
                 break  # queue torn down under us mid-close
+            if self._router_stop:
+                break
             with self._lock:
                 if msg is not None:
                     self._route_locked(msg)
@@ -878,33 +876,82 @@ class PersistentPool:
         kind = msg[0]
         if kind == "chunk":
             _, slot_index, pid, qid, outcome = msg
-            pending = self._pending.get(qid)
-            if pending is None:
-                return  # stale delivery for a finished/abandoned query
             span = (outcome.start, outcome.stop)
-            if span not in pending.outstanding:
-                return  # duplicate delivery (respawn over-enqueue): dedup
-            pending.outstanding.discard(span)
-            pending.outcomes.append(outcome)
-            if pending.progress is not None:
-                done = pending.total - len(pending.outstanding) - len(pending.inline)
-                pending.progress(done, pending.total)
-            if not pending.outstanding:
-                pending.cond.notify_all()
+            self._answered_locked(slot_index, pid, qid, span)
+            pending = self._pending.get(qid)
+            # else: a stale delivery for a finished/abandoned query, or a
+            # duplicate that raced a re-dispatch (dedup by span)
+            if pending is not None and span in pending.outstanding:
+                pending.outstanding.discard(span)
+                pending.outcomes.append(outcome)
+                if pending.progress is not None:
+                    done = pending.total - len(pending.outstanding) - len(pending.inline)
+                    pending.progress(done, pending.total)
+                if not pending.outstanding:
+                    pending.cond.notify_all()
+            self._dispatch_locked()
         elif kind == "chunk_error":
             _, slot_index, pid, qid, span, exc = msg
-            pending = self._pending.get(qid)
             span = tuple(span)
-            if pending is None or span not in pending.outstanding:
-                return
-            self._handle_chunk_error_locked(pending, slot_index, span, exc)
+            self._answered_locked(slot_index, pid, qid, span)
+            pending = self._pending.get(qid)
+            if pending is not None and span in pending.outstanding:
+                self._handle_chunk_error_locked(pending, slot_index, span, exc)
+            self._dispatch_locked()
         elif kind == "ack":
             _, slot_index, pid, key = msg
             for wait in self._ack_waits.get(key, ()):
                 wait.pending.discard(slot_index)
                 if not wait.pending:
                     wait.cond.notify_all()
-        # anything else is a stale message from a dead worker: ignore
+        # anything else is the close sentinel or a stale message: ignore
+
+    def _answered_locked(self, slot_index: int, pid: int, qid: int, span) -> None:
+        """A slot's process replied to one task: free its place.
+
+        A reply from a slot's dead predecessor frees nothing — the tasks
+        that process held were reclaimed when it was replaced.
+        """
+        slot = self._slots[slot_index]
+        if slot.pid == pid and (qid, span) in slot.outstanding:
+            slot.outstanding.remove((qid, span))
+
+    def _dispatch_locked(self) -> None:
+        """Send backlog tasks, oldest first, to the least-loaded live slots.
+
+        Every live slot holds at most ``_SLOT_DEPTH`` tasks.  A task whose
+        query has ended, failed, or already got that span is dropped.
+        """
+        backlog = self._backlog
+        while backlog:
+            slot = min(
+                (
+                    slot
+                    for slot in self._slots
+                    if not slot.disabled and len(slot.outstanding) < _SLOT_DEPTH
+                ),
+                key=lambda slot: len(slot.outstanding),
+                default=None,
+            )
+            if slot is None:
+                return
+            qid, span = task = backlog.popleft()
+            pending = self._pending.get(qid)
+            if pending is None or pending.error is not None or span not in pending.outstanding:
+                continue
+            if qid not in slot.prepared:
+                slot.prepared.add(qid)
+                self._send(slot, pending.prepare)
+            slot.outstanding.append(task)
+            self._send(slot, ("task", qid, span))
+
+    def _reclaim_locked(self, slot: _Slot) -> int:
+        """Put a dead slot's unanswered tasks back at the backlog front,
+        in their original order; returns how many."""
+        reclaimed = len(slot.outstanding)
+        self._backlog.extendleft(reversed(slot.outstanding))
+        slot.outstanding.clear()
+        return reclaimed
 
     def _handle_chunk_error_locked(
         self, pending: _PendingQuery, slot_index: int, span, exc
@@ -931,7 +978,7 @@ class PersistentPool:
                 scope="engine",
                 slot=slot_index,
             )
-            self._tasks.put((pending.qid, span))
+            self._backlog.appendleft((pending.qid, span))
             return
         if pending.on_failure == "serial" and pending.inline_fallback is not None:
             pending.outstanding.discard(span)
@@ -944,12 +991,12 @@ class PersistentPool:
     def _survey_locked(self) -> None:
         """Liveness poll: detect casualties, respawn/retire, recover chunks.
 
-        Fail-fast (``on_failure="raise"``) queries are failed without a
-        respawn — the pool repairs itself lazily on the next
-        :meth:`run_query` via :meth:`ensure_healthy`, exactly like the
-        single-query engine did.  Queries under ``"retry"``/``"serial"``
-        (and threads blocked on attach/pin acks) trigger an immediate
-        single-slot respawn and a re-enqueue of every undelivered chunk.
+        A casualty fails every fail-fast (``on_failure="raise"``) query in
+        flight, and its slot is respawned (or retired) at once, so the
+        next query finds the pool whole.  Exactly the tasks the dead slot
+        held go back to the front of the backlog, for the queries under
+        ``"retry"``/``"serial"``; when no slot survives, those finish
+        inline (``"serial"``) or fail.
         """
         crashed = self._collect_casualties()
         if not crashed:
@@ -965,11 +1012,8 @@ class PersistentPool:
             f" ({_signal_name(slot.process.exitcode) or f'exit {slot.process.exitcode}'})"
             for slot in crashed
         )
-        survivors_needed = False
         for pending in self._pending.values():
-            if pending.error is not None:
-                continue
-            if pending.on_failure == "raise":
+            if pending.error is None and pending.on_failure == "raise":
                 pending.fail(
                     WorkerCrashError(
                         f"engine worker crashed mid-query: {detail};"
@@ -979,71 +1023,45 @@ class PersistentPool:
                         lost_spans=sorted(pending.outstanding),
                     )
                 )
-            else:
-                survivors_needed = True
-        ack_waits = [
-            wait
-            for waits in self._ack_waits.values()
-            for wait in waits
-            if wait.error is None
-        ]
-        if not survivors_needed and not ack_waits:
-            return  # leave the casualties to the lazy repair path
         for slot in crashed:
             self._handle_casualty(slot, respawn=True)
-        live = {slot.index for slot in self.live_slots}
-        if not live:
-            for wait in ack_waits:
-                wait.error = WorkerCrashError(
-                    "every engine worker slot died while attaching",
-                    pids=pids,
-                    exitcodes=exitcodes,
-                )
-                wait.cond.notify_all()
-            for pending in self._pending.values():
-                if pending.error is not None or pending.on_failure == "raise":
-                    continue
-                if (
-                    pending.on_failure == "serial"
-                    and pending.inline_fallback is not None
-                ):
-                    spans = sorted(pending.outstanding)
-                    pending.outstanding.clear()
-                    pending.inline.extend(spans)
-                    obs_runlog.emit(
-                        "pool_fallback", chunks=len(spans), scope="engine"
-                    )
-                    _engine_counter(
-                        "engine_serial_fallbacks_total",
-                        "Engine queries finished inline after losing every"
-                        " worker slot",
-                    ).inc(1)
-                    pending.cond.notify_all()
-                else:
-                    pending.fail(
-                        WorkerCrashError(
-                            "every engine worker slot is gone (respawn"
-                            " budgets exhausted);"
-                            f" {len(pending.outstanding)} chunk(s) undelivered",
-                            pids=pids,
-                            exitcodes=exitcodes,
-                            lost_spans=sorted(pending.outstanding),
-                        )
-                    )
+        if self.live_slots:
+            self._dispatch_locked()
             return
-        for wait in ack_waits:
-            wait.pending &= live
-            if not wait.pending:
-                wait.cond.notify_all()
-        # Re-enqueue everything undelivered for every surviving query:
-        # chunks the dead worker held AND chunks still queued — duplicates
-        # are deduplicated by (qid, span) on delivery, so over-submission
-        # is safe.
+        for waits in self._ack_waits.values():
+            for wait in waits:
+                if wait.error is None:
+                    wait.error = WorkerCrashError(
+                        "every engine worker slot died while attaching",
+                        pids=pids,
+                        exitcodes=exitcodes,
+                    )
+                    wait.cond.notify_all()
         for pending in self._pending.values():
-            if pending.error is not None or pending.on_failure == "raise":
+            if pending.error is not None:
                 continue
-            for span in sorted(pending.outstanding):
-                self._tasks.put((pending.qid, span))
+            if pending.on_failure == "serial" and pending.inline_fallback is not None:
+                spans = sorted(pending.outstanding)
+                pending.outstanding.clear()
+                pending.inline.extend(spans)
+                obs_runlog.emit("pool_fallback", chunks=len(spans), scope="engine")
+                _engine_counter(
+                    "engine_serial_fallbacks_total",
+                    "Engine queries finished inline after losing every"
+                    " worker slot",
+                ).inc(1)
+                pending.cond.notify_all()
+            else:
+                pending.fail(
+                    WorkerCrashError(
+                        "every engine worker slot is gone (respawn"
+                        " budgets exhausted);"
+                        f" {len(pending.outstanding)} chunk(s) undelivered",
+                        pids=pids,
+                        exitcodes=exitcodes,
+                        lost_spans=sorted(pending.outstanding),
+                    )
+                )
 
     # ------------------------------------------------------------------
     # fault handling
@@ -1056,23 +1074,26 @@ class PersistentPool:
         ]
 
     def _handle_casualty(self, slot: _Slot, *, respawn: bool) -> None:
-        """Retire or respawn one dead slot (caller holds the pool lock)."""
+        """Retire or respawn one dead slot (caller holds the pool lock).
+
+        Its unanswered tasks go back to the backlog front, and ack waits
+        stop expecting what the slot will never send: a retired slot
+        sends nothing, a replacement re-sends only the acks its replayed
+        attach/pin log produces (no detach acks).
+        """
+        reclaimed = self._reclaim_locked(slot)
         exitcode = slot.process.exitcode
         old_pid = slot.pid
         can_respawn = respawn and slot.respawns < self.max_respawns
+        slot.inbox.close()
+        slot.prepared.clear()
         if can_respawn:
-            slot.ctrl.close()
-            slot.ctrl.cancel_join_thread()
             replacement = self._spawn_slot(slot.index)
             slot.process = replacement.process
-            slot.ctrl = replacement.ctrl
+            slot.inbox = replacement.inbox
             slot.pid = replacement.pid
             slot.respawns += 1
             self.total_respawns += 1
-            # _spawn_slot appended a fresh _Slot-shaped record's resources
-            # to the finalizer state already; the slot list keeps its
-            # original entry with the swapped process.
-            self._slots[slot.index] = slot
             _engine_counter(
                 "engine_slot_respawns_total",
                 "Engine worker slots respawned after a crash",
@@ -1084,6 +1105,14 @@ class PersistentPool:
                 "Engine worker slots retired after exhausting their"
                 " respawn budget",
             ).inc(1)
+        replayed = {msg[1] for msg in self._replay} if can_respawn else set()
+        for key, waits in self._ack_waits.items():
+            if key in replayed:
+                continue
+            for wait in waits:
+                wait.pending.discard(slot.index)
+                if not wait.pending:
+                    wait.cond.notify_all()
         obs_runlog.emit(
             "slot_respawn",
             slot=slot.index,
@@ -1094,6 +1123,7 @@ class PersistentPool:
             respawned=can_respawn,
             respawns=slot.respawns,
             budget=self.max_respawns,
+            reclaimed=reclaimed,
         )
 
     def _finish_inline(self, spans, outcomes, outstanding, inline_fallback):
@@ -1112,12 +1142,15 @@ class PersistentPool:
     def ensure_healthy(self) -> int:
         """Respawn every repairable dead slot; returns the live-slot count.
 
-        Called at the top of each query so a crash under
-        ``on_failure="raise"`` (which fails the query immediately) still
-        leaves the pool usable for the next one.
+        Called at the top of each query, so a worker that died since the
+        router's last liveness survey is replaced before the query's
+        tasks are sent.
         """
         self._require_open()
         with self._lock:
-            for slot in self._collect_casualties():
+            casualties = self._collect_casualties()
+            for slot in casualties:
                 self._handle_casualty(slot, respawn=True)
+            if casualties:
+                self._dispatch_locked()
             return len(self.live_slots)

@@ -33,9 +33,10 @@ Failure semantics
 Worker deaths surface within a liveness-poll tick.  Under
 ``on_failure="retry"``/``"serial"`` the engine respawns only the dead
 slot — surviving workers keep their pids and their pinned data — and
-re-enqueues the undelivered chunks; each slot carries a lifetime respawn
-budget (``ExecutionConfig.max_retries``).  ``"raise"`` fails the query
-immediately and repairs the pool lazily before the next one.
+re-dispatches exactly the chunk tasks it held; each slot carries a
+lifetime respawn budget (``ExecutionConfig.max_retries``).  ``"raise"``
+fails the query immediately and still replaces the dead slot, so the
+next query finds the pool whole.
 """
 
 from __future__ import annotations
@@ -601,7 +602,7 @@ class SkylineEngine:
         Each entry is a mapping of :meth:`query` keyword arguments
         (``gamma``, ``algorithm``, ``execution``, ``dims``, options...).
         The dataset is attached once up front; warm-eligible queries then
-        ship nothing but chunk spans, and the pool's dynamic task queue
+        ship nothing but chunk spans, and the pool's shared task backlog
         keeps every worker busy across query boundaries (the engine-side
         analogue of the work-stealing scheduler).
 
@@ -662,8 +663,8 @@ class SkylineEngine:
         query's index/order (content-keyed, so repeats ship nothing),
         schedules the spans on the resident workers and re-packages the
         outcomes as a :class:`~repro.parallel.executor.PoolRun`.
-        ``scheduler``/``shm`` knobs are satisfied structurally (dynamic
-        task queue, shipping decided at attach); ``max_retries`` is
+        ``scheduler``/``shm`` knobs are satisfied structurally (shared
+        task backlog, shipping decided at attach); ``max_retries`` is
         enforced as the pool's per-slot lifetime budget.
         """
         pool = self._pool

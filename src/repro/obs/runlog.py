@@ -47,8 +47,9 @@ fields.  Events emitted by the engine:
     adds survivors and elapsed, or the error payload on failure).
 ``slot_respawn``
     The engine replaced exactly one dead worker slot (slot, old/new pid,
-    exitcode/signal, respawn count vs budget) — surviving slots keep
-    their pids and pinned data.
+    exitcode/signal, respawn count vs budget, and ``reclaimed``: the
+    unanswered tasks it held, put back at the front of the backlog) —
+    surviving slots keep their pids and pinned data.
 ``engine_teardown_error``
     The engine's GC safety net failed to release the pool (possible
     leaked shm segments or worker slots) — previously swallowed

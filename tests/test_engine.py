@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import signal
+import sys
+import threading
+import time
 import warnings
 
 import pytest
@@ -35,6 +38,7 @@ from repro import (
     partitioned_aggregate_skyline,
 )
 from repro.data.synthetic import SyntheticSpec, generate_grouped
+from repro.obs import runlog as obs_runlog
 from repro.parallel import FaultSpec, WorkerCrashError
 
 pytestmark = pytest.mark.timeout(300)
@@ -160,40 +164,111 @@ def test_warm_results_match_across_worker_counts(cold_results):
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-def test_crash_respawns_only_dead_slot(dataset, cold_results, start_method):
+@pytest.mark.parametrize("algorithm", ("PAR", "LO"))
+def test_crash_respawns_only_dead_slot(
+    dataset, cold_results, start_method, algorithm, tmp_path
+):
+    """The first worker to start a chunk dies holding two tasks — the one
+    it runs and the one queued behind it — and exactly those two go back
+    to the backlog, for pair chunks (PAR) and candidate chunks (LO)."""
     _require_start_method(start_method)
     execution = ExecutionConfig(
         workers=3, scheduler="stealing", on_failure="retry", max_retries=2
     )
-    with SkylineEngine(
-        execution,
-        start_method=start_method,
-        faults=FaultSpec("crash", at_chunk=0),  # one SIGKILL, max_fires=1
-    ) as engine:
-        handle = engine.attach(dataset)
-        pids_before = list(engine.worker_pids)
-        result = engine.query(handle, gamma=GAMMA, algorithm="PAR")
-        cold = cold_results[("PAR", 2)]
-        assert result.keys == cold.keys
-        assert stats_key(result) == stats_key(cold)
-
-        pids_after = list(engine.worker_pids)
-        assert engine.pool.total_respawns == 1
-        survivors = set(pids_before) & set(pids_after)
-        assert len(survivors) == len(pids_before) - 1, (
-            "exactly one slot must have been replaced"
-        )
-
-        # The repaired pool keeps serving every algorithm bit-identically,
-        # with no further respawns and stable pids.
-        for algorithm in ALGORITHMS:
+    log_path = tmp_path / "run.jsonl"
+    with obs_runlog.RunLog(log_path) as log, obs_runlog.use_runlog(log):
+        with SkylineEngine(
+            execution,
+            start_method=start_method,
+            faults=FaultSpec("crash", at_chunk=0),  # one SIGKILL, max_fires=1
+        ) as engine:
+            handle = engine.attach(dataset)
+            pids_before = list(engine.worker_pids)
             result = engine.query(handle, gamma=GAMMA, algorithm=algorithm)
             cold = cold_results[(algorithm, 2)]
             assert result.keys == cold.keys
             assert stats_key(result) == stats_key(cold)
-        assert engine.worker_pids == pids_after
-        assert engine.pool.total_respawns == 1
-        assert engine.stats.slot_respawns == 1
+
+            pids_after = list(engine.worker_pids)
+            assert engine.pool.total_respawns == 1
+            survivors = set(pids_before) & set(pids_after)
+            assert len(survivors) == len(pids_before) - 1, (
+                "exactly one slot must have been replaced"
+            )
+
+            # The repaired pool keeps serving every algorithm
+            # bit-identically, with no further respawns and stable pids.
+            for other in ALGORITHMS:
+                result = engine.query(handle, gamma=GAMMA, algorithm=other)
+                cold = cold_results[(other, 2)]
+                assert result.keys == cold.keys
+                assert stats_key(result) == stats_key(cold)
+            assert engine.worker_pids == pids_after
+            assert engine.pool.total_respawns == 1
+            assert engine.stats.slot_respawns == 1
+    respawns = [
+        event
+        for event in obs_runlog.read_events(log_path)
+        if event["event"] == "slot_respawn"
+    ]
+    assert len(respawns) == 1
+    assert respawns[0]["respawned"] is True
+    assert respawns[0]["reclaimed"] == 2
+
+
+def test_concurrent_dispatch_stress(dataset):
+    """Eight threads issue mixed PAR/IN/LO queries on one ``workers=4``
+    engine while the interpreter switches threads as often as it can.
+    Every result and counter equals the same query run alone, and once
+    the threads are done the router holds no task: the backlog, every
+    slot's unanswered tasks and every slot's prepared queries are empty."""
+    specs = [
+        {"gamma": gamma, "algorithm": algorithm}
+        for gamma in (0.5, 0.7)
+        for algorithm in ("PAR", "IN", "LO")
+    ]
+    threads_n = 8
+    with SkylineEngine(ExecutionConfig(workers=4, scheduler="stealing")) as engine:
+        handle = engine.attach(dataset)
+        serial = [engine.query(handle, **spec) for spec in specs]
+        results = {}
+        errors = []
+
+        def client(thread):
+            try:
+                for step in range(len(specs)):
+                    which = (thread + step) % len(specs)
+                    results[thread, which] = engine.query(handle, **specs[which])
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(thread,), daemon=True)
+            for thread in range(threads_n)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 180.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads), "a query hung"
+        assert errors == []
+        assert len(results) == threads_n * len(specs)
+        for (thread, which), result in results.items():
+            assert result.keys == serial[which].keys, (thread, specs[which])
+            assert stats_key(result) == stats_key(serial[which]), (
+                thread, specs[which],
+            )
+        pool = engine.pool
+        assert not pool._backlog
+        assert [slot.outstanding for slot in pool._slots] == [[]] * 4
+        assert [slot.prepared for slot in pool._slots] == [set()] * 4
+        assert pool.total_respawns == 0
 
 
 def test_on_failure_raise_fails_fast_then_repairs(dataset, cold_results):

@@ -11,6 +11,7 @@ Covers the pieces added with end-to-end run telemetry:
 * the OpenMetrics exposition format.
 """
 
+import collections
 import gc
 import json
 import threading
@@ -638,42 +639,67 @@ class TestOpenMetrics:
 
 
 class TestDisabledObsOverhead:
-    def test_noop_hooks_are_cheap_relative_to_nl_smoke(self):
-        """With everything disabled, the telemetry hooks a run performs
-        (noop runlog emits, noop span entries, enabled checks) must stay
-        well under 3% of the NL smoke runtime.  Measured as min-of-N on
-        both sides to shrug off scheduler noise."""
+    #: Disabled telemetry hook calls one NL ``compute()`` on the smoke
+    #: workload may make.  ``benchmarks/bench_obs_overhead.py`` prices
+    #: them: this many no-op hook calls cost under 3% of that run.
+    HOOK_CALL_BUDGET = 1000
+
+    def test_noop_hooks_are_cheap_relative_to_nl_smoke(self, monkeypatch):
+        """With everything disabled, count the telemetry hooks one NL
+        ``compute()`` calls — run-log enabled checks and emits, span
+        opens, trace-context snapshots, the accessors and enabled checks
+        in front of them, and the profiler phase — and hold them to the
+        budget.  A count, not a clock, so it cannot flake under load."""
+        from repro.core.algorithms import base as algorithms_base
+
         dataset = load_workload("paper-default", scale=0.05)
         algorithm = make_algorithm("NL", 0.5)
-
-        run_seconds = min(
-            _timed(lambda: algorithm.compute(dataset)) for _ in range(3)
-        )
-
-        # A generous over-estimate of the disabled hook calls one compute()
-        # makes (run/pool/cache emits + span opens + enabled checks).
-        calls = 1000
-        log = obs_runlog.get_runlog()
-        tracer = obs_tracing.get_tracer()
-        assert not log.enabled
+        assert not obs_runlog.get_runlog().enabled
+        assert not obs_tracing.get_tracer().enabled
         assert not obs_metrics.is_enabled()
+        calls = collections.Counter()
 
-        def hooks():
-            for _ in range(calls):
-                if log.enabled:
-                    log.emit("never")
-                with tracer.span("noop", a=1):
-                    pass
-                obs_tracing.current_trace_context()
+        class CountingRunLog(obs_runlog.NoopRunLog):
+            @property
+            def enabled(self):
+                calls["runlog.enabled"] += 1
+                return False
 
-        hook_seconds = min(_timed(hooks) for _ in range(3))
-        assert hook_seconds < 0.03 * run_seconds, (
-            f"disabled-obs hooks cost {hook_seconds:.6f}s vs"
-            f" {run_seconds:.6f}s NL smoke run (>3%)"
-        )
+            def emit(self, event, **fields):
+                calls["runlog.emit"] += 1
 
+        class CountingTracer(obs_tracing.NoopTracer):
+            @property
+            def enabled(self):
+                calls["tracer.enabled"] += 1
+                return False
 
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+            def span(self, name, **attributes):
+                calls["tracer.span"] += 1
+                return super().span(name, **attributes)
+
+            def current_span(self):
+                calls["tracer.current_span"] += 1
+                return super().current_span()
+
+        def counted(module, name):
+            hook = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return hook(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(obs_tracing, "get_tracer")
+        counted(obs_tracing, "current_trace_context")
+        counted(obs_runlog, "get_runlog")
+        counted(obs_metrics, "is_enabled")
+        counted(algorithms_base, "profile_phase")
+        with use_runlog(CountingRunLog()), use_tracer(CountingTracer()):
+            result = algorithm.compute(dataset)
+
+        assert result.stats.group_comparisons > 0
+        # the counting sees the hooks compute() is known to call
+        assert calls["tracer.span"] >= 2 and calls["runlog.emit"] >= 1
+        assert sum(calls.values()) <= self.HOOK_CALL_BUDGET, dict(calls)
