@@ -67,6 +67,7 @@ class AnytimeAggregateSkyline:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.thresholds = GammaThresholds(gamma)
+        self._gamma = self.thresholds.gamma.as_integer_ratio()
         self.block_size = block_size
         self._groups = dataset.groups
         self._keys = [group.key for group in self._groups]
@@ -86,7 +87,7 @@ class AnytimeAggregateSkyline:
                     self._groups[i], self._groups[j], use_bbox
                 )
                 self._probes[(i, j)] = probe
-                if probe.decide(self.thresholds.gamma) is None:
+                if probe.decide(self._gamma) is None:
                     self._undecided_pairs.append((i, j))
         #: Upper bound on record-pair checks still possible after the MBB
         #: pre-classification — the denominator for progress ETAs.
@@ -130,12 +131,12 @@ class AnytimeAggregateSkyline:
                 if self._status[j] is not GroupStatus.UNDECIDED:
                     continue  # j's fate is sealed; pair is irrelevant
                 probe = self._probes[(i, j)]
-                if probe.decide(self.thresholds.gamma) is not None:
+                if probe.decide(self._gamma) is not None:
                     continue
                 advanced = probe.advance(self.block_size)
                 spent += advanced
                 progressed = progressed or advanced > 0
-                if probe.decide(self.thresholds.gamma) is None:
+                if probe.decide(self._gamma) is None:
                     still_open.append((i, j))
             self._undecided_pairs = still_open
             self._refresh_statuses()
@@ -197,7 +198,7 @@ class AnytimeAggregateSkyline:
     # ------------------------------------------------------------------
 
     def _refresh_statuses(self) -> None:
-        gamma = self.thresholds.gamma
+        gamma = self._gamma
         n = len(self._groups)
         for j in range(n):
             if self._status[j] is not GroupStatus.UNDECIDED:

@@ -16,6 +16,17 @@ single group-vs-group comparison:
 :class:`GroupComparator` implements both, individually switchable, and
 reports how many record pairs were actually examined so the benchmark
 harness can count dominance checks exactly like the paper does.
+
+The kernel is *dimension-major*: a comparison transposes the records it
+still has to check into ``d × n`` arrays, and every dominance test in this
+module reduces ``p >= q`` / ``p > q`` over the leading dimension axis
+(:func:`_dominates`).  Reducing a row-major ``(rows, n, d)`` broadcast over
+its trailing length-``d`` axis instead was most of the old kernel's time;
+over the leading axis each reduction step is one elementwise pass over a
+contiguous ``(rows, n)`` slab.  Stopping-rule decisions compare integer
+pair counts against a threshold's ``(numerator, denominator)`` by Python
+integer cross-multiplication, which stays exact where the 51–54-bit
+denominators most float γ values have would overflow 64-bit products.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .dominance import dominated_mask
 from .gamma import DEFAULT_BLOCK_SIZE, GammaThresholds
 from .groups import Group
 
@@ -63,6 +73,13 @@ class _DirectionalCount:
     either *known dominated*, *known not dominated* or *pending*.  The bbox
     pre-classification seeds the known sets; the nested loop then resolves
     pending pairs block by block.
+
+    The pending records of both sides are held dimension-major, as ``d × n``
+    arrays transposed from the groups' ``n × d`` rows once per comparison,
+    so a block's dominance test reduces over the leading axis (see the
+    module docstring).  A block takes whole rows of A against all pending
+    records of B, ``max(1, block_size // n_b)`` rows at a time, and checks
+    exactly the pairs it counts.
     """
 
     def __init__(self, a: Group, b: Group, use_bbox: bool):
@@ -70,40 +87,42 @@ class _DirectionalCount:
         self.known = 0          # pairs known to dominate
         self.pending = 0        # pairs not yet resolved
         self.examined = 0       # pairs resolved via explicit checks
-        self._a_mid: Optional[np.ndarray] = None
-        self._b_mid: Optional[np.ndarray] = None
+        self._a_mid: Optional[np.ndarray] = None   # d × pending records of A
+        self._b_mid: Optional[np.ndarray] = None   # d × pending records of B
         self._cursor = 0
         self._setup(a, b, use_bbox)
 
     def _setup(self, a: Group, b: Group, use_bbox: bool) -> None:
+        # d × n views of the groups' n × d records.
+        a_t = a.values.T
+        b_t = b.values.T
         if not use_bbox:
-            self._a_mid = a.values
-            self._b_mid = b.values
+            self._keep(a_t, b_t)
             self.pending = self.total
             return
 
         a_box, b_box = a.bbox, b.bbox
         # No record of A can dominate any record of B unless A's best corner
         # dominates B's worst corner.
-        if not _corner_dominates(a_box.max_corner, b_box.min_corner):
+        if not _dominates(a_box.max_corner, b_box.min_corner):
             self.pending = 0
             return
         # Total domination: A's worst corner dominates B's best corner.
-        if _corner_dominates(a_box.min_corner, b_box.max_corner):
+        if _dominates(a_box.min_corner, b_box.max_corner):
             self.known = self.total
             self.pending = 0
             return
 
         # Region C: records of A dominating B's best corner dominate all B.
-        a_all = _rows_dominating_point(a.values, b_box.max_corner)
+        a_all = _dominates(a_t, b_box.max_corner[:, None])
         # Records of A that do not dominate B's worst corner dominate nothing.
-        a_some = _rows_dominating_point(a.values, b_box.min_corner)
+        a_some = _dominates(a_t, b_box.min_corner[:, None])
         a_mid_mask = a_some & ~a_all
         # Region A: records of B dominated by A's worst corner are dominated
         # by every record of A.
-        b_all = dominated_mask(b.values, a_box.min_corner)
+        b_all = _dominates(a_box.min_corner[:, None], b_t)
         # Records of B not dominated by A's best corner are dominated by none.
-        b_some = dominated_mask(b.values, a_box.max_corner)
+        b_some = _dominates(a_box.max_corner[:, None], b_t)
         b_mid_mask = b_some & ~b_all
 
         n_a_all = int(np.count_nonzero(a_all))
@@ -114,8 +133,12 @@ class _DirectionalCount:
         self.known = n_a_all * b.size + n_a_mid * n_b_all
         self.pending = n_a_mid * n_b_mid
         if self.pending:
-            self._a_mid = a.values[a_mid_mask]
-            self._b_mid = b.values[b_mid_mask]
+            self._keep(a_t[:, a_mid_mask], b_t[:, b_mid_mask])
+
+    def _keep(self, a_t: np.ndarray, b_t: np.ndarray) -> None:
+        """Store the pending ``d × n`` records, contiguous for the kernel."""
+        self._a_mid = np.ascontiguousarray(a_t)
+        self._b_mid = np.ascontiguousarray(b_t)
 
     # ------------------------------------------------------------------
 
@@ -127,20 +150,19 @@ class _DirectionalCount:
         """Resolve up to ``block_size`` pending pairs; return pairs checked."""
         if self.pending == 0 or self._a_mid is None or self._b_mid is None:
             return 0
-        n_b = self._b_mid.shape[0]
+        n_b = self._b_mid.shape[1]
         rows = max(1, block_size // max(1, n_b))
-        chunk = self._a_mid[self._cursor : self._cursor + rows]
-        if chunk.shape[0] == 0:
+        chunk = self._a_mid[:, self._cursor : self._cursor + rows]
+        if chunk.shape[1] == 0:
             self.pending = 0
             return 0
-        ge = np.all(chunk[:, None, :] >= self._b_mid[None, :, :], axis=2)
-        gt = np.any(chunk[:, None, :] > self._b_mid[None, :, :], axis=2)
-        dominated = int(np.count_nonzero(ge & gt))
-        checked = chunk.shape[0] * n_b
+        pairs = _dominates(chunk[:, :, None], self._b_mid[:, None, :])
+        dominated = int(np.count_nonzero(pairs))
+        checked = chunk.shape[1] * n_b
         self.known += dominated
         self.pending -= checked
         self.examined += checked
-        self._cursor += chunk.shape[0]
+        self._cursor += chunk.shape[1]
         return checked
 
     def finish(self) -> int:
@@ -155,22 +177,28 @@ class _DirectionalCount:
 
     # ------------------------------------------------------------------
 
-    def decide(self, threshold: Fraction) -> Optional[bool]:
-        """Tri-state verdict for ``p = 1 or p > threshold``.
+    def decide(self, threshold: Tuple[int, int]) -> Optional[bool]:
+        """Tri-state verdict for ``p = 1 or p > numerator/denominator``.
 
+        ``threshold`` is a ``(numerator, denominator)`` pair of Python ints
+        (``Fraction.as_integer_ratio()``), computed once per comparator.
+        They must stay Python ints: most float γ values convert to
+        fractions with 51–54-bit denominators, so ``count * denominator``
+        can pass 2**63 within a few thousand pairs (two 100-record groups
+        have 10,000).
         Returns ``True``/``False`` once the bounds settle the predicate and
         ``None`` while it is still open.
         """
+        numerator, denominator = threshold
         lower = self.known
-        upper = self.known + self.pending
-        # Already above the threshold: final p only grows from `lower`.
-        if lower * threshold.denominator > threshold.numerator * self.total:
-            return True
-        if lower == self.total:
+        upper = lower + self.pending
+        bar = numerator * self.total
+        # Already above the threshold (final p only grows from `lower`), or
+        # every pair is known to dominate.
+        if lower * denominator > bar or lower == self.total:
             return True
         # Cannot reach the threshold any more, and p = 1 is impossible.
-        at_most = upper * threshold.denominator <= threshold.numerator * self.total
-        if at_most and upper < self.total:
+        if upper * denominator <= bar and upper < self.total:
             return False
         if self.pending == 0:
             # Exact: either p == 1 (upper == total == lower) or p <= threshold.
@@ -208,15 +236,15 @@ class DirectionalProbe:
         return lower
 
 
-def _corner_dominates(p: np.ndarray, q: np.ndarray) -> bool:
-    return bool(np.all(p >= q) and np.any(p > q))
+def _dominates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Definition 1, ``p > q``, reduced over the leading (dimension) axis.
 
-
-def _rows_dominating_point(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Mask of rows that dominate ``point`` (Definition 1)."""
-    ge = np.all(rows >= point, axis=1)
-    gt = np.any(rows > point, axis=1)
-    return ge & gt
+    ``p`` and ``q`` broadcast against each other with dimensions first, so
+    two corners give a scalar, ``d × n`` records against a ``d × 1`` corner
+    a length-``n`` mask, and ``d × rows × 1`` against ``d × 1 × n`` the
+    ``rows × n`` pair matrix of a kernel block.
+    """
+    return np.logical_and.reduce(p >= q, axis=0) & np.logical_or.reduce(p > q, axis=0)
 
 
 class GroupComparator:
@@ -247,6 +275,8 @@ class GroupComparator:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.thresholds = thresholds
+        self._gamma = thresholds.gamma.as_integer_ratio()
+        self._strong = thresholds.strong.as_integer_ratio()
         self.use_stopping_rule = use_stopping_rule
         self.use_bbox = use_bbox
         self.block_size = block_size
@@ -349,34 +379,23 @@ class GroupComparator:
             for direction in (forward, backward)
         )
 
-        gamma = self.thresholds.gamma
-        strong = self.thresholds.strong
+        gamma = self._gamma
+        strong = self._strong
         pairs = 0
-
-        def undecided(direction: Optional[_DirectionalCount]) -> bool:
+        # One direction's verdicts depend only on its own counts, so each is
+        # settled on its own: block by block until both of its predicates
+        # are decided (stopping rule), or exhaustively.
+        for direction in (forward, backward):
             if direction is None:
-                return False
-            return (
-                direction.decide(gamma) is None
-                or direction.decide(strong) is None
-            )
-
-        if self.use_stopping_rule:
-            # Alternate between the two directions so neither starves.
-            while undecided(forward) or undecided(backward):
-                progressed = 0
-                if undecided(forward):
-                    progressed += forward.advance(self.block_size)
-                if undecided(backward):
-                    progressed += backward.advance(self.block_size)
-                pairs += progressed
-                if progressed == 0:
+                continue
+            if not self.use_stopping_rule:
+                pairs += direction.finish()
+                continue
+            while direction.decide(gamma) is None or direction.decide(strong) is None:
+                step = direction.advance(self.block_size)
+                if step == 0:
                     break
-        else:
-            if forward is not None:
-                pairs += forward.finish()
-            if backward is not None:
-                pairs += backward.finish()
+                pairs += step
 
         def verdicts(direction: Optional[_DirectionalCount]) -> Tuple[bool, bool]:
             if direction is None:

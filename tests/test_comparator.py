@@ -1,21 +1,241 @@
 """Tests for the pairwise group comparator (stopping rule, bbox, Fig. 9)."""
 
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.comparator import GroupComparator
+from repro.core import anytime as anytime_module
+from repro.core.anytime import AnytimeAggregateSkyline
+from repro.core.comparator import DirectionalProbe, GroupComparator
+from repro.core.dominance import dominated_mask
 from repro.core.gamma import (
+    DEFAULT_BLOCK_SIZE,
     GammaThresholds,
     dominance_holds,
     dominance_probability,
 )
-from repro.core.groups import Group
+from repro.core.groups import Group, GroupedDataset
+
+GAMMAS = [0.5, 0.55, 0.7, 0.75, 0.9, 1.0]
+BLOCK_SIZES = [1, 2, 7, 64, 1024]
 
 
 def make_group(key, values):
     return Group(key, np.asarray(values, dtype=float))
+
+
+# ----------------------------------------------------------------------
+# Reference kernel: the row-major comparator the dimension-major one
+# replaced, kept verbatim in behaviour.  It reduces ``(rows, n_b, d)``
+# broadcasts over the trailing axis, decides on ``Fraction`` thresholds
+# and alternates the two directions block by block.  The counters it
+# produces are what the benchmark's golden digests hash, so the kernel
+# under test must reproduce every one of them.
+# ----------------------------------------------------------------------
+
+
+def _reference_corner_dominates(p, q):
+    return bool(np.all(p >= q) and np.any(p > q))
+
+
+def _reference_rows_dominating_point(rows, point):
+    return np.all(rows >= point, axis=1) & np.any(rows > point, axis=1)
+
+
+class ReferenceCount:
+    """Row-major incremental pair counting for one direction (A over B)."""
+
+    def __init__(self, a, b, use_bbox):
+        self.total = a.size * b.size
+        self.known = 0
+        self.pending = 0
+        self.examined = 0
+        self._a_mid = None
+        self._b_mid = None
+        self._cursor = 0
+        self._setup(a, b, use_bbox)
+
+    def _setup(self, a, b, use_bbox):
+        if not use_bbox:
+            self._a_mid = a.values
+            self._b_mid = b.values
+            self.pending = self.total
+            return
+        a_box, b_box = a.bbox, b.bbox
+        if not _reference_corner_dominates(a_box.max_corner, b_box.min_corner):
+            self.pending = 0
+            return
+        if _reference_corner_dominates(a_box.min_corner, b_box.max_corner):
+            self.known = self.total
+            self.pending = 0
+            return
+        a_all = _reference_rows_dominating_point(a.values, b_box.max_corner)
+        a_some = _reference_rows_dominating_point(a.values, b_box.min_corner)
+        a_mid_mask = a_some & ~a_all
+        b_all = dominated_mask(b.values, a_box.min_corner)
+        b_some = dominated_mask(b.values, a_box.max_corner)
+        b_mid_mask = b_some & ~b_all
+        n_a_all = int(np.count_nonzero(a_all))
+        n_a_mid = int(np.count_nonzero(a_mid_mask))
+        n_b_all = int(np.count_nonzero(b_all))
+        n_b_mid = int(np.count_nonzero(b_mid_mask))
+        self.known = n_a_all * b.size + n_a_mid * n_b_all
+        self.pending = n_a_mid * n_b_mid
+        if self.pending:
+            self._a_mid = a.values[a_mid_mask]
+            self._b_mid = b.values[b_mid_mask]
+
+    @property
+    def exhausted(self):
+        return self.pending == 0
+
+    def advance(self, block_size):
+        if self.pending == 0 or self._a_mid is None or self._b_mid is None:
+            return 0
+        n_b = self._b_mid.shape[0]
+        rows = max(1, block_size // max(1, n_b))
+        chunk = self._a_mid[self._cursor : self._cursor + rows]
+        if chunk.shape[0] == 0:
+            self.pending = 0
+            return 0
+        ge = np.all(chunk[:, None, :] >= self._b_mid[None, :, :], axis=2)
+        gt = np.any(chunk[:, None, :] > self._b_mid[None, :, :], axis=2)
+        dominated = int(np.count_nonzero(ge & gt))
+        checked = chunk.shape[0] * n_b
+        self.known += dominated
+        self.pending -= checked
+        self.examined += checked
+        self._cursor += chunk.shape[0]
+        return checked
+
+    def finish(self):
+        checked = 0
+        while self.pending > 0:
+            step = self.advance(DEFAULT_BLOCK_SIZE)
+            if step == 0:
+                break
+            checked += step
+        return checked
+
+    def decide(self, threshold):
+        lower = self.known
+        upper = self.known + self.pending
+        if lower * threshold.denominator > threshold.numerator * self.total:
+            return True
+        if lower == self.total:
+            return True
+        at_most = upper * threshold.denominator <= threshold.numerator * self.total
+        if at_most and upper < self.total:
+            return False
+        if self.pending == 0:
+            return lower == self.total
+        return None
+
+
+class ReferenceComparator:
+    """The alternating ``compare()`` loop over :class:`ReferenceCount`."""
+
+    def __init__(self, thresholds, use_stopping_rule, use_bbox, block_size):
+        self.thresholds = thresholds
+        self.use_stopping_rule = use_stopping_rule
+        self.use_bbox = use_bbox
+        self.block_size = block_size
+        self.comparisons = 0
+        self.pairs_examined = 0
+        self.bbox_shortcuts = 0
+        self.stopping_rule_exits = 0
+
+    def compare(self, g1, g2, need_forward=True, need_backward=True):
+        self.comparisons += 1
+        forward = ReferenceCount(g1, g2, self.use_bbox) if need_forward else None
+        backward = ReferenceCount(g2, g1, self.use_bbox) if need_backward else None
+        shortcut = all(
+            direction is None or direction.exhausted
+            for direction in (forward, backward)
+        )
+        gamma = self.thresholds.gamma
+        strong = self.thresholds.strong
+        pairs = 0
+
+        def undecided(direction):
+            if direction is None:
+                return False
+            return (
+                direction.decide(gamma) is None
+                or direction.decide(strong) is None
+            )
+
+        if self.use_stopping_rule:
+            while undecided(forward) or undecided(backward):
+                progressed = 0
+                if undecided(forward):
+                    progressed += forward.advance(self.block_size)
+                if undecided(backward):
+                    progressed += backward.advance(self.block_size)
+                pairs += progressed
+                if progressed == 0:
+                    break
+        else:
+            if forward is not None:
+                pairs += forward.finish()
+            if backward is not None:
+                pairs += backward.finish()
+
+        def verdicts(direction):
+            if direction is None:
+                return False, False
+            return bool(direction.decide(gamma)), bool(direction.decide(strong))
+
+        flags = verdicts(forward) + verdicts(backward)
+        self.pairs_examined += pairs
+        if shortcut:
+            self.bbox_shortcuts += 1
+        if self.use_stopping_rule and any(
+            direction is not None and direction.pending > 0
+            for direction in (forward, backward)
+        ):
+            self.stopping_rule_exits += 1
+        return flags, pairs, shortcut
+
+
+class ReferenceProbe(ReferenceCount):
+    """:class:`ReferenceCount` behind the ``(numerator, denominator)``
+    ``decide`` signature the anytime refiner calls."""
+
+    def decide(self, threshold):
+        return super().decide(Fraction(*threshold))
+
+
+def counters(comparator):
+    return (
+        comparator.comparisons,
+        comparator.pairs_examined,
+        comparator.bbox_shortcuts,
+        comparator.stopping_rule_exits,
+    )
+
+
+@st.composite
+def grid_groups(draw, max_size=40):
+    """A group of 1..max_size records on a small integer grid, so ties on
+    single dimensions, whole duplicate records and single-record groups
+    are all common."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    top = draw(st.integers(min_value=1, max_value=4))
+    record = st.lists(
+        st.integers(min_value=0, max_value=top), min_size=d, max_size=d
+    )
+
+    def group(key):
+        size = draw(st.sampled_from(range(1, max_size + 1)))
+        rows = draw(st.lists(record, min_size=size, max_size=size))
+        return make_group(key, rows)
+
+    return group("a"), group("b")
 
 
 def oracle_flags(g1, g2, thresholds):
@@ -96,7 +316,7 @@ class TestCorrectness:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=1, max_value=3),
-        st.sampled_from([0.5, 0.55, 0.7, 0.75, 0.9, 1.0]),
+        st.sampled_from(GAMMAS),
         st.integers(min_value=0, max_value=100_000),
     )
     def test_all_variants_match_oracle(self, n1, n2, d, gamma, seed):
@@ -199,3 +419,148 @@ class TestWorkCounters:
         assert comparator.comparisons == 0
         assert comparator.pairs_examined == 0
         assert comparator.bbox_shortcuts == 0
+
+
+class TestReferenceKernel:
+    """The dimension-major kernel against the kept row-major reference:
+    same verdicts and the same ``AlgorithmStats`` counters after every
+    compare, for every block size, switch setting and direction request."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        grid_groups(),
+        st.sampled_from(GAMMAS),
+        st.sampled_from(BLOCK_SIZES),
+    )
+    def test_counters_match_reference(self, groups, gamma, block_size):
+        g1, g2 = groups
+        thresholds = GammaThresholds(gamma)
+        requests = [
+            (g1, g2, True, True),
+            (g1, g2, True, False),
+            (g1, g2, False, True),
+            (g2, g1, True, True),
+        ]
+        for use_stopping_rule in (True, False):
+            for use_bbox in (True, False):
+                switches = (use_stopping_rule, use_bbox, block_size)
+                comparator = GroupComparator(
+                    thresholds, use_stopping_rule, use_bbox, block_size
+                )
+                reference = ReferenceComparator(thresholds, *switches)
+                for s, r, forward, backward in requests:
+                    outcome = comparator.compare(s, r, forward, backward)
+                    flags, pairs, shortcut = reference.compare(
+                        s, r, forward, backward
+                    )
+                    assert (
+                        outcome.d12,
+                        outcome.d12_strong,
+                        outcome.d21,
+                        outcome.d21_strong,
+                    ) == flags, switches
+                    assert outcome.pairs_examined == pairs, switches
+                    assert outcome.used_bbox_shortcut == shortcut, switches
+                    assert counters(comparator) == counters(reference), switches
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_groups())
+    def test_probe_exact_is_the_dominance_probability(self, groups):
+        g1, g2 = groups
+        for s, r in ((g1, g2), (g2, g1)):
+            expected = dominance_probability(s, r)
+            for use_bbox in (True, False):
+                probe = DirectionalProbe(s, r, use_bbox=use_bbox)
+                lower, upper = probe.bounds()
+                assert lower <= expected <= upper
+                assert probe.exact() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from(GAMMAS),
+        st.sampled_from(BLOCK_SIZES),
+        st.booleans(),
+        st.integers(min_value=0, max_value=100_000),
+    )
+    def test_anytime_refinement_matches_reference(
+        self, n_groups, d, gamma, block_size, use_bbox, seed
+    ):
+        rng = np.random.default_rng(seed)
+        dataset = GroupedDataset(
+            {
+                f"g{k}": rng.integers(
+                    0, 4, size=(int(rng.integers(1, 16)), d)
+                ).astype(float)
+                for k in range(n_groups)
+            }
+        )
+
+        def refine():
+            anytime = AnytimeAggregateSkyline(
+                dataset, gamma, block_size=block_size, use_bbox=use_bbox
+            )
+            trail = [(anytime.confirmed(), anytime.excluded(), 0)]
+            while not anytime.done:
+                anytime.step(pair_budget=3 * block_size)
+                trail.append(
+                    (anytime.confirmed(), anytime.excluded(), anytime.pairs_examined)
+                )
+            return trail
+
+        refined = refine()
+        with mock.patch.object(anytime_module, "_DirectionalCount", ReferenceProbe):
+            expected = refine()
+        assert refined == expected
+
+
+class TestExactThresholds:
+    """Pair probabilities exactly at, and one pair either side of, γ on
+    100 × 100 groups.  At 10,000 pairs ``count * denominator`` of a float
+    γ's fraction passes 2**63, so these only hold with the integer
+    decision kept on Python ints."""
+
+    @staticmethod
+    def groups_with_dominating_pairs(count):
+        """A over B with exactly ``count`` of the 10,000 pairs dominating.
+
+        B is ``(j, 0)`` for ``j < 100``; an A record ``(c - 0.5, 0)``
+        dominates the ``c`` records ``j < c`` (tie on the second
+        dimension).  Spreading ``count`` evenly over A keeps the running
+        fraction near γ, so the stopping rule decides late.
+        """
+        base, extra = divmod(count, 100)
+        cuts = [base + (1 if i < extra else 0) for i in range(100)]
+        a = make_group("a", [[c - 0.5, 0.0] for c in cuts])
+        b = make_group("b", [[float(j), 0.0] for j in range(100)])
+        return a, b
+
+    @pytest.mark.parametrize(
+        "gamma, count, dominated",
+        [
+            (0.75, 7_500, False),  # p == γ exactly as a rational
+            (0.75, 7_501, True),
+            (0.55, 5_500, False),  # one pair below the float γ
+            (0.55, 5_501, True),  # one pair above it
+        ],
+    )
+    @pytest.mark.parametrize("use_stopping_rule", [True, False])
+    @pytest.mark.parametrize("use_bbox", [True, False])
+    def test_verdict_one_pair_either_side(
+        self, gamma, count, dominated, use_stopping_rule, use_bbox
+    ):
+        a, b = self.groups_with_dominating_pairs(count)
+        assert dominance_probability(a, b) == Fraction(count, 10_000)
+        thresholds = GammaThresholds(gamma)
+        comparator = GroupComparator(
+            thresholds, use_stopping_rule=use_stopping_rule, use_bbox=use_bbox
+        )
+        outcome = comparator.compare(a, b)
+        assert outcome.d12 is dominated
+        assert outcome.d12_strong is dominance_holds(count, 10_000, thresholds.strong)
+        reverse = 10_000 - count
+        assert outcome.d21 is dominance_holds(reverse, 10_000, thresholds.gamma)
+        assert outcome.d21_strong is dominance_holds(
+            reverse, 10_000, thresholds.strong
+        )

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -105,8 +106,9 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def slow_dataset():
-    """Big enough that a serial NL query takes ~a second — room for a
-    short deadline to expire while the query is genuinely running."""
+    """Big enough that an NL query does real work on the pool.  Tests
+    that need a query to be running hold it with :func:`gated_queries`
+    rather than relying on how long it takes."""
     rng = random.Random(29)
     return {
         f"g{index:03d}": [
@@ -114,6 +116,34 @@ def slow_dataset():
         ]
         for index in range(120)
     }
+
+
+@contextlib.contextmanager
+def gated_queries(engine):
+    """Hold every query the server runs on ``engine`` inside the block.
+
+    The server looks ``engine.query`` up per request, so an instance
+    attribute shadows the method.  A query that reaches it sets the
+    yielded ``entered`` event (by then it holds an admission slot) and
+    waits for the block to end before it runs.  Tests wait on
+    ``entered`` instead of sleeping and hoping a query is still running.
+    Leaving the block releases the held queries and restores the method.
+    """
+    entered = threading.Event()
+    release = threading.Event()
+    query = engine.query
+
+    def gated(*args, **kwargs):
+        entered.set()
+        release.wait()
+        return query(*args, **kwargs)
+
+    engine.query = gated
+    try:
+        yield entered
+    finally:
+        release.set()
+        del engine.query
 
 
 def counters(stats_dict):
@@ -228,8 +258,11 @@ def test_deadline_expiry_returns_timeout_and_pool_survives(slow_dataset):
         ) as server:
             host, port = server.address
             with SkylineClient(host, port) as client:
-                with pytest.raises(RequestTimeout):
-                    client.query(gamma=0.5, algorithm="NL", deadline_ms=50)
+                with gated_queries(engine) as entered:
+                    with pytest.raises(RequestTimeout):
+                        client.query(gamma=0.5, algorithm="NL", deadline_ms=50)
+                    # The deadline expired while the query was held.
+                    assert entered.wait(timeout=60)
                 # The abandoned query holds its slot until it finishes;
                 # afterwards the same connection and pool keep working.
                 deadline = time.monotonic() + 120
@@ -261,11 +294,13 @@ def test_overload_rejection_when_queue_full(slow_dataset):
                     finished.set()
 
                 thread = threading.Thread(target=occupy)
-                thread.start()
-                time.sleep(0.3)  # let the slow query claim the only slot
-                with SkylineClient(host, port) as client:
-                    with pytest.raises(ServerOverloaded):
-                        client.query(gamma=0.5, algorithm="LO")
+                with gated_queries(engine) as entered:
+                    thread.start()
+                    # The slow query holds the only slot.
+                    assert entered.wait(timeout=60)
+                    with SkylineClient(host, port) as client:
+                        with pytest.raises(ServerOverloaded):
+                            client.query(gamma=0.5, algorithm="LO")
                 assert finished.wait(timeout=120)
                 thread.join()
                 snapshot = server.admission.snapshot()
@@ -393,10 +428,22 @@ def test_graceful_drain_delivers_in_flight_response(slow_dataset):
                 )
 
             thread = threading.Thread(target=go)
-            thread.start()
-            time.sleep(0.3)  # the query is in flight
-            server.shutdown()  # drains before closing sockets
+            # shutdown() drains before closing sockets, so it blocks until
+            # the query is released and answered.
+            stopper = threading.Thread(target=server.shutdown)
+            with gated_queries(engine) as entered:
+                thread.start()
+                assert entered.wait(timeout=60)  # the query is in flight
+                stopper.start()
+                deadline = time.monotonic() + 60
+                while not server.admission.closed:  # the drain has begun
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                assert server.admission.snapshot()["in_flight"] == 1
+                assert "body" not in box
+            stopper.join(timeout=120)
             thread.join(timeout=120)
+            assert not stopper.is_alive()
             assert "body" in box and box["body"]["keys"]
         finally:
             client.close()
@@ -429,10 +476,12 @@ def test_net_runlog_events_and_counters(dataset, slow_dataset, tmp_path):
                     host, port = server.address
                     with SkylineClient(host, port) as client:
                         client.query(gamma=0.6, algorithm="LO")
-                        with pytest.raises(RequestTimeout):
-                            client.query(
-                                gamma=0.5, algorithm="NL", deadline_ms=50
-                            )
+                        with gated_queries(engine) as entered:
+                            with pytest.raises(RequestTimeout):
+                                client.query(
+                                    gamma=0.5, algorithm="NL", deadline_ms=50
+                                )
+                            assert entered.wait(timeout=60)
     events = obs_runlog.read_events(log_path)
     names = [event["event"] for event in events]
     assert "net_accept" in names
