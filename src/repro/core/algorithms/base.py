@@ -26,13 +26,13 @@ faithfulness notes"):
 from __future__ import annotations
 
 import abc
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Tuple
 
 from ...obs import metrics as obs_metrics
 from ...obs import runlog as obs_runlog
 from ...obs import tracing as obs_tracing
 from ...obs.sampler import profile_phase
-from ..comparator import ComparisonOutcome, GroupComparator
+from ..comparator import ComparisonOutcome, GroupComparator, PairCounts
 from ..gamma import GammaLike, GammaThresholds
 from ..groups import Group, GroupedDataset
 from ..result import AggregateSkylineResult, AlgorithmStats, Timer
@@ -276,14 +276,17 @@ class AggregateSkylineAlgorithm(abc.ABC):
     #: one-directionally as a dominator, so the safe policy never skips it.
     _verdicts_are_independent = False
 
+    def _excluded_as_candidate(self, index: int, state: GroupState) -> bool:
+        """Is ``index`` excluded as a candidate ``g1`` (without counting)?"""
+        if self.prune_policy == "paper":
+            return state.is_strong(index)
+        if self._verdicts_are_independent:
+            return state.is_dominated(index)
+        return False
+
     def _skip_as_candidate(self, index: int, state: GroupState) -> bool:
         """Should ``index`` be skipped as the current candidate ``g1``?"""
-        if self.prune_policy == "paper":
-            skip = state.is_strong(index)
-        elif self._verdicts_are_independent:
-            skip = state.is_dominated(index)
-        else:
-            skip = False
+        skip = self._excluded_as_candidate(index, state)
         if skip:
             self._groups_skipped += 1
         return skip
@@ -294,6 +297,7 @@ class AggregateSkylineAlgorithm(abc.ABC):
         i: int,
         j: int,
         state: GroupState,
+        prepared: Optional[Tuple[PairCounts, int]] = None,
     ) -> Optional[ComparisonOutcome]:
         """Algorithm-3 inner step for the pair ``(g_i, g_j)``.
 
@@ -302,7 +306,10 @@ class AggregateSkylineAlgorithm(abc.ABC):
         ``None`` when the pair was skipped entirely.  Callers should stop
         processing ``g_i`` when the outcome says it became strongly
         dominated (``d21_strong``) — and, under the safe policy, already
-        when it is merely dominated.
+        when it is merely dominated.  ``prepared`` is ``(counts, slot)``
+        when a batch already counted this pair (see
+        :mod:`repro.core.window_batch`); the outcome is then settled from
+        it, identically to ``compare()``.
         """
         if self.prune_policy == "paper":
             if state.is_strong(j):
@@ -319,11 +326,18 @@ class AggregateSkylineAlgorithm(abc.ABC):
                 self._groups_skipped += 1
                 return None
 
-        outcome = self.comparator.compare(
-            groups[i], groups[j],
-            need_forward=need_forward,
-            need_backward=need_backward,
-        )
+        if prepared is None:
+            outcome = self.comparator.compare(
+                groups[i], groups[j],
+                need_forward=need_forward,
+                need_backward=need_backward,
+            )
+        else:
+            outcome = self.comparator.settle(
+                *prepared,
+                need_forward=need_forward,
+                need_backward=need_backward,
+            )
         if outcome.d12_strong:
             state.mark_strong(j)
         elif outcome.d12:

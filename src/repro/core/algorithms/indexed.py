@@ -15,6 +15,7 @@ verdict is already sealed can be skipped entirely without affecting others.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional
 
 import numpy as np
@@ -33,10 +34,12 @@ from ...parallel.executor import (
 )
 from ...parallel.partition import chunk_ranges
 from ...parallel.scheduler import guided_spans
+from ..comparator import RecordColumns
 from ..execution import ExecutionConfig, coerce_execution
 from ..gamma import GammaLike
 from ..groups import Group
 from ..result import AlgorithmStats
+from ..window_batch import WindowBatch
 from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
     absorb_outcomes,
@@ -148,6 +151,22 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         return sorted(range(len(groups)), key=lambda i: self.sort_key(groups[i]))
 
     def _run(self, groups: List[Group], state: GroupState) -> None:
+        """Algorithm 5: each polled candidate against its window, in order.
+
+        The loop speculates (:mod:`repro.core.window_batch`): when a polled
+        candidate is not covered by the current batch, the next
+        candidates in ``order`` that are not yet excluded are batched, and
+        each one's leading window members are counted in one vectorised
+        pass.  Each candidate then runs its loop unchanged — its one
+        ``search_window`` call, the window in order, the same policy,
+        marks and breaks via :meth:`_compare_pair` — and replays a pair
+        from the batch when the member is its next batched one; members
+        past the batched prefix, groups too large for one kernel block
+        and the grid backend fall back to ``compare()``.  A replayed
+        outcome equals ``compare()``'s and updates the same counters, and
+        ``compare()`` reads no state, so speculating ahead of marks that
+        appear later changes no verdict and no counter.
+        """
         self.worker_stats = []
         self.last_pool_run = None
         if not groups:
@@ -164,16 +183,26 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         upper = np.full(dimensions, np.inf)
 
         order = self._sorted_order(groups)
-        for i in order:
+        columns = self._batch_columns(groups, index)
+        batch: Optional[WindowBatch] = None
+        for position, i in enumerate(order):
             if self._skip_as_candidate(i, state):
                 continue
+            if columns is not None and (batch is None or i not in batch.members):
+                batch = self._speculate(columns, index, order, position, upper, state)
+            members, slot = batch.members[i] if batch is not None else ((), 0)
             g1 = groups[i]
             candidates = index.search_window(g1.bbox.min_corner, upper)
             self._index_candidates += len(candidates)
+            taken = 0
             for j in candidates:
                 if j == i:
                     continue
-                outcome = self._compare_pair(groups, i, j, state)
+                prepared = None
+                if taken < len(members) and members[taken] == j:
+                    prepared = (batch.counts, slot + taken)
+                    taken += 1
+                outcome = self._compare_pair(groups, i, j, state, prepared)
                 if outcome is None:
                     continue
                 if outcome.d21 or outcome.d21_strong:
@@ -187,6 +216,42 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                         break
         self._flush_index_obs(index, tracer)
         self._final_sweep(groups, state)
+
+    def _batch_columns(self, groups: List[Group], index) -> Optional[RecordColumns]:
+        """Record columns for window batches; ``None`` when the index has
+        no entry arrays to scan (the grid backend)."""
+        if not isinstance(index, FlatRTree):
+            return None
+        dataset = self._dataset
+        if dataset is not None and len(dataset) == len(groups):
+            return RecordColumns.of_dataset(dataset)
+        return RecordColumns.of_groups(groups)
+
+    def _speculate(
+        self,
+        columns: RecordColumns,
+        index: FlatRTree,
+        order: List[int],
+        position: int,
+        upper: np.ndarray,
+        state: GroupState,
+    ) -> WindowBatch:
+        """Batch the next candidates of ``order[position:]`` not yet excluded.
+
+        Under the paper policy strongly dominated groups are never compared,
+        and marks only grow, so they are not batched as members either.
+        """
+        upcoming = (
+            i
+            for i in islice(order, position, None)
+            if not self._excluded_as_candidate(i, state)
+        )
+        blocked = None
+        if self.prune_policy == "paper":
+            blocked = np.array(state.strong, dtype=bool)
+        return WindowBatch(
+            self.comparator, columns, index, upcoming, upper, blocked
+        )
 
     # ------------------------------------------------------------------
     # parallel candidate-slab path
@@ -224,7 +289,12 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             # Inline degenerate case: same kernel and index, no pool.
             with tracer.span("parallel.chunks", **span_attrs):
                 verdicts, _, index_candidates = compare_candidate_span(
-                    groups, self.comparator, index, order, (0, n)
+                    groups,
+                    self.comparator,
+                    index,
+                    order,
+                    (0, n),
+                    columns=self._batch_columns(groups, index),
                 )
                 apply_verdicts(state, verdicts)
                 self._index_candidates += index_candidates

@@ -27,20 +27,48 @@ contiguous ``(rows, n)`` slab.  Stopping-rule decisions compare integer
 pair counts against a threshold's ``(numerator, denominator)`` by Python
 integer cross-multiplication, which stays exact where the 51–54-bit
 denominators most float γ values have would overflow 64-bit products.
+
+**Batch kernel.**  For groups of a few records, ``compare()`` costs its
+per-call overhead, not pair checks: with the stopping rule and the
+Figure-9 pre-classification, two 2-record groups check about four record
+pairs, against tens of numpy calls to set the comparison up.
+:meth:`GroupComparator.count_pairs` therefore takes whole arrays of
+``(A, B)`` group pairs over a dataset's :class:`RecordColumns` and returns,
+per direction, each pair's Figure-9 *known* and *pending* pair counts and
+its exact *final* count, in a fixed number of vectorised passes.  Every pair
+must fit one kernel block (``n_a · n_b <= block_size``, the *one-block
+rule*): then the stopping rule can only stop before the first block or
+after the whole pending set, so those three counts determine everything
+:meth:`~GroupComparator.compare` reports, and :meth:`GroupComparator.settle`
+turns one pair's counts into exactly that outcome — verdicts from the same
+integer :func:`_decide`, ``pairs_examined``, the bbox-shortcut and
+stopping-rule-exit flags and the per-compare instruments.  Pairs that span
+several blocks always go through ``compare()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gamma import DEFAULT_BLOCK_SIZE, GammaThresholds
 from .groups import Group
 
-__all__ = ["ComparisonOutcome", "GroupComparator", "DirectionalProbe"]
+__all__ = [
+    "ComparisonOutcome",
+    "GroupComparator",
+    "DirectionalProbe",
+    "PairCounts",
+    "RecordColumns",
+]
+
+#: Record pairs one slice of :meth:`GroupComparator.count_pairs` expands at
+#: most (a single pair larger than this is its own slice), which bounds the
+#: kernel's temporaries whatever the group sizes.
+_SLICE_RECORD_PAIRS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -178,32 +206,8 @@ class _DirectionalCount:
     # ------------------------------------------------------------------
 
     def decide(self, threshold: Tuple[int, int]) -> Optional[bool]:
-        """Tri-state verdict for ``p = 1 or p > numerator/denominator``.
-
-        ``threshold`` is a ``(numerator, denominator)`` pair of Python ints
-        (``Fraction.as_integer_ratio()``), computed once per comparator.
-        They must stay Python ints: most float γ values convert to
-        fractions with 51–54-bit denominators, so ``count * denominator``
-        can pass 2**63 within a few thousand pairs (two 100-record groups
-        have 10,000).
-        Returns ``True``/``False`` once the bounds settle the predicate and
-        ``None`` while it is still open.
-        """
-        numerator, denominator = threshold
-        lower = self.known
-        upper = lower + self.pending
-        bar = numerator * self.total
-        # Already above the threshold (final p only grows from `lower`), or
-        # every pair is known to dominate.
-        if lower * denominator > bar or lower == self.total:
-            return True
-        # Cannot reach the threshold any more, and p = 1 is impossible.
-        if upper * denominator <= bar and upper < self.total:
-            return False
-        if self.pending == 0:
-            # Exact: either p == 1 (upper == total == lower) or p <= threshold.
-            return lower == self.total
-        return None
+        """Tri-state verdict of the current bounds (see :func:`_decide`)."""
+        return _decide(self.known, self.pending, self.total, threshold)
 
     def probability_bounds(self) -> Tuple[Fraction, Fraction]:
         return (
@@ -245,6 +249,178 @@ def _dominates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``rows × n`` pair matrix of a kernel block.
     """
     return np.logical_and.reduce(p >= q, axis=0) & np.logical_or.reduce(p > q, axis=0)
+
+
+def _decide(
+    known: int, pending: int, total: int, threshold: Tuple[int, int]
+) -> Optional[bool]:
+    """Tri-state verdict for ``p = 1 or p > numerator/denominator``.
+
+    ``known`` pairs are known to dominate and ``pending`` are unresolved,
+    out of ``total``.  ``threshold`` is a ``(numerator, denominator)`` pair
+    of Python ints (``Fraction.as_integer_ratio()``), computed once per
+    comparator.  They must stay Python ints: most float γ values convert
+    to fractions with 51–54-bit denominators, so ``count * denominator``
+    can pass 2**63 within a few thousand pairs (two 100-record groups have
+    10,000).  Returns ``True``/``False`` once the bounds settle the
+    predicate and ``None`` while it is still open.
+    """
+    numerator, denominator = threshold
+    upper = known + pending
+    bar = numerator * total
+    # Already above the threshold (final p only grows from `known`), or
+    # every pair is known to dominate.
+    if known * denominator > bar or known == total:
+        return True
+    # Cannot reach the threshold any more, and p = 1 is impossible.
+    if upper * denominator <= bar and upper < total:
+        return False
+    if pending == 0:
+        # Exact: either p == 1 (upper == total == known) or p <= threshold.
+        return known == total
+    return None
+
+
+@dataclass(frozen=True)
+class RecordColumns:
+    """A dataset's records and MBB corners, dimension-major, for batching.
+
+    ``records`` is ``d × N`` (all groups' records, group after group),
+    group ``g`` owning columns ``starts[g] : starts[g] + sizes[g]``;
+    ``mins`` / ``maxs`` are the ``d × G`` corner columns.  Built once per
+    dataset — serially from the :class:`~repro.core.groups.GroupedDataset`
+    columns, in a pool worker from its group list — and read by
+    :meth:`GroupComparator.count_pairs`.
+    """
+
+    records: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    mins: np.ndarray
+    maxs: np.ndarray
+
+    @classmethod
+    def of_dataset(cls, dataset) -> "RecordColumns":
+        """From a :class:`~repro.core.groups.GroupedDataset`'s columns."""
+        offsets = np.asarray(dataset.offsets, dtype=np.int64)
+        return cls(
+            records=np.ascontiguousarray(dataset.matrix.T),
+            starts=offsets[:-1],
+            sizes=np.diff(offsets),
+            mins=np.ascontiguousarray(dataset.min_corners.T),
+            maxs=np.ascontiguousarray(dataset.max_corners.T),
+        )
+
+    @classmethod
+    def of_groups(cls, groups: Sequence[Group]) -> "RecordColumns":
+        """From a group list whose ``index`` fields are list positions."""
+        matrix = np.concatenate([group.values for group in groups], axis=0)
+        sizes = np.array([group.size for group in groups], dtype=np.int64)
+        starts = np.cumsum(sizes) - sizes
+        return cls(
+            records=np.ascontiguousarray(matrix.T),
+            starts=starts,
+            sizes=sizes,
+            mins=np.ascontiguousarray(np.minimum.reduceat(matrix, starts, axis=0).T),
+            maxs=np.ascontiguousarray(np.maximum.reduceat(matrix, starts, axis=0).T),
+        )
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """What :meth:`GroupComparator.count_pairs` found for a batch of pairs.
+
+    ``totals[p]`` is ``n_a · n_b`` of pair ``p``; ``forward`` (A over B) and
+    ``backward`` (B over A) are ``(known, pending, final)`` lists of Python
+    ints — the Figure-9 pre-classification's known and pending pair counts
+    and the exact count once every pending pair is checked — or ``None``
+    for a direction that was not counted.
+    """
+
+    totals: List[int]
+    forward: Optional[Tuple[List[int], List[int], List[int]]]
+    backward: Optional[Tuple[List[int], List[int], List[int]]]
+
+
+def _ranges(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Owner and offset of every element of consecutive ranges of ``counts``."""
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    offset = np.arange(owner.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, offset
+
+
+def _slices(totals: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive pair ranges of at most ``_SLICE_RECORD_PAIRS`` record pairs."""
+    bounds = np.cumsum(totals)
+    start = 0
+    while start < totals.shape[0]:
+        base = int(bounds[start - 1]) if start else 0
+        stop = int(np.searchsorted(bounds, base + _SLICE_RECORD_PAIRS, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _count_direction(
+    columns: RecordColumns, x: np.ndarray, y: np.ndarray, use_bbox: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(known, pending, final)`` of X over Y for every pair ``(x[p], y[p])``.
+
+    The vectorised counterpart of one :class:`_DirectionalCount` per pair
+    plus its :meth:`~_DirectionalCount.finish`: the same corner tests and
+    region classification, then every pending record pair checked.
+    """
+    records = columns.records
+    n_x = columns.sizes[x]
+    n_y = columns.sizes[y]
+    owner_x, offset_x = _ranges(n_x)
+    owner_y, offset_y = _ranges(n_y)
+    rec_x = columns.starts[x][owner_x] + offset_x
+    rec_y = columns.starts[y][owner_y] + offset_y
+    count = len(x)
+    if use_bbox:
+        # Corner tests first, as in _DirectionalCount._setup: no record of X
+        # can dominate unless X's best corner dominates Y's worst, and the
+        # domination is total when X's worst corner dominates Y's best.
+        possible = _dominates(columns.maxs[:, x], columns.mins[:, y])
+        whole = possible & _dominates(columns.mins[:, x], columns.maxs[:, y])
+        split = possible & ~whole
+        # Regions of the remaining pairs, record by record.
+        x_vals = records[:, rec_x]
+        y_of_x = y[owner_x]
+        x_all = _dominates(x_vals, columns.maxs[:, y_of_x])
+        x_mid = _dominates(x_vals, columns.mins[:, y_of_x]) & ~x_all
+        y_vals = records[:, rec_y]
+        x_of_y = x[owner_y]
+        y_all = _dominates(columns.mins[:, x_of_y], y_vals)
+        y_mid = _dominates(columns.maxs[:, x_of_y], y_vals) & ~y_all
+        x_in = split[owner_x]
+        y_in = split[owner_y]
+        x_all &= x_in
+        x_mid &= x_in
+        y_all &= y_in
+        y_mid &= y_in
+        n_x_all = np.bincount(owner_x[x_all], minlength=count)
+        n_x_mid = np.bincount(owner_x[x_mid], minlength=count)
+        n_y_all = np.bincount(owner_y[y_all], minlength=count)
+        n_y_mid = np.bincount(owner_y[y_mid], minlength=count)
+        known = np.where(whole, n_x * n_y, n_x_all * n_y + n_x_mid * n_y_all)
+        pending = n_x_mid * n_y_mid
+        mid_x = rec_x[x_mid]
+        mid_y = rec_y[y_mid]
+    else:
+        known = np.zeros(count, dtype=np.int64)
+        pending = n_x * n_y
+        n_x_mid, n_y_mid = n_x, n_y
+        mid_x, mid_y = rec_x, rec_y
+    # Every pending record pair: the cross product of each pair's remaining
+    # records of X and Y.
+    owner, offset = _ranges(pending)
+    row = (np.cumsum(n_x_mid) - n_x_mid)[owner] + offset // n_y_mid[owner]
+    col = (np.cumsum(n_y_mid) - n_y_mid)[owner] + offset % n_y_mid[owner]
+    dominated = _dominates(records[:, mid_x[row]], records[:, mid_y[col]])
+    final = known + np.bincount(owner[dominated], minlength=count)
+    return known, pending, final
 
 
 class GroupComparator:
@@ -412,13 +588,18 @@ class GroupComparator:
             pairs_examined=pairs,
             used_bbox_shortcut=shortcut,
         )
-        self.pairs_examined += pairs
-        if shortcut:
-            self.bbox_shortcuts += 1
         early_exit = self.use_stopping_rule and any(
             direction is not None and direction.pending > 0
             for direction in (forward, backward)
         )
+        self._account(pairs, shortcut, early_exit)
+        return outcome
+
+    def _account(self, pairs: int, shortcut: bool, early_exit: bool) -> None:
+        """Add one comparison's pairs and flags to the counters and instruments."""
+        self.pairs_examined += pairs
+        if shortcut:
+            self.bbox_shortcuts += 1
         if early_exit:
             self.stopping_rule_exits += 1
         if self._obs_pairs_hist is not None:
@@ -427,4 +608,108 @@ class GroupComparator:
                 self._obs_exit_counter.inc()
             if shortcut:
                 self._obs_shortcut_counter.inc()
-        return outcome
+
+    # ------------------------------------------------------------------
+    # batch kernel
+    # ------------------------------------------------------------------
+
+    def count_pairs(
+        self,
+        columns: RecordColumns,
+        a: Sequence[int],
+        b: Sequence[int],
+        forward: bool = True,
+    ) -> PairCounts:
+        """Count the group pairs ``(a[p], b[p])`` of ``columns`` in one batch.
+
+        Returns the backward (B over A) counts, and the forward ones unless
+        ``forward=False``; :meth:`settle` turns them into outcomes.  Every
+        pair must fit one kernel block (``n_a · n_b <= block_size``), so
+        that the stopping rule cannot stop between blocks.  Touches no
+        counter: a prepared pair costs nothing until it is settled.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        totals = columns.sizes[a] * columns.sizes[b]
+        if totals.shape[0] and int(totals.max()) > self.block_size:
+            raise ValueError("every batched pair must fit one kernel block")
+        sides = {"backward": (b, a)}
+        if forward:
+            sides["forward"] = (a, b)
+        # Rows: known, pending, final.
+        counts = {side: np.zeros((3, a.shape[0]), dtype=np.int64) for side in sides}
+        for start, stop in _slices(totals):
+            for side, (x, y) in sides.items():
+                counts[side][:, start:stop] = _count_direction(
+                    columns, x[start:stop], y[start:stop], self.use_bbox
+                )
+        return PairCounts(
+            totals=totals.tolist(),
+            forward=tuple(counts["forward"].tolist()) if forward else None,
+            backward=tuple(counts["backward"].tolist()),
+        )
+
+    def settle(
+        self,
+        counts: PairCounts,
+        slot: int,
+        need_forward: bool = True,
+        need_backward: bool = True,
+    ) -> ComparisonOutcome:
+        """Exactly what :meth:`compare` reports for pair ``slot`` of ``counts``.
+
+        Same verdicts, ``pairs_examined``, bbox-shortcut and
+        stopping-rule-exit flags, counters and instruments.  The pair fits
+        one block, so each needed direction either is decided by its
+        Figure-9 bounds alone (nothing examined; an early exit if pairs are
+        still pending) or resolves every pending pair in its first block.
+        """
+        if not (need_forward or need_backward):
+            raise ValueError("at least one direction must be requested")
+        self.comparisons += 1
+        total = counts.totals[slot]
+        gamma = self._gamma
+        strong = self._strong
+        pairs = 0
+        shortcut = True
+        early_exit = False
+        verdicts = []
+        for needed, direction in (
+            (need_forward, counts.forward),
+            (need_backward, counts.backward),
+        ):
+            if not needed:
+                verdicts.append((False, False))
+                continue
+            if direction is None:
+                raise ValueError("direction was not counted")
+            known = direction[0][slot]
+            pending = direction[1][slot]
+            if pending:
+                shortcut = False
+                decided = (
+                    self.use_stopping_rule
+                    and _decide(known, pending, total, gamma) is not None
+                    and _decide(known, pending, total, strong) is not None
+                )
+                if decided:
+                    early_exit = True
+                else:
+                    # The first block checks every pending pair.
+                    pairs += pending
+                    known = direction[2][slot]
+                    pending = 0
+            verdicts.append((
+                bool(_decide(known, pending, total, gamma)),
+                bool(_decide(known, pending, total, strong)),
+            ))
+        (d12, d12_strong), (d21, d21_strong) = verdicts
+        self._account(pairs, shortcut, early_exit)
+        return ComparisonOutcome(
+            d12=d12,
+            d12_strong=d12_strong,
+            d21=d21,
+            d21_strong=d21_strong,
+            pairs_examined=pairs,
+            used_bbox_shortcut=shortcut,
+        )

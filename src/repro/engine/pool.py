@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from queue import Empty
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.comparator import RecordColumns
 from ..obs import metrics as obs_metrics
 from ..obs import runlog as obs_runlog
 from ..obs import tracing as obs_tracing
@@ -119,14 +120,24 @@ _SLOT_DEPTH = 2
 class _WorkerQuery:
     """Per-query state inside one worker: comparator, kernel inputs, tracer."""
 
-    __slots__ = ("config", "kind", "groups", "index", "order", "comparator", "tracer")
+    __slots__ = (
+        "config",
+        "kind",
+        "groups",
+        "index",
+        "order",
+        "columns",
+        "comparator",
+        "tracer",
+    )
 
-    def __init__(self, config, kind, groups, index, order, trace_ctx):
+    def __init__(self, config, kind, groups, index, order, columns, trace_ctx):
         self.config = config
         self.kind = kind
         self.groups = groups
         self.index = index
         self.order = order
+        self.columns = columns
         self.comparator = comparator_for(config)
         self.tracer = (
             Tracer(context=trace_ctx)
@@ -159,7 +170,12 @@ def _execute_worker_chunk(query: _WorkerQuery, span, slot: int, fault) -> ChunkO
     with chunk_span:
         if query.kind == "candidates":
             verdicts, window_queries, index_candidates = compare_candidate_span(
-                query.groups, comparator, query.index, query.order, span
+                query.groups,
+                comparator,
+                query.index,
+                query.order,
+                span,
+                columns=query.columns,
             )
         else:
             verdicts, skipped = compare_span(
@@ -203,6 +219,9 @@ class _WorkerState:
 
     def __init__(self):
         self.groups: Dict[str, list] = {}  # token -> List[Group]
+        #: token -> RecordColumns, built at the attached dataset's first
+        #: candidate query (window batches), dropped at detach
+        self.columns: Dict[str, RecordColumns] = {}
         self.pinned: Dict[str, Any] = {}  # digest key -> index / order
         self.queries: Dict[int, _WorkerQuery] = {}
 
@@ -229,12 +248,19 @@ def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
         results.put(("ack", slot, os.getpid(), key))
     elif kind == "prepare":
         _, qid, token, config, qkind, index_key, order_key, trace_ctx = msg
+        columns = None
+        if qkind == "candidates":
+            columns = state.columns.get(token)
+            if columns is None:
+                columns = RecordColumns.of_groups(state.groups[token])
+                state.columns[token] = columns
         state.queries[qid] = _WorkerQuery(
             config,
             qkind,
             state.groups[token],
             state.pinned[index_key] if index_key is not None else None,
             state.pinned[order_key] if order_key is not None else None,
+            columns,
             trace_ctx,
         )
     elif kind == "finish":
@@ -243,6 +269,7 @@ def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
     elif kind == "detach":
         _, token, keys = msg
         state.groups.pop(token, None)
+        state.columns.pop(token, None)
         for key in keys:
             state.pinned.pop(key, None)
         results.put(("ack", slot, os.getpid(), token))

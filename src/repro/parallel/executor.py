@@ -67,15 +67,17 @@ import multiprocessing as mp
 import os
 import signal as signal_module
 import time
+from itertools import islice
 from multiprocessing import sharedctypes
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.comparator import GroupComparator
+from ..core.comparator import GroupComparator, RecordColumns
 from ..core.gamma import GammaThresholds
 from ..core.groups import Group
+from ..core.window_batch import WindowBatch
 from ..obs import metrics as obs_metrics
 from ..obs import runlog as obs_runlog
 from ..obs import tracing as obs_tracing
@@ -384,6 +386,7 @@ def compare_candidate_span(
     index,
     order: Sequence[int],
     span: Tuple[int, int],
+    columns: Optional[RecordColumns] = None,
 ) -> Tuple[List[Tuple[int, int, int]], int, int]:
     """The parallel IN/LO chunk kernel: one slab of candidate groups.
 
@@ -401,6 +404,18 @@ def compare_candidate_span(
     work counter* are invariant under any partitioning of the candidates
     across chunks, workers and steal orders.
 
+    With the dataset's record ``columns`` (built once per worker process
+    and dataset, never per chunk) the kernel speculates as the serial loop
+    does (:mod:`repro.core.window_batch`): a candidate that no batch
+    covers yet batches the span's next candidates, counting each one's
+    leading window members in one pass, backward only.  The loop itself
+    is unchanged — one ``search_window`` per candidate, the window in
+    order, the first dominator breaks — and a compare whose member is the
+    candidate's next batched one is settled from the batch, identically
+    to ``compare()``; the rest, and every compare without ``columns``,
+    go through ``compare()``.  Speculation moves no counter, so the
+    chunking invariance above holds for it too.
+
     Returns ``(verdicts, window_queries, index_candidates)`` where the
     verdicts are ``(i, i, D21|D21_STRONG)`` self-marks.
     """
@@ -409,18 +424,39 @@ def compare_candidate_span(
     verdicts: List[Tuple[int, int, int]] = []
     window_queries = 0
     index_candidates = 0
+    batch: Optional[WindowBatch] = None
     for position in range(start, stop):
         i = order[position]
         g1 = groups[i]
+        if columns is not None and (batch is None or i not in batch.members):
+            batch = WindowBatch(
+                comparator,
+                columns,
+                index,
+                islice(order, position, stop),
+                upper,
+                forward=False,
+            )
+        members, slot = batch.members[i] if batch is not None else ((), 0)
         candidates = index.search_window(g1.bbox.min_corner, upper)
         window_queries += 1
         index_candidates += len(candidates)
+        taken = 0
         for j in candidates:
             if j == i:
                 continue
-            outcome = comparator.compare(
-                g1, groups[j], need_forward=False, need_backward=True
-            )
+            if taken < len(members) and members[taken] == j:
+                outcome = comparator.settle(
+                    batch.counts,
+                    slot + taken,
+                    need_forward=False,
+                    need_backward=True,
+                )
+                taken += 1
+            else:
+                outcome = comparator.compare(
+                    g1, groups[j], need_forward=False, need_backward=True
+                )
             if outcome.d21_strong:
                 verdicts.append((i, i, D21_STRONG))
                 break
@@ -469,6 +505,7 @@ _WORKER_CONFIG: Optional[WorkerConfig] = None
 _WORKER_FLAGS = None
 _WORKER_KIND: str = "pairs"
 _WORKER_INDEX = None
+_WORKER_COLUMNS: Optional[RecordColumns] = None
 _WORKER_ORDER: Optional[Sequence[int]] = None
 _WORKER_SPANS: Optional[Sequence[Tuple[int, int]]] = None
 _WORKER_LEDGER: Optional[ChunkLedger] = None
@@ -484,8 +521,8 @@ def _init_worker(groups, config: WorkerConfig, flags) -> None:
 def _init_pool(payload: _PoolPayload) -> None:
     """Pool initializer: materialise the one-shot shipment into globals."""
     global _WORKER_GROUPS, _WORKER_COMPARATOR, _WORKER_CONFIG, _WORKER_FLAGS
-    global _WORKER_KIND, _WORKER_INDEX, _WORKER_ORDER, _WORKER_SPANS
-    global _WORKER_LEDGER, _WORKER_FAULT
+    global _WORKER_KIND, _WORKER_INDEX, _WORKER_COLUMNS, _WORKER_ORDER
+    global _WORKER_SPANS, _WORKER_LEDGER, _WORKER_FAULT
     config = payload.config
     _WORKER_GROUPS = load_groups(payload.shipment)
     _WORKER_CONFIG = config
@@ -494,10 +531,12 @@ def _init_pool(payload: _PoolPayload) -> None:
     _WORKER_ORDER = payload.order
     _WORKER_SPANS = payload.spans
     _WORKER_INDEX = None
+    _WORKER_COLUMNS = None
     if payload.index_arrays is not None:
         from ..index.rtree import FlatRTree
 
         _WORKER_INDEX = FlatRTree.from_arrays(load_arrays(payload.index_arrays))
+        _WORKER_COLUMNS = RecordColumns.of_groups(_WORKER_GROUPS)
     _WORKER_LEDGER = None
     if payload.owners is not None:
         _WORKER_LEDGER = ChunkLedger(
@@ -554,7 +593,12 @@ def _run_chunk(
     with chunk_span:
         if _WORKER_KIND == "candidates":
             verdicts, window_queries, index_candidates = compare_candidate_span(
-                _WORKER_GROUPS, comparator, _WORKER_INDEX, _WORKER_ORDER, span
+                _WORKER_GROUPS,
+                comparator,
+                _WORKER_INDEX,
+                _WORKER_ORDER,
+                span,
+                columns=_WORKER_COLUMNS,
             )
         else:
             verdicts, skipped = compare_span(

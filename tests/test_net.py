@@ -313,22 +313,28 @@ def test_admission_controller_fifo_and_timeout():
     controller = AdmissionController(max_inflight=1, max_waiting=8)
     controller.admit()
     order = []
-    ready = threading.Barrier(3)
 
     def wait_turn(tag):
-        ready.wait()
-        time.sleep(0.05 * tag)  # stagger arrival: ticket order = tag order
         controller.admit()
         order.append(tag)
         controller.release()
 
+    def wait_until_waiting(count, timeout=30.0):
+        deadline = time.monotonic() + timeout
+        while controller.snapshot()["waiting"] < count:
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.005)
+        return True
+
     threads = [
         threading.Thread(target=wait_turn, args=(tag,)) for tag in (1, 2)
     ]
-    for thread in threads:
+    # Start each waiter only once the previous one holds its ticket, so
+    # ticket order is tag order however slowly the threads get scheduled.
+    for count, thread in enumerate(threads, start=1):
         thread.start()
-    ready.wait()
-    time.sleep(0.3)  # both are queued behind the held slot
+        assert wait_until_waiting(count)
     with pytest.raises(AdmissionTimeout):
         controller.admit(deadline=time.monotonic() + 0.1)
     controller.release()

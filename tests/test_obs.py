@@ -449,12 +449,15 @@ class TestStatsRegistryReconciliation:
             == stats.stopping_rule_exits
         )
 
-    def test_detailed_metrics_when_enabled(self, reconciliation_dataset):
+    @pytest.mark.parametrize("name", ["NL", "IN", "LO"])
+    def test_detailed_metrics_when_enabled(self, name, reconciliation_dataset):
+        # IN/LO settle most compares from window batches, not compare(),
+        # so this also pins the batched path's per-compare instruments.
         registry = MetricsRegistry()
         with use_registry(registry):
             obs_metrics.enable()
             try:
-                result = make_algorithm("NL", 0.75).compute(
+                result = make_algorithm(name, 0.75).compute(
                     reconciliation_dataset
                 )
             finally:
@@ -462,9 +465,23 @@ class TestStatsRegistryReconciliation:
         snap = registry.histogram(
             "comparator_pairs_per_compare",
             labelnames=("algorithm",),
-        ).snapshot(algorithm="NL")
+        ).snapshot(algorithm=name)
         assert snap["count"] == result.stats.group_comparisons
         assert snap["sum"] == result.stats.record_pairs_examined
+
+        def counter_value(metric: str) -> float:
+            return registry.counter(
+                metric, "", labelnames=("algorithm",)
+            ).value(algorithm=name)
+
+        assert (
+            counter_value("comparator_stopping_rule_exits_total")
+            == result.stats.stopping_rule_exits
+        )
+        assert (
+            counter_value("comparator_bbox_shortcut_total")
+            == result.stats.bbox_shortcuts
+        )
 
     def test_no_detailed_metrics_when_disabled(
         self, reconciliation_dataset
