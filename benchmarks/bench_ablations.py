@@ -1,8 +1,8 @@
 """Ablations: each optimisation toggle measured in isolation (DESIGN.md §6).
 
 Not a paper figure, but the per-optimisation accounting behind Section 3.5's
-summary of improvements: stopping rule, bounding-box counting, sort key,
-index backend and pruning policy.
+summary of improvements: stopping rule, bounding-box counting, sort key
+and pruning policy.
 """
 
 import pytest

@@ -9,8 +9,8 @@ Measures, at the scale set by ``REPRO_BENCH_SCALE``:
   and must be **≥5× faster**, the headline claim of the format change);
 * **peak memory** of the two load paths (tracemalloc, python-side);
 * **index build** — ``FlatRTree.bulk_load_points`` straight from the corner
-  matrix vs the object-based ``RTree.bulk_load(...).pack()`` (bit-identical
-  output asserted);
+  matrix vs from corners gathered per ``Group`` object (identical output
+  asserted);
 * **pool pack** — ``ship_groups`` buffer handoff from columnar views vs the
   re-flatten fallback for standalone groups.
 
@@ -31,7 +31,7 @@ import pytest
 
 from repro.core.groups import Group, GroupedDataset
 from repro.data.store import load_grouped, save_grouped
-from repro.index.rtree import FlatRTree, Rect, RTree
+from repro.index.rtree import FlatRTree
 from repro.parallel.shm import ShmArena, _contiguous_block, ship_groups
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -121,10 +121,10 @@ def test_index_build_from_corners(raw_groups, report_lines):
 
     groups = dataset.groups
     objects, object_s = _timed(
-        lambda: RTree.bulk_load(
-            (Rect.point(group.bbox.max_corner), group.index)
-            for group in groups
-        ).pack()
+        lambda: FlatRTree.bulk_load_points(
+            np.array([group.bbox.max_corner for group in groups]),
+            np.array([group.index for group in groups], dtype=np.int64),
+        )
     )
     report_lines.append(
         f"index build: corners {direct_s:.3f}s vs objects {object_s:.3f}s "

@@ -25,11 +25,10 @@ def test_fig13b_regenerate(benchmark):
 
 
 @pytest.mark.parametrize("algorithm", ["IN", "LO"])
-@pytest.mark.parametrize("backend", ["rtree", "grid"])
-def test_bench_fig13b_backends(benchmark, algorithm, backend):
-    """Index-method cost under both spatial-index backends (ablation)."""
+def test_bench_fig13b_backends(benchmark, algorithm):
+    """Index-method cost on the packed R-tree."""
     dataset = make_workload(BENCH_SCALE)
-    engine = make_algorithm(algorithm, 0.5, index_backend=backend)
+    engine = make_algorithm(algorithm, 0.5)
     result = benchmark.pedantic(
         engine.compute, args=(dataset,), iterations=1, rounds=3
     )

@@ -4,8 +4,8 @@ A from-scratch reproduction of Magnani & Assent, *From Stars to Galaxies:
 skyline queries on aggregate data* (EDBT 2013): the γ-dominance aggregate
 skyline operator, the NL/TR/SI/IN/LO algorithms with the paper's internal
 and external optimisations, a direct-SQL baseline, plus the substrates the
-evaluation needs (relational engine with a SKYLINE OF query dialect, R-tree
-and grid spatial indexes, synthetic and NBA-style data generators, and an
+evaluation needs (relational engine with a SKYLINE OF query dialect, a
+packed STR R-tree, synthetic and NBA-style data generators, and an
 experiment harness that regenerates every figure of the paper).
 
 Entry points: :class:`SkylineEngine` is the session API — attach a dataset

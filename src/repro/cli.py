@@ -150,15 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     sky.add_argument("--gamma", type=float, default=0.5)
     sky.add_argument("--algorithm", default="LO")
     sky.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="compute on a process pool of N workers (forces the PAR"
-        " algorithm; 1 runs the same kernel in-process; deprecated in"
-        " favour of --execution workers=N)",
-    )
-    sky.add_argument(
         "--execution",
         default=None,
         metavar="SPEC",
@@ -585,18 +576,8 @@ def _cmd_skyline(args) -> int:
         return 0
     if args.progress:
         return _skyline_with_progress(args, dataset)
-    algorithm = args.algorithm
-    if args.workers is not None:
-        # Deprecated shortcut: --workers implies the PAR algorithm, the
-        # pre-ExecutionConfig behaviour.  --execution workers=N keeps the
-        # chosen algorithm (PAR/IN/LO all parallelise now).
-        algorithm = "PAR"
-        if execution is None:
-            execution = ExecutionConfig(workers=args.workers)
-        elif execution.workers is None:
-            execution = execution.replace(workers=args.workers)
     result = aggregate_skyline(
-        dataset, gamma=args.gamma, algorithm=algorithm, execution=execution
+        dataset, gamma=args.gamma, algorithm=args.algorithm, execution=execution
     )
     out = Table(["group"], [[_render_key(k)] for k in result.keys])
     print(out.to_text())
@@ -614,9 +595,9 @@ def _skyline_with_progress(args, dataset) -> int:
     """Heartbeat lines on stderr while the skyline is computed.
 
     Serial invocations use the anytime engine (exact Definition-2 result,
-    pair-budget ETA).  With ``--execution workers=N`` (or ``--workers``)
-    the chosen pooled algorithm runs instead and the reporter is fed the
-    pool's chunk-claim telemetry, so the ETA comes from the chunk rate
+    pair-budget ETA).  With ``--execution workers=N`` the chosen pooled
+    algorithm runs instead and the reporter is fed the pool's chunk-claim
+    telemetry, so the ETA comes from the chunk rate
     (:func:`repro.obs.progress.eta_from_chunks`).
     """
     reporter = obs.ProgressReporter(
@@ -626,8 +607,6 @@ def _skyline_with_progress(args, dataset) -> int:
     execution = (
         ExecutionConfig.from_spec(args.execution) if args.execution else None
     )
-    if args.workers is not None and execution is None:
-        execution = ExecutionConfig(workers=args.workers)
     if execution is not None and execution.parallel:
         return _pooled_skyline_with_progress(
             args, dataset, execution, reporter
@@ -651,8 +630,7 @@ def _pooled_skyline_with_progress(args, dataset, execution, reporter) -> int:
     """Pooled algorithm with chunk-claim heartbeats (same output shape)."""
     from .core.algorithms import make_algorithm
 
-    name = "PAR" if args.workers is not None else args.algorithm
-    engine = make_algorithm(name, gamma=args.gamma, execution=execution)
+    engine = make_algorithm(args.algorithm, gamma=args.gamma, execution=execution)
     engine.progress_reporter = reporter
     result = engine.compute(dataset)
     out = Table(["group"], [[_render_key(k)] for k in result.keys])

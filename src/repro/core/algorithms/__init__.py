@@ -74,12 +74,9 @@ def make_algorithm(
       describing how supporting algorithms (``PAR``, ``IN``, ``LO``)
       run on the process pool.  Passing one to an algorithm that does
       not support pooled execution raises :class:`ValueError`.
-    * legacy execution keys in *options* (``workers``, ``scheduler``,
-      ``shm``, ``exchange_interval``, ``chunk_size``, ``pool_timeout``)
-      are lifted into an :class:`ExecutionConfig` with a single
-      :class:`DeprecationWarning`; an explicit *execution* wins.
-    * unknown option names raise :class:`ValueError` with a
-      did-you-mean suggestion instead of a bare ``TypeError``.
+    * unknown option names raise :class:`TypeError` with a
+      did-you-mean suggestion; an execution setting passed as an option
+      (``workers=2``) is pointed at ``execution=``.
     """
     key = name.strip().upper()
     if key not in ALGORITHMS:
@@ -89,7 +86,7 @@ def make_algorithm(
         )
     cls = ALGORITHMS[key]
     execution = coerce_execution(execution)
-    options, execution = normalize_options(key, cls, options, execution)
+    options = normalize_options(key, cls, options)
     if getattr(cls, "supports_execution", False):
         if execution is not None:
             options["execution"] = execution

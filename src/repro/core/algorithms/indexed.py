@@ -20,7 +20,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...index.grid import GridIndex
 from ...index.rtree import FlatRTree
 from .. import artifacts
 from ...obs import metrics as obs_metrics
@@ -52,8 +51,6 @@ from .sorted_access import SORT_KEYS
 
 __all__ = ["IndexedAlgorithm"]
 
-INDEX_BACKENDS = ("rtree", "grid")
-
 
 class IndexedAlgorithm(AggregateSkylineAlgorithm):
     """Algorithm 5: window queries restrict the groups compared."""
@@ -71,8 +68,6 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         prune_policy: str = "paper",
         block_size: int = 1024,
         sort_key: str = "size_corner",
-        index_backend: str = "rtree",
-        grid_cells_per_dim: int = 8,
         execution: Optional[ExecutionConfig] = None,
     ):
         super().__init__(
@@ -84,27 +79,12 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         )
         if sort_key not in SORT_KEYS:
             raise ValueError(f"unknown sort_key {sort_key!r}")
-        if index_backend not in INDEX_BACKENDS:
-            raise ValueError(
-                f"index_backend must be one of {INDEX_BACKENDS}, got {index_backend!r}"
-            )
         self.sort_key = SORT_KEYS[sort_key]
         self.sort_key_name = sort_key
-        self.index_backend = index_backend
-        self.grid_cells_per_dim = grid_cells_per_dim
         #: ``None`` (or ``workers=None``) keeps the serial Algorithm-5 loop
         #: untouched; a config with ``workers`` set runs the parallel
         #: candidate-slab path (see :meth:`_run_parallel`).
         self.execution = coerce_execution(execution)
-        if (
-            self.execution is not None
-            and self.execution.parallel
-            and self.index_backend != "rtree"
-        ):
-            raise ValueError(
-                "parallel IN/LO requires index_backend='rtree' (the flat"
-                " R-tree is the only index that ships to pool workers)"
-            )
         #: Per-chunk worker statistics of the last compute() (pooled runs).
         self.worker_stats: List[AlgorithmStats] = []
         #: Full PoolRun of the last pooled compute(); None otherwise.
@@ -116,28 +96,16 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
 
     _verdicts_are_independent = True
 
-    def _build_index(self, groups: List[Group]):
-        if self.index_backend == "rtree":
-            dataset = self._dataset
-            if dataset is not None and len(dataset) == len(groups):
-                # Columnar fast path: STR bulk-load straight from the
-                # dataset's precomputed max-corner matrix (no Group /
-                # Rect objects), with the packed arrays memoised in the
-                # content-keyed derived-artifact cache.  Bit-identical to
-                # the object-based build (see FlatRTree.bulk_load_points).
-                return artifacts.packed_rtree(dataset)
-            corners = np.array([group.bbox.max_corner for group in groups])
-            items = np.array([group.index for group in groups], dtype=np.int64)
-            return FlatRTree.bulk_load_points(corners, items)
+    def _build_index(self, groups: List[Group]) -> FlatRTree:
+        dataset = self._dataset
+        if dataset is not None and len(dataset) == len(groups):
+            # Columnar fast path: STR bulk-load straight from the dataset's
+            # precomputed max-corner matrix, with the packed arrays
+            # memoised in the content-keyed derived-artifact cache.
+            return artifacts.packed_rtree(dataset)
         corners = np.array([group.bbox.max_corner for group in groups])
-        index = GridIndex(
-            corners.min(axis=0),
-            corners.max(axis=0),
-            cells_per_dim=self.grid_cells_per_dim,
-        )
-        for group in groups:
-            index.insert_point(group.bbox.max_corner, group.index)
-        return index
+        items = np.array([group.index for group in groups], dtype=np.int64)
+        return FlatRTree.bulk_load_points(corners, items)
 
     def _sorted_order(self, groups: List[Group]) -> List[int]:
         """Candidate access order, memoised content-wise when possible."""
@@ -161,11 +129,11 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         ``search_window`` call, the window in order, the same policy,
         marks and breaks via :meth:`_compare_pair` — and replays a pair
         from the batch when the member is its next batched one; members
-        past the batched prefix, groups too large for one kernel block
-        and the grid backend fall back to ``compare()``.  A replayed
-        outcome equals ``compare()``'s and updates the same counters, and
-        ``compare()`` reads no state, so speculating ahead of marks that
-        appear later changes no verdict and no counter.
+        past the batched prefix and groups too large for one kernel block
+        fall back to ``compare()``.  A replayed outcome equals
+        ``compare()``'s and updates the same counters, and ``compare()``
+        reads no state, so speculating ahead of marks that appear later
+        changes no verdict and no counter.
         """
         self.worker_stats = []
         self.last_pool_run = None
@@ -175,22 +143,20 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             self._run_parallel(groups, state)
             return
         tracer = obs_tracing.get_tracer()
-        with tracer.span(
-            "index.build", backend=self.index_backend, groups=len(groups)
-        ):
+        with tracer.span("index.build", groups=len(groups)):
             index = self._build_index(groups)
         dimensions = groups[0].dimensions
         upper = np.full(dimensions, np.inf)
 
         order = self._sorted_order(groups)
-        columns = self._batch_columns(groups, index)
+        columns = self._batch_columns(groups)
         batch: Optional[WindowBatch] = None
         for position, i in enumerate(order):
             if self._skip_as_candidate(i, state):
                 continue
-            if columns is not None and (batch is None or i not in batch.members):
+            if batch is None or i not in batch.members:
                 batch = self._speculate(columns, index, order, position, upper, state)
-            members, slot = batch.members[i] if batch is not None else ((), 0)
+            members, slot = batch.members[i]
             g1 = groups[i]
             candidates = index.search_window(g1.bbox.min_corner, upper)
             self._index_candidates += len(candidates)
@@ -214,14 +180,13 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                     # other groups' own window queries will redo anyway).
                     if self.prune_policy == "safe" or outcome.d21_strong:
                         break
-        self._flush_index_obs(index, tracer)
+        self._flush_index_counts(
+            index.window_queries, index.candidates_returned, tracer
+        )
         self._final_sweep(groups, state)
 
-    def _batch_columns(self, groups: List[Group], index) -> Optional[RecordColumns]:
-        """Record columns for window batches; ``None`` when the index has
-        no entry arrays to scan (the grid backend)."""
-        if not isinstance(index, FlatRTree):
-            return None
+    def _batch_columns(self, groups: List[Group]) -> RecordColumns:
+        """The d-major record columns window batches count pairs over."""
         dataset = self._dataset
         if dataset is not None and len(dataset) == len(groups):
             return RecordColumns.of_dataset(dataset)
@@ -260,8 +225,8 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
     def _run_parallel(self, groups: List[Group], state: GroupState) -> None:
         """Parallel Algorithm 5: candidate slabs against a shared index.
 
-        The STR-bulk-loaded R-tree is built once and frozen to a
-        :class:`~repro.index.rtree.FlatRTree`; workers reconstruct it
+        The STR-bulk-loaded :class:`~repro.index.rtree.FlatRTree` is
+        built once; workers reconstruct it
         read-only from shipped flat arrays (shared memory on spawn
         platforms, inherited pages under fork).  Each worker takes a slab
         of candidate groups and runs the window-query + γ-comparison
@@ -275,10 +240,8 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         execution = self.execution
         assert execution is not None
         tracer = obs_tracing.get_tracer()
-        with tracer.span(
-            "index.build", backend=self.index_backend, groups=len(groups)
-        ):
-            index = self._build_index(groups).pack()
+        with tracer.span("index.build", groups=len(groups)):
+            index = self._build_index(groups)
         n = len(groups)
         order = self._sorted_order(groups)
         workers = execution.resolve_workers()
@@ -294,7 +257,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                     index,
                     order,
                     (0, n),
-                    columns=self._batch_columns(groups, index),
+                    columns=self._batch_columns(groups),
                 )
                 apply_verdicts(state, verdicts)
                 self._index_candidates += index_candidates
@@ -349,32 +312,22 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
     # observability
     # ------------------------------------------------------------------
 
-    def _flush_index_obs(self, index, tracer) -> None:
-        """Record window-query counters on the current span and registry."""
-        self._flush_index_counts(
-            getattr(index, "window_queries", 0),
-            getattr(index, "candidates_returned", 0),
-            tracer,
-        )
-
     def _flush_index_counts(self, queries: int, candidates: int, tracer) -> None:
         span = tracer.current_span()
         if span.is_recording:
-            span.set_attribute("index_backend", self.index_backend)
             span.set_attribute("index_window_queries", queries)
             span.set_attribute("index_window_candidates", candidates)
         registry = obs_metrics.get_registry()
-        labels = {"backend": self.index_backend, "algorithm": self.name}
         registry.counter(
             "index_window_queries_total",
             "Window queries issued by index-driven algorithms",
-            ("backend", "algorithm"),
-        ).inc(queries, **labels)
+            ("algorithm",),
+        ).inc(queries, algorithm=self.name)
         registry.counter(
             "index_window_candidates_total",
             "Candidate groups returned by index window queries",
-            ("backend", "algorithm"),
-        ).inc(candidates, **labels)
+            ("algorithm",),
+        ).inc(candidates, algorithm=self.name)
 
     def _final_sweep(self, groups: List[Group], state: GroupState) -> None:
         """Hook for subclasses; the plain indexed algorithm needs nothing."""

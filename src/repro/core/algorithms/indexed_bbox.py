@@ -30,8 +30,6 @@ class IndexedBBoxAlgorithm(IndexedAlgorithm):
         prune_policy: str = "paper",
         block_size: int = 1024,
         sort_key: str = "size_corner",
-        index_backend: str = "rtree",
-        grid_cells_per_dim: int = 8,
         execution: Optional[ExecutionConfig] = None,
     ):
         super().__init__(
@@ -41,7 +39,5 @@ class IndexedBBoxAlgorithm(IndexedAlgorithm):
             prune_policy=prune_policy,
             block_size=block_size,
             sort_key=sort_key,
-            index_backend=index_backend,
-            grid_cells_per_dim=grid_cells_per_dim,
             execution=execution,
         )

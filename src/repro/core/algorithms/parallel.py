@@ -90,10 +90,7 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         use_bbox: bool = False,
         prune_policy: str = "paper",
         block_size: int = 1024,
-        workers: Optional[int] = None,
         chunks_per_worker: int = 4,
-        exchange_interval: int = 0,
-        pool_timeout: float = 300.0,
         execution: Optional[ExecutionConfig] = None,
     ):
         super().__init__(
@@ -105,14 +102,7 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         )
         if chunks_per_worker < 1:
             raise ValueError("chunks_per_worker must be >= 1")
-        execution = coerce_execution(execution)
-        if execution is None:
-            # Legacy construction shape; ExecutionConfig validates the values.
-            execution = ExecutionConfig(
-                workers=workers,
-                exchange_interval=exchange_interval,
-                pool_timeout=pool_timeout,
-            )
+        execution = coerce_execution(execution) or ExecutionConfig()
         #: The unified execution configuration driving this instance.
         self.execution = execution
         #: Effective worker count (explicit > $REPRO_WORKERS > cpu-derived).

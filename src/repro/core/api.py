@@ -91,7 +91,7 @@ def aggregate_skyline(
         (default) keeps the serial code path untouched.
     options:
         Forwarded to the algorithm constructor (e.g. ``prune_policy``,
-        ``use_stopping_rule``, ``sort_key``, ``index_backend``).
+        ``use_stopping_rule``, ``sort_key``, ``block_size``).
 
     Notes
     -----

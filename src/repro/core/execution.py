@@ -3,11 +3,8 @@
 This module is the single validation point for everything that controls
 *how* an algorithm runs (as opposed to *what* it computes): pool size,
 chunk scheduling policy, shared-memory shipping, the pruning-exchange
-interval and the pool timeout.  Prior to this module the same knobs were
-scattered over per-algorithm ``**options`` (``workers=`` forcing ``PAR``,
-raw ``exchange_interval=`` kwargs, an ad-hoc ``processes=`` on the
-partitioned baseline) — a stringly-typed surface where a misspelled
-option was silently ignored.
+interval and the pool timeout.  ``execution=`` is the only way to set
+them.
 
 The public surface:
 
@@ -18,17 +15,15 @@ The public surface:
   ``USING ALGORITHM`` path.
 * :func:`coerce_execution` — accept ``None`` / ``ExecutionConfig`` /
   mapping / ``"k=v,k=v"`` spec string and return a validated config.
-* :func:`normalize_options` — the compatibility shim: lifts legacy
-  execution kwargs out of an ``**options`` dict (with a single
-  :class:`DeprecationWarning`) and rejects unknown options with a
-  did-you-mean suggestion instead of silently dropping them.
+* :func:`normalize_options` — rejects options an algorithm does not
+  take with a did-you-mean suggestion instead of silently dropping them;
+  an :class:`ExecutionConfig` field name is pointed at ``execution=``.
 """
 
 from __future__ import annotations
 
 import difflib
 import inspect
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Optional, Tuple
 
@@ -38,6 +33,7 @@ __all__ = [
     "ON_FAILURE_POLICIES",
     "coerce_execution",
     "normalize_options",
+    "reject_kwargs",
     "suggest",
 ]
 
@@ -60,18 +56,6 @@ SCHEDULERS: Tuple[str, ...] = ("static", "stealing")
 #:   remaining chunks finish inline on the parent's serial engine, so the
 #:   run always completes.
 ON_FAILURE_POLICIES: Tuple[str, ...] = ("raise", "retry", "serial")
-
-# Legacy per-algorithm option names that now live on ExecutionConfig.
-# ``normalize_options`` lifts these out of ``**options`` dicts.
-_LEGACY_EXECUTION_KEYS: Tuple[str, ...] = (
-    "workers",
-    "scheduler",
-    "shm",
-    "exchange_interval",
-    "chunk_size",
-    "pool_timeout",
-)
-
 
 def suggest(name: str, candidates) -> str:
     """Return a did-you-mean suffix for *name* against *candidates*.
@@ -199,7 +183,9 @@ class ExecutionConfig:
     def resolve_workers(self) -> int:
         """Resolve :attr:`workers` through the standard fallback chain.
 
-        Explicit value → ``$REPRO_WORKERS`` → ``min(4, cpu_count)``.
+        Explicit value → ``$REPRO_WORKERS`` → ``min(4, usable CPUs)``,
+        where usable CPUs are the ones this process may run on (its
+        scheduler affinity, so ``taskset`` and cpusets are respected).
         """
 
         from ..parallel.executor import resolve_workers
@@ -327,75 +313,57 @@ def coerce_execution(execution: Any) -> Optional[ExecutionConfig]:
     )
 
 
-def _deprecated(message: str) -> None:
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
-
-
 def normalize_options(
     name: str,
     cls: type,
     options: Mapping[str, Any],
-    execution: Optional[ExecutionConfig] = None,
-    *,
-    warn: bool = True,
-) -> Tuple[dict, Optional[ExecutionConfig]]:
-    """Validate ``**options`` for algorithm *cls* and lift legacy keys.
+) -> dict:
+    """Validate ``**options`` for algorithm *cls*; returns them as a dict.
 
-    Returns ``(clean_options, execution)`` where ``clean_options``
-    contains only keys accepted by ``cls.__init__`` and ``execution`` is
-    the merged execution config (the explicit one wins over legacy
-    kwargs).  Legacy execution keys found in *options* emit one
-    :class:`DeprecationWarning` pointing at :class:`ExecutionConfig`.
     Unknown option names raise :class:`TypeError` (what the constructor
-    would have raised) with a did-you-mean suggestion appended.
+    would have raised) with a did-you-mean suggestion appended; an
+    :class:`ExecutionConfig` field name is pointed at ``execution=``
+    when *cls* runs on a pool.
     """
 
     options = dict(options)
-
-    # 1. lift legacy execution kwargs ----------------------------------
-    legacy: dict = {}
-    for key in _LEGACY_EXECUTION_KEYS:
-        if key in options:
-            legacy[key] = options.pop(key)
-    if legacy:
-        if warn:
-            _deprecated(
-                f"passing {sorted(legacy)} as algorithm options is deprecated; "
-                "use execution=ExecutionConfig(...) instead"
-            )
-        if execution is None:
-            execution = ExecutionConfig.from_dict(legacy)
-        else:
-            # explicit execution config wins; only fill gaps from legacy
-            fill = {
-                key: value
-                for key, value in legacy.items()
-                if key not in execution.to_dict()
-            }
-            if fill:
-                execution = execution.replace(**fill)
-
-    # 2. validate remaining option names against the constructor -------
     try:
         signature = inspect.signature(cls.__init__)
     except (TypeError, ValueError):  # pragma: no cover - builtins only
-        return options, execution
+        return options
     params = signature.parameters
-    accepts_kwargs = any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    if not accepts_kwargs:
-        valid = {
-            pname
-            for pname, p in params.items()
-            if pname != "self"
-            and p.kind
-            in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-        }
-        for key in options:
-            if key not in valid:
-                hint = suggest(key, valid | set(_LEGACY_EXECUTION_KEYS))
-                raise TypeError(
-                    f"unknown option {key!r} for algorithm {name!r}{hint}"
-                )
-    return options, execution
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return options
+    valid = {
+        pname
+        for pname, p in params.items()
+        if pname != "self"
+        and p.kind
+        in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    }
+    for key in options:
+        if key in valid:
+            continue
+        if key not in {f.name for f in fields(ExecutionConfig)}:
+            hint = suggest(key, valid)
+        elif getattr(cls, "supports_execution", False):
+            hint = f"; pass execution=ExecutionConfig({key}=...) instead"
+        else:
+            hint = "; it is an execution setting, and only PAR, IN and LO run on a pool"
+        raise TypeError(f"unknown option {key!r} for algorithm {name!r}{hint}")
+    return options
+
+
+def reject_kwargs(where: str, kwargs: Mapping[str, Any]) -> None:
+    """Raise :class:`TypeError` if *where* got keyword arguments it lacks.
+
+    For entry points whose pool keywords (``processes=``, ``workers=``,
+    ``pool_timeout=``) were removed in 2.0: the message names
+    ``execution=``, where those settings live now.
+    """
+
+    if kwargs:
+        raise TypeError(
+            f"{where}() got unexpected keyword arguments {sorted(kwargs)};"
+            " pool settings are passed as execution=ExecutionConfig(...)"
+        )

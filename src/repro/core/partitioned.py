@@ -14,26 +14,26 @@ is sound for *groups* despite the loss of transitivity:
    locally.  Each candidate is therefore verified against **all** original
    groups with one-directional probes.
 
-With ``processes > 1`` the local phase fans out through the shared pool
-executor (:func:`repro.parallel.executor.map_tasks`), inheriting its
-start-method resolution and :class:`~repro.parallel.executor.
-PoolTimeoutError` fail-fast — previously an ad-hoc ``multiprocessing.Pool``
-here could hang forever on a wedged worker.  The default runs the same two
+With ``execution=ExecutionConfig(workers=n)`` (``n > 1``) the local
+phase fans out through the shared pool executor
+(:func:`repro.parallel.executor.map_tasks`), inheriting its start-method
+resolution and :class:`~repro.parallel.executor.PoolTimeoutError`
+fail-fast — previously an ad-hoc ``multiprocessing.Pool`` here could
+hang forever on a wedged worker.  The default runs the same two
 phases serially, which already helps because the local phase shrinks the
 candidate set that the expensive all-groups verification must touch.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
 from .api import _coerce_dataset
 from .comparator import DirectionalProbe
 from .dominance import Direction
-from .execution import ExecutionConfig, coerce_execution
+from .execution import ExecutionConfig, coerce_execution, reject_kwargs
 from .gamma import GammaLike, GammaThresholds, dominance_holds
 from .groups import GroupedDataset
 from .result import AggregateSkylineResult, AlgorithmStats, Timer
@@ -97,20 +97,14 @@ def _verify_candidate(
     return True, pairs
 
 
-#: Sentinel distinguishing "not passed" from an explicit ``None`` /
-#: default value for the deprecated legacy kwargs.
-_UNSET: Any = object()
-
-
 def partitioned_aggregate_skyline(
     groups: GroupsLike,
     gamma: GammaLike = 0.5,
     partitions: int = 4,
-    processes: Any = _UNSET,
-    directions: Union[None, str, Direction, list, tuple] = None,
-    pool_timeout: Any = _UNSET,
     *,
+    directions: Union[None, str, Direction, list, tuple] = None,
     execution: Union[None, ExecutionConfig, str, Mapping] = None,
+    **removed,
 ) -> AggregateSkylineResult:
     """Exact aggregate skyline via local-then-merge execution.
 
@@ -120,33 +114,10 @@ def partitioned_aggregate_skyline(
     config with ``workers >= 2`` fans it out over the shared pool
     executor, raising :class:`repro.parallel.PoolTimeoutError` after
     ``execution.pool_timeout`` seconds instead of hanging on a wedged
-    pool.  The legacy ``processes=`` / ``pool_timeout=`` kwargs still
-    work but emit one :class:`DeprecationWarning`.
+    pool.
     """
+    reject_kwargs("partitioned_aggregate_skyline", removed)
     execution = coerce_execution(execution)
-    legacy: Dict[str, Any] = {}
-    if processes is not _UNSET and processes is not None:
-        legacy["workers"] = int(processes)
-    if pool_timeout is not _UNSET:
-        legacy["pool_timeout"] = float(pool_timeout)
-    if legacy:
-        warnings.warn(
-            f"passing {sorted(legacy)} to partitioned_aggregate_skyline is"
-            " deprecated; use execution=ExecutionConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if execution is None:
-            execution = ExecutionConfig.from_dict(legacy)
-        else:
-            # the explicit execution config wins; legacy only fills gaps
-            fill = {
-                key: value
-                for key, value in legacy.items()
-                if key not in execution.to_dict()
-            }
-            if fill:
-                execution = execution.replace(**fill)
     workers = (
         execution.resolve_workers()
         if execution is not None and execution.parallel

@@ -40,6 +40,21 @@ def _normalise(
     return normalize_values(array, parsed)
 
 
+def _dense_ranks(data: np.ndarray) -> np.ndarray:
+    """Per-dimension dense ranks of ``data`` (int64; no NaN).
+
+    ``>=`` and ``>`` hold between two values exactly when they hold
+    between their ranks, so dominance is the same in rank space and a
+    dominator's rank sum is strictly larger.  The coordinate sum is not a
+    safe presort key: it ties at ``±inf``, overflows to ``inf`` and turns
+    NaN at ``inf + -inf``.
+    """
+    ranks = np.empty(data.shape, dtype=np.int64)
+    for k in range(data.shape[1]):
+        ranks[:, k] = np.unique(data[:, k], return_inverse=True)[1]
+    return ranks
+
+
 def skyline_mask(
     values: np.ndarray,
     directions: Union[None, str, Direction, Sequence] = None,
@@ -167,27 +182,26 @@ def skyline_dnc(data: np.ndarray) -> List[int]:
 
 
 def skyline_bbs(data: np.ndarray) -> List[int]:
-    """Branch-and-bound skyline over an R-tree (reference [17], maximised).
+    """Branch-and-bound skyline over an STR R-tree (reference [17], maximised).
 
-    Entries are popped in decreasing sum of their MBB's best corner.  When
-    a *point* is popped, no unseen point can dominate it (any dominator
-    has a strictly larger coordinate sum and lives in an entry with an at
-    least as large key, already popped), so undominated popped points go
-    straight into the skyline; node entries whose best corner is already
-    dominated are pruned without expansion — BBS touches only the part of
-    the tree that can contribute.
+    Runs in rank space (:func:`_dense_ranks`), where dominance is
+    unchanged and coordinate sums are exact integers.  Entries are popped
+    in decreasing sum of their MBB's best corner.  When a *point* is
+    popped, no unseen point can dominate it (any dominator has a strictly
+    larger rank sum and lives in an entry with an at least as large key,
+    already popped), so undominated popped points go straight into the
+    skyline; node entries whose best corner is already dominated are
+    pruned without expansion — BBS touches only the part of the tree that
+    can contribute.
     """
     import heapq
 
-    from ..index.rtree import Rect, RTree
+    from ..index.rtree import str_levels
 
-    n = data.shape[0]
-    if n == 0:
+    if data.shape[0] == 0:
         return []
-    tree = RTree.bulk_load(
-        ((Rect.point(row), i) for i, row in enumerate(data)),
-        max_entries=16,
-    )
+    ranks = _dense_ranks(data)
+    levels = str_levels(ranks)
 
     skyline_points: List[np.ndarray] = []
     result: List[int] = []
@@ -198,48 +212,49 @@ def skyline_bbs(data: np.ndarray) -> List[int]:
                 return True
         return False
 
+    # Heap items: (-key, tie-break counter, level, id); level -1 marks a
+    # point (id = row of ``ranks``), otherwise id is a node of that level.
     counter = 0
     heap: List = []
 
-    def push(key_corner: np.ndarray, payload) -> None:
+    def push(key_corner: np.ndarray, level: int, item: int) -> None:
         nonlocal counter
-        heapq.heappush(heap, (-float(np.sum(key_corner)), counter, payload))
+        heapq.heappush(heap, (-int(key_corner.sum()), counter, level, item))
         counter += 1
 
-    root = tree._root
-    if root.rect is not None:
-        push(root.rect.high, ("node", root))
+    root = len(levels) - 1
+    push(levels[root].highs[0], root, 0)
     while heap:
-        _, _, (kind, item) = heapq.heappop(heap)
-        if kind == "point":
-            entry = item
-            point = entry.rect.low
+        _, _, level, item = heapq.heappop(heap)
+        if level < 0:
+            point = ranks[item]
             if not dominated(point):
                 skyline_points.append(point)
-                result.append(entry.item)
+                result.append(item)
             continue
-        node = item
-        if node.rect is None or dominated(node.rect.high):
+        nodes = levels[level]
+        if dominated(nodes.highs[item]):
             continue
-        if node.leaf:
-            for entry in node.entries:
-                if not dominated(entry.rect.low):
-                    push(entry.rect.high, ("point", entry))
+        if level == 0:
+            for member in nodes.members[item]:
+                if not dominated(ranks[member]):
+                    push(ranks[member], -1, member)
         else:
-            for child in node.children:
-                if child.rect is not None and not dominated(child.rect.high):
-                    push(child.rect.high, ("node", child))
+            below = levels[level - 1]
+            for child in nodes.members[item]:
+                if not dominated(below.highs[child]):
+                    push(below.highs[child], level - 1, child)
     return sorted(result)
 
 
 def skyline_sfs(data: np.ndarray) -> List[int]:
-    """Sort-filter skyline: presort by coordinate sum, then one filter pass.
+    """Sort-filter skyline: presort by rank sum, then one filter pass.
 
-    After sorting in decreasing sum order a record can only be dominated by
-    records already in the window (a dominator always has a strictly larger
-    coordinate sum), so no eviction is necessary.
+    After sorting in decreasing sum of :func:`_dense_ranks` a record can
+    only be dominated by records already in the window (a dominator always
+    has a strictly larger rank sum), so no eviction is necessary.
     """
-    order = np.argsort(-data.sum(axis=1), kind="stable")
+    order = np.argsort(-_dense_ranks(data).sum(axis=1), kind="stable")
     window: List[int] = []
     for i in order:
         record = data[i]

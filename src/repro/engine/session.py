@@ -474,8 +474,8 @@ class SkylineEngine:
         ):
             # Session default: warm-eligible algorithms inherit the
             # engine's config.  Ephemeral engines (the aggregate_skyline
-            # wrapper) must not — execution=None keeps the legacy serial
-            # path for IN/LO and PAR's legacy defaults.  Applied after
+            # wrapper) must not — execution=None keeps the serial path
+            # for IN/LO and PAR's own defaults.  Applied after
             # the optimizer resolved "auto": the decision was made for a
             # serial query, and PAR is never auto-picked without an
             # explicit ExecutionConfig, so the chosen algorithm is valid

@@ -434,8 +434,7 @@ def ablations(scale: str = "small") -> FigureReport:
         ("TR", "TR / safe pruning", {"prune_policy": "safe"}),
         ("SI", "SI / size+corner key", {"sort_key": "size_corner"}),
         ("SI", "SI / corner-distance key", {"sort_key": "corner_distance"}),
-        ("IN", "IN / r-tree", {"index_backend": "rtree"}),
-        ("IN", "IN / grid", {"index_backend": "grid"}),
+        ("IN", "IN / r-tree", {}),
         ("IN", "IN / bbox counting ON", {"use_bbox": True}),
         ("LO", "LO (IN + bbox)", {}),
         ("AD", "AD (adaptive dispatch)", {}),

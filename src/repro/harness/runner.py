@@ -9,30 +9,20 @@ and dominance checks — per algorithm, against the swept parameter).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..core.algorithms import ALGORITHMS, make_algorithm
-from ..core.execution import (
-    _LEGACY_EXECUTION_KEYS,
-    ExecutionConfig,
-    coerce_execution,
-)
+from ..core.execution import ExecutionConfig, coerce_execution, reject_kwargs
 from ..core.groups import GroupedDataset
 from ..obs import metrics as obs_metrics
 from ..obs import runlog as obs_runlog
 from ..obs import tracing as obs_tracing
 from ..plan import logical_for_dataset, optimize
 
-__all__ = ["RunResult", "run_algorithms", "sweep", "PARALLEL_ALGORITHMS"]
+__all__ = ["RunResult", "run_algorithms", "sweep"]
 
 DEFAULT_ALGORITHMS = ("NL", "TR", "SI", "IN", "LO")
-
-#: Algorithms the deprecated ``workers=`` shortcut applies to.  The
-#: modern ``execution=ExecutionConfig(...)`` parameter instead reaches
-#: every algorithm whose class sets ``supports_execution`` (PAR, IN, LO).
-PARALLEL_ALGORITHMS = ("PAR",)
 
 
 @dataclass
@@ -81,8 +71,8 @@ def run_algorithms(
     repeats: int = 1,
     verify_consistency: bool = False,
     collect_obs: bool = False,
-    workers: Optional[int] = None,
     execution: Optional[ExecutionConfig] = None,
+    **removed,
 ) -> List[RunResult]:
     """Run each named algorithm on ``dataset`` and collect measurements.
 
@@ -103,21 +93,11 @@ def run_algorithms(
     pooled execution (``PAR``, ``IN``, ``LO``); serial algorithms ignore
     it.  Its compact snapshot is recorded on the :class:`RunResult` so
     persisted measurements carry scheduler and shm choices.
-
-    ``workers`` is the deprecated pre-ExecutionConfig shortcut: it sizes
-    the pool for ``"PAR"`` only and is recorded on its
-    :class:`RunResult`.  Prefer ``execution=ExecutionConfig(workers=n)``.
     """
+    reject_kwargs("run_algorithms", removed)
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     execution = coerce_execution(execution)
-    if workers is not None:
-        warnings.warn(
-            "run_algorithms(workers=...) is deprecated; pass"
-            " execution=ExecutionConfig(workers=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     options = dict(algorithm_options or {})
     results: List[RunResult] = []
     tracer = obs_tracing.get_tracer()
@@ -132,55 +112,28 @@ def run_algorithms(
             ALGORITHMS.get(key), "supports_execution", False
         )
         engine_execution = execution if supports else None
-        if (
-            engine_execution is None
-            and workers is not None
-            and key in PARALLEL_ALGORITHMS
-            and "workers" not in engine_options
-        ):
-            engine_execution = ExecutionConfig(workers=workers)
-        result_workers = engine_options.get("workers")
-        if result_workers is None and engine_execution is not None:
-            result_workers = engine_execution.workers
         execution_payload = (
             engine_execution.to_dict() if engine_execution is not None else None
         )
-        if workers is None and any(
-            legacy in engine_options for legacy in _LEGACY_EXECUTION_KEYS
-        ):
-            warnings.warn(
-                f"legacy execution options for {key!r} in algorithm_options"
-                " are deprecated; pass execution=ExecutionConfig(...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         best: Optional[RunResult] = None
         for _ in range(repeats):
             physical = None
-            with warnings.catch_warnings():
-                # Legacy per-algorithm options already warned above when
-                # they came through ``workers=``; avoid repeating the
-                # DeprecationWarning once per repeat.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                if is_auto:
-                    logical = logical_for_dataset(
-                        dataset, gamma=gamma, algorithm=key
-                    )
-                    physical = optimize(
-                        logical,
-                        dataset,
-                        gamma=gamma,
-                        algorithm=key,
-                        execution=engine_execution,
-                        options=engine_options,
-                        entry="harness",
-                    )
-                    engine = physical.build_algorithm()
-                else:
-                    engine = make_algorithm(
-                        name, gamma, execution=engine_execution,
-                        **engine_options,
-                    )
+            if is_auto:
+                logical = logical_for_dataset(dataset, gamma=gamma, algorithm=key)
+                physical = optimize(
+                    logical,
+                    dataset,
+                    gamma=gamma,
+                    algorithm=key,
+                    execution=engine_execution,
+                    options=engine_options,
+                    entry="harness",
+                )
+                engine = physical.build_algorithm()
+            else:
+                engine = make_algorithm(
+                    name, gamma, execution=engine_execution, **engine_options
+                )
             trace_payload = None
             metrics_payload = None
             with tracer.span(
@@ -224,7 +177,10 @@ def run_algorithms(
                 skyline_keys=frozenset(outcome.keys),
                 trace=trace_payload,
                 metrics=metrics_payload,
-                workers=result_workers,
+                workers=(
+                    engine_execution.workers if engine_execution is not None
+                    else None
+                ),
                 execution=execution_payload,
                 plan=(
                     physical.decision.as_dict() if physical is not None
@@ -259,7 +215,6 @@ def sweep(
     extra_params: Optional[Mapping[str, object]] = None,
     repeats: int = 1,
     collect_obs: bool = False,
-    workers: Optional[int] = None,
     execution: Optional[ExecutionConfig] = None,
 ) -> List[RunResult]:
     """Run ``algorithms`` for each value of a swept parameter.
@@ -282,7 +237,6 @@ def sweep(
                 algorithm_options=algorithm_options,
                 repeats=repeats,
                 collect_obs=collect_obs,
-                workers=workers,
                 execution=execution,
             )
         )

@@ -1,8 +1,6 @@
-"""Spatial index substrate: MBRs, R-tree and grid index."""
+"""Spatial index substrate: the packed STR R-tree and a Fenwick tree."""
 
 from .fenwick import FenwickTree
-from .grid import GridIndex
-from .mbr import Rect
-from .rtree import RTree, RTreeEntry
+from .rtree import FlatRTree, STRLevel, str_levels
 
-__all__ = ["Rect", "RTree", "RTreeEntry", "GridIndex", "FenwickTree"]
+__all__ = ["FlatRTree", "STRLevel", "str_levels", "FenwickTree"]

@@ -33,7 +33,6 @@ from .executor import (
     apply_verdicts,
     compare_candidate_span,
     compare_span,
-    execute_chunks,
     map_tasks,
     preferred_start_method,
     resolve_workers,
@@ -64,7 +63,6 @@ __all__ = [
     "apply_verdicts",
     "compare_candidate_span",
     "compare_span",
-    "execute_chunks",
     "map_tasks",
     "preferred_start_method",
     "resolve_workers",

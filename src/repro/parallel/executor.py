@@ -109,7 +109,6 @@ __all__ = [
     "compare_span",
     "compare_candidate_span",
     "apply_verdicts",
-    "execute_chunks",
     "execute_span_inline",
     "run_spans",
     "map_tasks",
@@ -209,11 +208,19 @@ class _AttemptFailure(Exception):
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Effective worker count: explicit value, else ``$REPRO_WORKERS``,
-    else ``min(4, cpu_count)``."""
+    else ``min(4, usable CPUs)``.
+
+    Usable CPUs are the ones this process may run on
+    (``os.sched_getaffinity``, where the platform has it), not the
+    host's count: under ``taskset`` or a cpuset the default pool must
+    not oversubscribe.
+    """
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR, "").strip()
         if env:
             workers = int(env)
+        elif hasattr(os, "sched_getaffinity"):
+            workers = min(4, len(os.sched_getaffinity(0)))
         else:
             workers = min(4, os.cpu_count() or 1)
     workers = int(workers)
@@ -510,12 +517,6 @@ _WORKER_ORDER: Optional[Sequence[int]] = None
 _WORKER_SPANS: Optional[Sequence[Tuple[int, int]]] = None
 _WORKER_LEDGER: Optional[ChunkLedger] = None
 _WORKER_FAULT: Optional[ArmedFault] = None
-
-
-def _init_worker(groups, config: WorkerConfig, flags) -> None:
-    """Pool initializer (legacy shape): inline dataset, pair kernel."""
-    _init_pool(_PoolPayload(shipment=GroupShipment(inline=list(groups)),
-                            config=config, flags=flags))
 
 
 def _init_pool(payload: _PoolPayload) -> None:
@@ -1244,38 +1245,6 @@ def run_spans(
     else:
         reports = _reports_from_outcomes(outcomes)
     return PoolRun(outcomes=outcomes, reports=reports)
-
-
-def execute_chunks(
-    groups: Sequence[Group],
-    config: WorkerConfig,
-    spans: Sequence[Tuple[int, int]],
-    workers: int,
-    pool_timeout: float = 300.0,
-    **run_kwargs,
-) -> List[ChunkOutcome]:
-    """Run ``spans`` over a ``workers``-sized process pool; ordered results.
-
-    The PR-2 entry point, kept as a thin wrapper over :func:`run_spans`
-    with the static scheduler and automatic shipping (extra keyword
-    arguments — ``on_failure``, ``max_retries``, ``faults``, ... — pass
-    straight through).  The dataset travels to the pool exactly once;
-    afterwards only tiny span tuples and compact verdict lists cross the
-    process boundary.  A deadlocked or wedged pool raises
-    :class:`PoolTimeoutError` after ``pool_timeout`` seconds instead of
-    hanging the caller (and CI) forever; a dead worker surfaces within
-    seconds as :class:`WorkerCrashError`.
-    """
-    run = run_spans(
-        groups,
-        config,
-        spans,
-        workers,
-        pool_timeout=pool_timeout,
-        scheduler="static",
-        **run_kwargs,
-    )
-    return run.outcomes
 
 
 def map_tasks(

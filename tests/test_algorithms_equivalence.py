@@ -109,7 +109,7 @@ def test_synthetic_workload_consistency(distribution, gamma):
 
 
 def test_option_toggles_do_not_change_results():
-    """Stopping rule, bbox, sort keys and backends are pure optimisations."""
+    """Stopping rule, bbox and sort keys are pure optimisations."""
     dataset = generate_grouped(
         SyntheticSpec(
             n_records=400,
@@ -127,11 +127,9 @@ def test_option_toggles_do_not_change_results():
         ("TR", {"prune_policy": "safe", "use_bbox": True}),
         ("SI", {"prune_policy": "safe", "sort_key": "corner_distance"}),
         ("SI", {"prune_policy": "safe", "sort_key": "size_corner"}),
-        ("IN", {"prune_policy": "safe", "index_backend": "rtree"}),
-        ("IN", {"prune_policy": "safe", "index_backend": "grid"}),
-        ("IN", {"prune_policy": "safe", "grid_cells_per_dim": 2,
-                "index_backend": "grid"}),
-        ("LO", {"prune_policy": "safe", "index_backend": "grid"}),
+        ("IN", {"prune_policy": "safe"}),
+        ("IN", {"prune_policy": "safe", "sort_key": "corner_distance"}),
+        ("LO", {"prune_policy": "safe"}),
         ("LO", {"prune_policy": "safe", "use_stopping_rule": False}),
     ]
     for name, options in variants:

@@ -65,10 +65,6 @@ class TestConstruction:
     def test_sort_keys_registry(self):
         assert set(SORT_KEYS) == {"corner_distance", "size_corner"}
 
-    def test_invalid_index_backend(self):
-        with pytest.raises(ValueError, match="index_backend"):
-            IndexedAlgorithm(0.5, index_backend="btree")
-
     def test_lo_forces_bbox(self):
         algorithm = IndexedBBoxAlgorithm(0.5)
         assert algorithm.comparator.use_bbox

@@ -101,20 +101,35 @@ class TestSkylineCommand:
         assert code == 0
         assert "Wiseau" in capsys.readouterr().out
 
-    def test_workers_forces_parallel_algorithm(self, movies_csv, capsys):
+    def test_execution_runs_the_pooled_algorithm(self, movies_csv, capsys):
         code = main(
             [
                 "skyline",
                 "--csv", movies_csv,
                 "--group-by", "director",
                 "--of", "pop:max,qual:max",
-                "--workers", "1",
+                "--algorithm", "PAR",
+                "--execution", "workers=1",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "[PAR]" in out
         assert "Tarantino" in out and "Coppola" in out
+
+    def test_workers_flag_is_rejected(self, movies_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "skyline",
+                    "--csv", movies_csv,
+                    "--group-by", "director",
+                    "--of", "pop:max,qual:max",
+                    "--workers", "1",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestGenerateCommands:

@@ -440,22 +440,12 @@ def test_partitioned_execution_kwarg(dataset):
     assert serial.as_set() == pooled.as_set()
 
 
-def test_partitioned_legacy_kwargs_warn_once(dataset):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = partitioned_aggregate_skyline(
-            dataset, gamma=GAMMA, partitions=3, processes=2, pool_timeout=60.0
-        )
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    assert "workers" in message and "pool_timeout" in message
-    reference = partitioned_aggregate_skyline(
-        dataset, gamma=GAMMA, partitions=3
-    )
-    assert legacy.as_set() == reference.as_set()
+def test_partitioned_legacy_kwargs_raise(dataset):
+    for removed in ({"processes": 2}, {"pool_timeout": 60.0}):
+        with pytest.raises(TypeError, match="execution="):
+            partitioned_aggregate_skyline(
+                dataset, gamma=GAMMA, partitions=3, **removed
+            )
 
 
 def test_public_surface_reexported():

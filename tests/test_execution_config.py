@@ -1,9 +1,9 @@
 """Tests for the unified execution API (repro.core.execution).
 
 Covers the frozen :class:`ExecutionConfig` dataclass (validation,
-serialisation, spec parsing), the options normalizer (legacy-kwarg
-lifting with one DeprecationWarning, did-you-mean rejection of unknown
-options), the ``make_algorithm`` gate (only pool-backed algorithms take
+serialisation, spec parsing), the options normalizer (did-you-mean
+rejection of unknown options; execution settings passed as options are
+pointed at ``execution=``), the ``make_algorithm`` gate (only pool-backed algorithms take
 an execution config), and the end-to-end threading through the harness
 runner, persistence and the SQL query executor.
 """
@@ -181,38 +181,42 @@ class TestExecutionConfig:
 
 
 # ---------------------------------------------------------------------------
-# normalize_options: legacy kwargs + unknown-option rejection
+# normalize_options: unknown-option rejection
 # ---------------------------------------------------------------------------
+
+#: The execution settings algorithm options accepted until 2.0.
+REMOVED_EXECUTION_OPTIONS = {
+    "workers": 2,
+    "scheduler": "stealing",
+    "shm": False,
+    "exchange_interval": 4,
+    "chunk_size": 8,
+    "pool_timeout": 60.0,
+}
 
 
 class TestNormalizeOptions:
-    def test_lifts_legacy_keys_with_one_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            options, execution = normalize_options(
-                "PAR",
-                ParallelSkylineAlgorithm,
-                {"workers": 2, "scheduler": "stealing", "prune_policy": "safe"},
+    @pytest.mark.parametrize("key", sorted(REMOVED_EXECUTION_OPTIONS))
+    def test_execution_settings_point_at_execution(self, key):
+        value = REMOVED_EXECUTION_OPTIONS[key]
+        with pytest.raises(TypeError, match=rf"execution=ExecutionConfig\({key}="):
+            normalize_options(
+                "PAR", ParallelSkylineAlgorithm, {key: value, "prune_policy": "safe"}
             )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert options == {"prune_policy": "safe"}
-        assert execution == ExecutionConfig(workers=2, scheduler="stealing")
+        with pytest.raises(TypeError, match="execution="):
+            make_algorithm("PAR", 0.5, **{key: value})
 
-    def test_explicit_execution_wins_but_fills_gaps(self):
-        explicit = ExecutionConfig(workers=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            _, execution = normalize_options(
-                "PAR",
-                ParallelSkylineAlgorithm,
-                {"workers": 2, "scheduler": "stealing"},
-                explicit,
+    def test_serial_algorithms_name_the_pooled_ones(self):
+        # NL has no execution= to point at.
+        with pytest.raises(TypeError, match="only PAR, IN and LO"):
+            make_algorithm("NL", 0.5, workers=2)
+
+    def test_explicit_execution_plus_a_setting_is_rejected(self):
+        # Until 2.0 the option filled gaps in the explicit config.
+        with pytest.raises(TypeError, match="execution="):
+            make_algorithm(
+                "PAR", execution=ExecutionConfig(workers=4), scheduler="stealing"
             )
-        assert execution.workers == 4  # explicit wins
-        assert execution.scheduler == "stealing"  # gap filled
 
     def test_unknown_option_raises_with_suggestion(self):
         with pytest.raises(TypeError, match="sort_key"):
@@ -223,8 +227,9 @@ class TestNormalizeOptions:
     def test_no_warning_without_legacy_keys(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            normalize_options("IN", IndexedAlgorithm, {"sort_key": "size"})
+            options = normalize_options("IN", IndexedAlgorithm, {"sort_key": "size"})
         assert not caught
+        assert options == {"sort_key": "size"}
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +258,17 @@ class TestMakeAlgorithmGate:
         engine = make_algorithm("LO", execution={"workers": 1})
         assert engine.execution.workers == 1
 
-    def test_legacy_workers_still_constructs_par(self, dataset):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine = make_algorithm("PAR", 0.5, workers=1)
-        assert engine.workers == 1
-        assert sum(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) == 1
-
-    def test_grid_backend_cannot_parallelise(self):
-        with pytest.raises(ValueError, match="rtree"):
-            make_algorithm(
-                "IN",
-                index_backend="grid",
-                execution=ExecutionConfig(workers=2),
-            )
+    @pytest.mark.parametrize(
+        "key,value",
+        [("workers", 1), ("exchange_interval", 4), ("pool_timeout", 60.0)],
+    )
+    def test_par_execution_kwargs_raise(self, key, value):
+        with pytest.raises(TypeError, match="execution="):
+            make_algorithm("PAR", 0.5, **{key: value})
+        with pytest.raises(TypeError, match=key):
+            ParallelSkylineAlgorithm(0.5, **{key: value})
+        engine = make_algorithm("PAR", 0.5, execution={key: value})
+        assert getattr(engine.execution, key) == value
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +299,16 @@ class TestEndToEnd:
         assert by["PAR"].execution == {"workers": 1}
         assert by["NL"].skyline_keys == by["PAR"].skyline_keys
 
-    def test_runner_legacy_workers_warns_and_targets_par_only(self, dataset):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = run_algorithms(
-                dataset, algorithms=("NL", "PAR"), workers=1
+    def test_runner_workers_kwarg_raises(self, dataset):
+        with pytest.raises(TypeError, match="execution="):
+            run_algorithms(dataset, algorithms=("NL", "PAR"), workers=1)
+        # execution settings in algorithm_options are rejected the same way
+        with pytest.raises(TypeError, match="execution="):
+            run_algorithms(
+                dataset,
+                algorithms=("PAR",),
+                algorithm_options={"PAR": {"workers": 1}},
             )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        by = {r.algorithm: r for r in results}
-        assert by["NL"].workers is None
-        assert by["PAR"].workers == 1
 
     def test_persistence_round_trips_execution_block(self, dataset):
         results = run_algorithms(

@@ -417,7 +417,7 @@ class TestStatsRegistryReconciliation:
     @pytest.mark.parametrize("name", ["NL", "TR", "SI", "IN", "LO", "PAR"])
     def test_counters_match_stats(self, name, reconciliation_dataset):
         registry = MetricsRegistry()
-        options = {"workers": 2} if name == "PAR" else {}
+        options = {"execution": "workers=2"} if name == "PAR" else {}
         with use_registry(registry):
             result = make_algorithm(name, 0.75, **options).compute(
                 reconciliation_dataset

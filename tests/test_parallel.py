@@ -10,6 +10,7 @@ superset (the serial TR guarantee).
 
 from __future__ import annotations
 
+import os
 import signal
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms import make_algorithm
 from repro.core.algorithms.parallel import ParallelSkylineAlgorithm
+from repro.core.execution import ExecutionConfig
 from repro.data.synthetic import SyntheticSpec, generate_grouped
 from repro.harness.persistence import results_from_json, results_to_json
 from repro.harness.runner import RunResult, run_algorithms
@@ -27,12 +29,12 @@ from repro.parallel import (
     PoolTimeoutError,
     WorkerConfig,
     chunk_ranges,
-    execute_chunks,
     index_of_pair,
     iter_pairs,
     pair_count,
     pair_from_index,
     resolve_workers,
+    run_spans,
     sample_pair_indices,
 )
 from repro.parallel.executor import WORKERS_ENV_VAR
@@ -179,6 +181,29 @@ class TestResolveWorkers:
         monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert resolve_workers(None) >= 1
 
+    def test_default_counts_the_cpus_this_process_may_run_on(
+        self, monkeypatch
+    ):
+        # Pinned to one CPU of a 64-CPU host (taskset, a cpuset): a
+        # default pool must not oversubscribe.
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {3}, raising=False
+        )
+        assert resolve_workers(None) == 1
+        assert ExecutionConfig().resolve_workers() == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(16)), raising=False
+        )
+        assert resolve_workers(None) == 4
+
+    def test_default_without_affinity_counts_host_cpus(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert resolve_workers(None) == 2
+
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
@@ -203,7 +228,10 @@ class TestParallelEquivalence:
         ).compute(dataset)
         for workers in (1, 2, 4):
             result = make_algorithm(
-                "PAR", 0.5, prune_policy=prune_policy, workers=workers
+                "PAR",
+                0.5,
+                prune_policy=prune_policy,
+                execution=ExecutionConfig(workers=workers),
             ).compute(dataset)
             context = f"{distribution}/{prune_policy}/workers={workers}"
             assert result.as_set() == reference.as_set(), context
@@ -221,7 +249,7 @@ class TestParallelEquivalence:
             ), context
 
     def test_repeated_compute_is_stable(self, datasets):
-        algorithm = make_algorithm("PAR", 0.5, workers=2)
+        algorithm = make_algorithm("PAR", 0.5, execution="workers=2")
         first = algorithm.compute(datasets["independent"])
         second = algorithm.compute(datasets["independent"])
         assert first.as_set() == second.as_set()
@@ -231,7 +259,9 @@ class TestParallelEquivalence:
         )
 
     def test_worker_stats_sum_to_parent_totals(self, datasets):
-        algorithm = ParallelSkylineAlgorithm(0.5, workers=2)
+        algorithm = ParallelSkylineAlgorithm(
+            0.5, execution=ExecutionConfig(workers=2)
+        )
         result = algorithm.compute(datasets["anticorrelated"])
         assert algorithm.worker_stats  # pooled run keeps the breakdown
         assert (
@@ -260,7 +290,7 @@ class TestParallelEquivalence:
         )
         expected = exact_aggregate_skyline(dataset, 0.5)
         result = make_algorithm(
-            "PAR", 0.5, prune_policy="safe", workers=1
+            "PAR", 0.5, prune_policy="safe", execution="workers=1"
         ).compute(dataset)
         assert result.as_set() == expected
 
@@ -281,8 +311,7 @@ class TestPruningExchange:
                 "PAR",
                 0.5,
                 prune_policy="safe",
-                workers=workers,
-                exchange_interval=4,
+                execution=ExecutionConfig(workers=workers, exchange_interval=4),
             ).compute(dataset)
             assert result.as_set() == expected.as_set(), workers
 
@@ -293,16 +322,15 @@ class TestPruningExchange:
             "PAR",
             0.5,
             prune_policy="paper",
-            workers=2,
-            exchange_interval=4,
+            execution=ExecutionConfig(workers=2, exchange_interval=4),
         ).compute(dataset)
         assert result.as_set() >= expected
 
     def test_exchange_can_skip_work(self, datasets):
         dataset = datasets["correlated"]
-        full = make_algorithm("PAR", 0.5, workers=1).compute(dataset)
+        full = make_algorithm("PAR", 0.5, execution="workers=1").compute(dataset)
         pruned = make_algorithm(
-            "PAR", 0.5, workers=1, exchange_interval=1
+            "PAR", 0.5, execution="workers=1,exchange_interval=1"
         ).compute(dataset)
         assert (
             pruned.stats.record_pairs_examined
@@ -318,14 +346,14 @@ class TestPruningExchange:
 class TestExecutor:
     def test_empty_spans(self, datasets):
         config = WorkerConfig(gamma=0.5)
-        assert execute_chunks(
+        assert run_spans(
             datasets["independent"].groups, config, [], workers=2
-        ) == []
+        ).outcomes == []
 
     def test_invalid_worker_count(self, datasets):
         config = WorkerConfig(gamma=0.5)
         with pytest.raises(ValueError):
-            execute_chunks(
+            run_spans(
                 datasets["independent"].groups, config, [(0, 1)], workers=0
             )
 
@@ -336,7 +364,7 @@ class TestExecutor:
         groups = dataset.groups
         spans = chunk_ranges(pair_count(len(groups)), 8)
         with pytest.raises(PoolTimeoutError):
-            execute_chunks(
+            run_spans(
                 groups,
                 WorkerConfig(gamma=0.5),
                 spans,
@@ -348,13 +376,14 @@ class TestExecutor:
         with pytest.raises(ValueError):
             ParallelSkylineAlgorithm(0.5, chunks_per_worker=0)
         with pytest.raises(ValueError):
-            ParallelSkylineAlgorithm(0.5, exchange_interval=-1)
+            ParallelSkylineAlgorithm(0.5, execution={"exchange_interval": -1})
         with pytest.raises(ValueError):
-            ParallelSkylineAlgorithm(0.5, pool_timeout=0.0)
+            ParallelSkylineAlgorithm(0.5, execution={"pool_timeout": 0.0})
 
     def test_registered(self):
         assert isinstance(
-            make_algorithm("PAR", workers=1), ParallelSkylineAlgorithm
+            make_algorithm("PAR", execution="workers=1"),
+            ParallelSkylineAlgorithm,
         )
 
 
@@ -367,7 +396,7 @@ class TestParallelObservability:
     def test_registry_reconciles_with_pooled_stats(self, datasets):
         registry = MetricsRegistry()
         with use_registry(registry):
-            result = make_algorithm("PAR", 0.5, workers=2).compute(
+            result = make_algorithm("PAR", 0.5, execution="workers=2").compute(
                 datasets["independent"]
             )
 
@@ -393,7 +422,7 @@ class TestParallelObservability:
 
 
 # ---------------------------------------------------------------------------
-# Harness plumbing (--workers end to end)
+# Harness plumbing (worker counts end to end)
 # ---------------------------------------------------------------------------
 
 
@@ -402,7 +431,7 @@ class TestHarnessWorkers:
         results = run_algorithms(
             datasets["independent"],
             algorithms=("NL", "PAR"),
-            workers=1,
+            execution=ExecutionConfig(workers=1),
             experiment="t",
         )
         by_algorithm = {r.algorithm: r for r in results}

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.algorithms import make_algorithm
 from repro.core.execution import ExecutionConfig
 from repro.data.synthetic import SyntheticSpec, generate_grouped
-from repro.index.rtree import FlatRTree, Rect, RTree
+from repro.index.rtree import FlatRTree, str_levels
 from repro.obs.metrics import use_registry
 from repro.parallel.scheduler import (
     ChunkLedger,
@@ -178,7 +178,7 @@ class TestParallelIndexed:
         assert chunks.value(**labels) == len(run.outcomes)
         queries = registry.get("index_window_queries_total")
         assert queries is not None
-        assert queries.value(backend="rtree", algorithm="IN") == sum(
+        assert queries.value(algorithm="IN") == sum(
             outcome.window_queries for outcome in run.outcomes
         )
         flushed = registry.get("skyline_group_comparisons_total")
@@ -401,6 +401,53 @@ class TestShm:
 # ---------------------------------------------------------------------------
 
 
+def _intersects(low, high, window_low, window_high) -> bool:
+    return bool(np.all(low <= window_high) and np.all(high >= window_low))
+
+
+class NodeWalk:
+    """Reference window search: a depth-first walk over the STR nodes.
+
+    The tree search ``FlatRTree`` replaces: pop a node, skip it unless
+    its box meets the window, collect a leaf's hits in stored order, and
+    push an inner node's intersecting children in order (so the last
+    child is visited first).
+    """
+
+    def __init__(self, points, items=None):
+        self.points = np.asarray(points, dtype=np.float64)
+        count = len(self.points)
+        self.items = list(range(count)) if items is None else list(items)
+        self.levels = str_levels(self.points) if count else []
+        self.window_queries = 0
+        self.candidates_returned = 0
+
+    def search_window(self, low, high):
+        self.window_queries += 1
+        hits = []
+        stack = [(len(self.levels) - 1, 0)] if self.levels else []
+        while stack:
+            level, node = stack.pop()
+            nodes = self.levels[level]
+            if not _intersects(nodes.lows[node], nodes.highs[node], low, high):
+                continue
+            if level == 0:
+                hits.extend(
+                    self.items[row]
+                    for row in nodes.members[node]
+                    if _intersects(self.points[row], self.points[row], low, high)
+                )
+                continue
+            below = self.levels[level - 1]
+            stack.extend(
+                (level - 1, child)
+                for child in nodes.members[node]
+                if _intersects(below.lows[child], below.highs[child], low, high)
+            )
+        self.candidates_returned += len(hits)
+        return hits
+
+
 class TestFlatRTree:
     def _points(self, seed=17, n=200, dims=3):
         rng = np.random.default_rng(seed)
@@ -414,21 +461,18 @@ class TestFlatRTree:
 
     def test_matches_the_tree_on_window_queries(self):
         points = self._points()
-        tree = RTree.bulk_load(
-            (Rect.point(p), i) for i, p in enumerate(points)
-        )
-        flat = tree.pack()
+        items = np.arange(len(points), dtype=np.int64)[::-1] * 3
+        walk = NodeWalk(points, items)
+        flat = FlatRTree.bulk_load_points(points, items)
         assert len(flat) == len(points)
         for low, high in self._windows():
-            assert flat.search_window(low, high) == tree.search_window(low, high)
-        assert flat.window_queries == tree.window_queries
-        assert flat.candidates_returned == tree.candidates_returned
+            assert flat.search_window(low, high) == walk.search_window(low, high)
+        assert flat.window_queries == walk.window_queries
+        assert flat.candidates_returned == walk.candidates_returned
 
     def test_arrays_round_trip(self):
         points = self._points(seed=5, n=64)
-        flat = RTree.bulk_load(
-            (Rect.point(p), i) for i, p in enumerate(points)
-        ).pack()
+        flat = FlatRTree.bulk_load_points(points)
         clone = FlatRTree.from_arrays(flat.arrays())
         for low, high in self._windows(seed=7, n=10):
             assert clone.search_window(low, high) == flat.search_window(low, high)
@@ -441,7 +485,7 @@ class TestFlatRTree:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_window_order_matches_the_object_walk(self, n, dims, shape, seed):
-        """Both packed builds return the object walk's list, in its order.
+        """The packed mask returns the node walk's list, in its order.
 
         IN/LO counters depend on candidate order, so lists are compared,
         not sets.  Up to 300 points give trees of one to three levels.
@@ -457,12 +501,11 @@ class TestFlatRTree:
             points = rng.random((n, dims))
             points[rng.random((n, dims)) < 0.2] = np.inf
             points[rng.random((n, dims)) < 0.2] = -np.inf
-        # A node spanning -inf..+inf has a NaN centre; both builds must
-        # still tile it identically.
+        # A node spanning -inf..+inf has a NaN centre; the tiling must
+        # still be a pure function of the points.
         with np.errstate(invalid="ignore"):
-            tree = RTree.bulk_load((Rect.point(p), i) for i, p in enumerate(points))
-            direct = FlatRTree.bulk_load_points(points)
-        packed = tree.pack()
+            walk = NodeWalk(points)
+            flat = FlatRTree.bulk_load_points(points)
 
         lows = rng.uniform(-0.25, 1.0, size=(12, dims))
         windows = [(low, low + rng.uniform(0.0, 0.75, size=dims)) for low in lows]
@@ -470,19 +513,15 @@ class TestFlatRTree:
         for p in points[rng.permutation(n)[:12]]:
             windows += [(p, upper), (p, p)]
         for low, high in windows:
-            expected = tree.search_window(low, high)
-            assert packed.search_window(low, high) == expected
-            assert direct.search_window(low, high) == expected
-        for flat in (packed, direct):
-            assert flat.window_queries == tree.window_queries
-            assert flat.candidates_returned == tree.candidates_returned
+            assert flat.search_window(low, high) == walk.search_window(low, high)
+        assert flat.window_queries == walk.window_queries
+        assert flat.candidates_returned == walk.candidates_returned
 
     def test_empty_tree_packs(self):
-        flat = RTree.bulk_load([]).pack()
+        flat = FlatRTree.bulk_load_points(np.zeros((0, 2)))
         assert len(flat) == 0
         assert flat.search_window(np.zeros(2), np.ones(2)) == []
 
     def test_non_integer_payloads_rejected(self):
-        tree = RTree.bulk_load([(Rect.point(np.zeros(2)), "a")])
-        with pytest.raises(TypeError, match="integers"):
-            tree.pack()
+        with pytest.raises(ValueError):
+            FlatRTree.bulk_load_points(np.zeros((1, 2)), items=np.array(["a"]))

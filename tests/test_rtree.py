@@ -1,97 +1,43 @@
-"""Tests for the R-tree spatial index."""
+"""Tests for the packed STR R-tree (``FlatRTree`` and ``str_levels``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.mbr import Rect
-from repro.index.rtree import RTree
-
-
-class TestRect:
-    def test_point(self):
-        rect = Rect.point([1.0, 2.0])
-        assert rect.low.tolist() == [1.0, 2.0]
-        assert rect.high.tolist() == [1.0, 2.0]
-        assert rect.area() == 0.0
-
-    def test_invalid_corners(self):
-        with pytest.raises(ValueError):
-            Rect([2.0], [1.0])
-        with pytest.raises(ValueError):
-            Rect([1.0, 2.0], [3.0])
-
-    def test_area_margin_center(self):
-        rect = Rect([0.0, 0.0], [2.0, 3.0])
-        assert rect.area() == 6.0
-        assert rect.margin() == 5.0
-        assert rect.center.tolist() == [1.0, 1.5]
-
-    def test_union_and_enlargement(self):
-        a = Rect([0.0, 0.0], [1.0, 1.0])
-        b = Rect([2.0, 2.0], [3.0, 3.0])
-        union = a.union(b)
-        assert union == Rect([0.0, 0.0], [3.0, 3.0])
-        assert a.enlargement(b) == 9.0 - 1.0
-
-    def test_union_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Rect.union_of([])
-
-    def test_intersects_touching(self):
-        a = Rect([0.0], [1.0])
-        b = Rect([1.0], [2.0])
-        c = Rect([1.1], [2.0])
-        assert a.intersects(b)
-        assert not a.intersects(c)
-
-    def test_contains(self):
-        outer = Rect([0.0, 0.0], [4.0, 4.0])
-        inner = Rect([1.0, 1.0], [2.0, 2.0])
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
-        assert outer.contains_point([4.0, 0.0])
-
-    def test_infinite_query_rect(self):
-        window = Rect([0.0, 0.0], [np.inf, np.inf])
-        assert window.intersects(Rect.point([1e9, 1e9]))
+from repro.index.rtree import FlatRTree, str_levels
 
 
 class TestRTreeConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RTree(max_entries=1)
+            FlatRTree.bulk_load_points(np.zeros(4))  # not entries x dims
         with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=5)  # > M/2
-        with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=0)
+            FlatRTree.bulk_load_points(np.zeros((3, 2)), items=np.arange(2))
 
     def test_empty_tree(self):
-        tree = RTree()
+        tree = FlatRTree.bulk_load_points(np.zeros((0, 2)))
         assert len(tree) == 0
         assert tree.search_window([0.0, 0.0], [1.0, 1.0]) == []
-
-    def test_insert_and_size(self):
-        tree = RTree(max_entries=4)
-        for i in range(20):
-            tree.insert_point([float(i), float(i)], i)
-        assert len(tree) == 20
-        assert tree.height >= 2  # splits happened
 
     def test_bulk_load_balanced(self):
         rng = np.random.default_rng(0)
         points = rng.uniform(size=(200, 2))
-        tree = RTree.bulk_load(
-            ((Rect.point(p), i) for i, p in enumerate(points)),
-            max_entries=8,
-        )
-        assert len(tree) == 200
+        levels = str_levels(points, max_entries=8)
+        assert len(FlatRTree.bulk_load_points(points, max_entries=8)) == 200
         # STR packs near-full nodes: height close to log_8(200 / 8) + 1.
-        assert tree.height <= 4
+        assert len(levels) <= 4
+        assert len(levels[-1].members) == 1  # a single root
+        for level in levels:
+            assert all(1 <= len(node) <= 8 for node in level.members)
+        assert sorted(row for leaf in levels[0].members for row in leaf) == list(
+            range(200)
+        )
 
     def test_bulk_load_empty(self):
-        tree = RTree.bulk_load([])
+        tree = FlatRTree.bulk_load_points(
+            np.zeros((0, 1)), items=np.zeros(0, dtype=np.int64)
+        )
         assert len(tree) == 0
         assert tree.search_window([0.0], [1.0]) == []
 
@@ -112,20 +58,11 @@ class TestWindowQueries:
         st.integers(min_value=0, max_value=120),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=0, max_value=100_000),
-        st.booleans(),
     )
-    def test_matches_brute_force(self, n, d, seed, bulk):
+    def test_matches_brute_force(self, n, d, seed):
         rng = np.random.default_rng(seed)
         points = rng.integers(0, 10, size=(n, d)).astype(float)
-        if bulk:
-            tree = RTree.bulk_load(
-                ((Rect.point(p), i) for i, p in enumerate(points)),
-                max_entries=4,
-            )
-        else:
-            tree = RTree(max_entries=4)
-            for i, p in enumerate(points):
-                tree.insert_point(p, i)
+        tree = FlatRTree.bulk_load_points(points, max_entries=4)
         corner_a = rng.integers(0, 10, size=d).astype(float)
         corner_b = rng.integers(0, 10, size=d).astype(float)
         low = np.minimum(corner_a, corner_b)
@@ -134,24 +71,26 @@ class TestWindowQueries:
         assert set(tree.search_window(low, high)) == expected
 
     def test_dominance_window_with_infinity(self):
-        tree = RTree(max_entries=4)
-        points = [[1.0, 1.0], [5.0, 5.0], [2.0, 9.0], [9.0, 2.0]]
-        for i, p in enumerate(points):
-            tree.insert_point(p, i)
+        points = np.array([[1.0, 1.0], [5.0, 5.0], [2.0, 9.0], [9.0, 2.0]])
+        tree = FlatRTree.bulk_load_points(points, max_entries=4)
         found = tree.search_window([2.0, 2.0], [np.inf, np.inf])
         # Every point with both coordinates >= 2.
         assert set(found) == {1, 2, 3}
         assert set(tree.search_window([6.0, 1.0], [np.inf, np.inf])) == {3}
+        assert tree.search_window([-np.inf, -np.inf], [np.inf, np.inf]) != []
 
     def test_rect_payloads(self):
-        tree = RTree(max_entries=4)
-        tree.insert(Rect([0.0, 0.0], [2.0, 2.0]), "a")
-        tree.insert(Rect([5.0, 5.0], [6.0, 6.0]), "b")
-        assert tree.search_window([1.0, 1.0], [1.5, 1.5]) == ["a"]
-        assert set(tree.search_window([0.0, 0.0], [10.0, 10.0])) == {"a", "b"}
+        # Entries may be boxes: a window hits every box it intersects.
+        tree = FlatRTree(
+            np.array([[0.0, 5.0], [0.0, 5.0]]),
+            np.array([[2.0, 6.0], [2.0, 6.0]]),
+            np.array([10, 11], dtype=np.int64),
+        )
+        assert tree.search_window([1.0, 1.0], [1.5, 1.5]) == [10]
+        assert set(tree.search_window([0.0, 0.0], [10.0, 10.0])) == {10, 11}
+        assert tree.search_window([2.0, 2.0], [5.0, 5.0]) == [10, 11]
 
     def test_duplicate_points_all_found(self):
-        tree = RTree(max_entries=4)
-        for i in range(10):
-            tree.insert_point([1.0, 1.0], i)
+        points = np.ones((10, 2))
+        tree = FlatRTree.bulk_load_points(points, max_entries=4)
         assert set(tree.search_window([1.0, 1.0], [1.0, 1.0])) == set(range(10))

@@ -58,6 +58,22 @@ class TestKnownResults:
         result = skyline(values)
         assert result.tolist() == [[2.0, 2.0]]
 
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            # equal sums at +inf
+            ([[np.inf, 0.0], [np.inf, 1.0]], [False, True]),
+            # both sums overflow to +inf
+            ([[1.5e308, 1e308], [1.5e308, 1.5e308]], [False, True]),
+            # inf + -inf is NaN
+            ([[np.inf, -np.inf], [np.inf, 0.0]], [False, True]),
+        ],
+    )
+    def test_infinite_and_overflowing_sums(self, values, expected):
+        for algorithm in ALGORITHMS:
+            mask = skyline_mask(values, algorithm=algorithm)
+            assert mask.tolist() == expected, algorithm
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             skyline_mask([[1.0]], algorithm="quantum")
@@ -76,11 +92,16 @@ class TestAlgorithmAgreement:
     )
     def test_all_algorithms_agree(self, n, d, seed):
         rng = np.random.default_rng(seed)
-        # Coarse grid: plenty of ties and duplicates.
-        values = rng.integers(0, 5, size=(n, d)).astype(float)
-        masks = [
-            skyline_mask(values, algorithm=a).tolist() for a in ALGORITHMS
-        ]
+        # Coarse alphabet: plenty of ties and duplicates, and coordinate
+        # sums that tie at ±inf, overflow or turn NaN.
+        alphabet = np.array(
+            [-np.inf, -1.5e308, 0.0, 1.0, 2.0, 3.0, 4.0, 1.5e308, np.inf]
+        )
+        values = alphabet[rng.integers(0, len(alphabet), size=(n, d))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            masks = [
+                skyline_mask(values, algorithm=a).tolist() for a in ALGORITHMS
+            ]
         assert all(mask == masks[0] for mask in masks[1:])
 
     @settings(max_examples=30, deadline=None)

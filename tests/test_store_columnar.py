@@ -29,7 +29,6 @@ from repro.data.store import (
     read_manifest,
     save_grouped,
 )
-from repro.index.rtree import FlatRTree, Rect, RTree
 
 
 # ----------------------------------------------------------------------
@@ -214,26 +213,6 @@ class TestFingerprint:
         one = GroupedDataset({"x": [[1.0, 2.0], [2.0, 1.0]]})
         two = GroupedDataset({"x": [[1.0, 2.0]], "y": [[2.0, 1.0]]})
         assert one.fingerprint() != two.fingerprint()
-
-
-class TestFlatRTreeBulkLoad:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        n=st.integers(min_value=0, max_value=200),
-        dims=st.integers(min_value=2, max_value=4),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_bit_identical_to_object_build(self, n, dims, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.random((n, dims))
-        reference = RTree.bulk_load(
-            ((Rect.point(points[i]), i) for i in range(n))
-        ).pack()
-        direct = FlatRTree.bulk_load_points(points)
-        for name in FlatRTree._ARRAY_FIELDS:
-            assert np.array_equal(
-                getattr(reference, name), getattr(direct, name)
-            ), name
 
 
 @pytest.fixture()

@@ -94,13 +94,11 @@ def test_gamma_sweep_monotone_at_scale(big_anticorrelated):
 
 
 def test_rtree_bulk_load_large():
-    from repro.index.rtree import Rect, RTree
+    from repro.index.rtree import FlatRTree
 
     rng = np.random.default_rng(0)
     points = rng.uniform(size=(5_000, 3))
-    tree = RTree.bulk_load(
-        ((Rect.point(p), i) for i, p in enumerate(points)), max_entries=32
-    )
+    tree = FlatRTree.bulk_load_points(points, max_entries=32)
     assert len(tree) == 5_000
     found = tree.search_window([0.25, 0.25, 0.25], [0.5, 0.5, 0.5])
     expected = {
