@@ -26,20 +26,35 @@ faithfulness notes"):
 from __future__ import annotations
 
 import abc
-from typing import Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ...obs import metrics as obs_metrics
 from ...obs import runlog as obs_runlog
 from ...obs import tracing as obs_tracing
 from ...obs.sampler import profile_phase
-from ..comparator import ComparisonOutcome, GroupComparator, PairCounts
+from ..comparator import (
+    ComparisonOutcome,
+    DirectionOutcomes,
+    GroupComparator,
+    RecordColumns,
+)
 from ..gamma import GammaLike, GammaThresholds
 from ..groups import Group, GroupedDataset
 from ..result import AggregateSkylineResult, AlgorithmStats, Timer
 
-__all__ = ["AggregateSkylineAlgorithm", "GroupState", "PRUNE_POLICIES"]
+__all__ = ["AggregateSkylineAlgorithm", "GroupState", "PRUNE_POLICIES", "ROW_BATCH"]
 
 PRUNE_POLICIES = ("paper", "safe")
+
+#: Row members the first batch of a polled candidate's Algorithm-3 row
+#: decides; each further batch of the same row takes twice as many.
+ROW_BATCH = 8
+
+#: ``(outcomes, forward slot, backward slot)`` of a pair the batch kernel
+#: already decided (see :meth:`GroupComparator.settle`).
+Prepared = Tuple[DirectionOutcomes, int, int]
 
 
 def _record_run_metrics(registry, stats: AlgorithmStats) -> None:
@@ -114,6 +129,14 @@ class GroupState:
 
     def is_strong(self, index: int) -> bool:
         return self.strong[index]
+
+    def mark_masks(self, dominated: np.ndarray, strong: np.ndarray) -> None:
+        """Mark every group set in the boolean masks (``strong`` implies
+        dominated, as with :meth:`mark_strong`)."""
+        for index in np.flatnonzero(dominated | strong).tolist():
+            self.dominated[index] = True
+        for index in np.flatnonzero(strong).tolist():
+            self.strong[index] = True
 
     def surviving_keys(self, groups: List[Group]) -> List[Hashable]:
         return [
@@ -297,7 +320,7 @@ class AggregateSkylineAlgorithm(abc.ABC):
         i: int,
         j: int,
         state: GroupState,
-        prepared: Optional[Tuple[PairCounts, int]] = None,
+        prepared: Optional[Prepared] = None,
     ) -> Optional[ComparisonOutcome]:
         """Algorithm-3 inner step for the pair ``(g_i, g_j)``.
 
@@ -306,10 +329,10 @@ class AggregateSkylineAlgorithm(abc.ABC):
         ``None`` when the pair was skipped entirely.  Callers should stop
         processing ``g_i`` when the outcome says it became strongly
         dominated (``d21_strong``) — and, under the safe policy, already
-        when it is merely dominated.  ``prepared`` is ``(counts, slot)``
-        when a batch already counted this pair (see
-        :mod:`repro.core.window_batch`); the outcome is then settled from
-        it, identically to ``compare()``.
+        when it is merely dominated.  ``prepared`` is ``(outcomes, forward
+        slot, backward slot)`` when the batch kernel already decided this
+        pair (see :meth:`_run_rows` and :mod:`repro.core.window_batch`);
+        the outcome is then settled from it, identically to ``compare()``.
         """
         if self.prune_policy == "paper":
             if state.is_strong(j):
@@ -347,3 +370,101 @@ class AggregateSkylineAlgorithm(abc.ABC):
         elif outcome.d21:
             state.mark_dominated(i)
         return outcome
+
+    def _batch_columns(self, groups: List[Group]) -> RecordColumns:
+        """The record columns the batch kernel compares over."""
+        dataset = self._dataset
+        if dataset is not None and len(dataset) == len(groups):
+            return RecordColumns.of_dataset(dataset)
+        return RecordColumns.of_groups(groups)
+
+    def _run_rows(
+        self, groups: List[Group], state: GroupState, order: Sequence[int]
+    ) -> None:
+        """Algorithm 3's loop over ``order``, on the batch kernel.
+
+        Each polled candidate meets the groups after it in ``order`` (TR:
+        index order; SI: its sort).  The loop runs exactly as the paper's
+        does — same skips, marks and breaks via :meth:`_compare_pair` — but
+        a candidate's row is decided ahead in doubling prefixes: when the
+        loop reaches a member no batch covers, the next :data:`ROW_BATCH`,
+        then twice as many, batchable members are decided in one kernel
+        call and replayed from it.  A member is batchable unless the
+        pruning policy already skips it, and only the directions the
+        policy still needs are decided; marks only grow, so neither
+        changes before the replay reaches the member.  Replays equal
+        ``compare()`` outcomes and counters, and ``compare()`` reads no
+        state, so deciding ahead changes no verdict and no counter;
+        doubling keeps decided-but-unused pairs, after a break, under
+        half of the row's work.
+        """
+        columns = self._batch_columns(groups)
+        paper = self.prune_policy == "paper"
+        count = len(order)
+        for rank, i in enumerate(order):
+            if self._skip_as_candidate(i, state):
+                continue
+            prepared: Dict[int, Prepared] = {}
+            covered = rank + 1
+            width = ROW_BATCH
+            for position in range(rank + 1, count):
+                j = order[position]
+                if position >= covered:
+                    prepared, covered = self._decide_row(
+                        columns, i, order, position, width, state
+                    )
+                    width *= 2
+                outcome = self._compare_pair(groups, i, j, state, prepared.get(j))
+                if outcome is None:
+                    continue
+                if outcome.d21_strong and paper:
+                    # "end processing of g1" (Algorithm 3, line 19).  The
+                    # safe policy keeps looping: the sealed candidate may
+                    # still dominate later groups, which _compare_pair
+                    # handles with cheap one-directional probes.
+                    break
+
+    def _decide_row(
+        self,
+        columns: RecordColumns,
+        i: int,
+        order: Sequence[int],
+        position: int,
+        width: int,
+        state: GroupState,
+    ) -> Tuple[Dict[int, Prepared], int]:
+        """Decide ``i`` against the next ``width`` batchable members of
+        ``order[position:]``; return them by member, and the position the
+        batch covers up to."""
+        paper = self.prune_policy == "paper"
+        backward = paper or not state.is_dominated(i)
+        x: List[int] = []
+        y: List[int] = []
+        slots: List[Tuple[int, int, int]] = []
+        count = len(order)
+        while position < count and len(slots) < width:
+            j = order[position]
+            position += 1
+            if paper:
+                if state.is_strong(j):
+                    continue
+                forward = True
+            else:
+                forward = not state.is_dominated(j)
+                if not (forward or backward):
+                    continue
+            forward_slot = backward_slot = -1
+            if forward:
+                forward_slot = len(x)
+                x.append(i)
+                y.append(j)
+            if backward:
+                backward_slot = len(x)
+                x.append(j)
+                y.append(i)
+            slots.append((j, forward_slot, backward_slot))
+        outcomes = self.comparator.decide(columns, x, y)
+        return (
+            {j: (outcomes, forward, back) for j, forward, back in slots},
+            position,
+        )

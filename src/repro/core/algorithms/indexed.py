@@ -124,8 +124,8 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         The loop speculates (:mod:`repro.core.window_batch`): when a polled
         candidate is not covered by the current batch, the next
         candidates in ``order`` that are not yet excluded are batched, and
-        each one's leading window members are counted in one vectorised
-        pass.  Each candidate then runs its loop unchanged — its one
+        each one's leading window members are decided in one batch-kernel
+        call.  Each candidate then runs its loop unchanged — its one
         ``search_window`` call, the window in order, the same policy,
         marks and breaks via :meth:`_compare_pair` — and replays a pair
         from the batch when the member is its next batched one; members
@@ -166,7 +166,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                     continue
                 prepared = None
                 if taken < len(members) and members[taken] == j:
-                    prepared = (batch.counts, slot + taken)
+                    prepared = batch.prepared(slot + taken)
                     taken += 1
                 outcome = self._compare_pair(groups, i, j, state, prepared)
                 if outcome is None:
@@ -184,13 +184,6 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             index.window_queries, index.candidates_returned, tracer
         )
         self._final_sweep(groups, state)
-
-    def _batch_columns(self, groups: List[Group]) -> RecordColumns:
-        """The d-major record columns window batches count pairs over."""
-        dataset = self._dataset
-        if dataset is not None and len(dataset) == len(groups):
-            return RecordColumns.of_dataset(dataset)
-        return RecordColumns.of_groups(groups)
 
     def _speculate(
         self,

@@ -184,7 +184,11 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
 
     def _run_inline(self, groups, state, spans, n) -> None:
         """``workers == 1``: same kernel and chunk layout, no pool."""
-        flags = bytearray(n) if self.exchange_interval > 0 else None
+        flags = columns = None
+        if self.exchange_interval > 0:
+            flags = bytearray(n)
+        else:
+            columns = self._batch_columns(groups)
         for span in spans:
             verdicts, skipped = compare_span(
                 groups,
@@ -193,6 +197,7 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
                 prune_policy=self.prune_policy,
                 flags=flags,
                 exchange_interval=self.exchange_interval,
+                columns=columns,
             )
             self._groups_skipped += skipped
             apply_verdicts(state, verdicts)

@@ -93,15 +93,7 @@ class SortedAlgorithm(AggregateSkylineAlgorithm):
             order = sorted(
                 range(len(groups)), key=lambda i: self.sort_key(groups[i])
             )
-        for rank, i in enumerate(order):
-            if self._skip_as_candidate(i, state):
-                continue
-            # Each unordered pair is compared once: the polled group meets
-            # only the groups still in the queue (Algorithm 3's g1 <= g2
-            # skip, transported to queue order).
-            for j in order[rank + 1 :]:
-                outcome = self._compare_pair(groups, i, j, state)
-                if outcome is None:
-                    continue
-                if outcome.d21_strong and self.prune_policy == "paper":
-                    break
+        # Each unordered pair is compared once: the polled group meets only
+        # the groups still in the queue (Algorithm 3's g1 <= g2 skip,
+        # transported to queue order).
+        self._run_rows(groups, state, order)

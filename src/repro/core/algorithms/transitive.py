@@ -8,6 +8,10 @@ guaranteed to be γ-dominated by their own dominator, which is still active.
 Under ``prune_policy="safe"`` no candidate is skipped outright; instead a
 group whose verdict is sealed only participates in the directions that can
 still change someone's verdict (see base module docstring).
+
+The loop runs on the batch kernel: each candidate's row is decided ahead
+in doubling prefixes and replayed pair by pair
+(:meth:`~repro.core.algorithms.base.AggregateSkylineAlgorithm._run_rows`).
 """
 
 from __future__ import annotations
@@ -26,17 +30,4 @@ class TransitiveAlgorithm(AggregateSkylineAlgorithm):
     name = "TR"
 
     def _run(self, groups: List[Group], state: GroupState) -> None:
-        n = len(groups)
-        for i in range(n):
-            if self._skip_as_candidate(i, state):
-                continue
-            for j in range(i + 1, n):
-                outcome = self._compare_pair(groups, i, j, state)
-                if outcome is None:
-                    continue
-                if outcome.d21_strong and self.prune_policy == "paper":
-                    # "end processing of g1" (Algorithm 3, line 19).  The
-                    # safe policy keeps looping: the sealed candidate may
-                    # still dominate later groups, which _compare_pair
-                    # handles with cheap one-directional probes.
-                    break
+        self._run_rows(groups, state, range(len(groups)))

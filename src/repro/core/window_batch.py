@@ -7,8 +7,8 @@ setup, not its pair checks.  The IN/LO loops therefore speculate: when a
 polled candidate is not yet covered by a batch, they take the next
 :data:`BATCH_CANDIDATES` candidates, find each one's first
 :data:`BATCH_MEMBERS` batchable window members with one chunked scan of the
-flat index, and count all those pairs at once
-with :meth:`~repro.core.comparator.GroupComparator.count_pairs`.
+flat index, and decide all those pairs' directions at once with the batch
+kernel, :meth:`~repro.core.comparator.GroupComparator.decide`.
 
 The loops then run unchanged: every polled candidate makes its own
 ``search_window`` call and walks its window in order, and a member that is
@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .comparator import GroupComparator, PairCounts, RecordColumns, _ranges
+from .comparator import DirectionOutcomes, GroupComparator, RecordColumns, _ranges
 
 __all__ = [
     "BATCH_CANDIDATES",
@@ -101,17 +101,18 @@ def _leading_members(
 
 
 class WindowBatch:
-    """Counted pairs of the next candidates with their leading window members.
+    """Decided pairs of the next candidates with their leading window members.
 
     Takes the first :data:`BATCH_CANDIDATES` of ``candidates`` (an iterable
     in polling order).  ``members[i]`` is ``(window members of candidate i
-    in window order, slot of the first one in counts)``; a candidate is
-    *covered* when it has an entry, even an empty one.  ``forward=False``
-    counts only the member-over-candidate direction, which is all the
-    chunk kernel asks.
+    in window order, slot of the first one)``; a candidate is *covered*
+    when it has an entry, even an empty one.  :meth:`prepared` gives a
+    slot's directions for :meth:`~repro.core.comparator.GroupComparator.
+    settle`.  ``forward=False`` decides only the member-over-candidate
+    direction, which is all the chunk kernel asks.
     """
 
-    __slots__ = ("members", "counts")
+    __slots__ = ("members", "outcomes", "_forward")
 
     def __init__(
         self,
@@ -134,9 +135,21 @@ class WindowBatch:
         for candidate, leading in zip(candidates.tolist(), found):
             self.members[candidate] = (leading, slot)
             slot += len(leading)
-        self.counts: PairCounts = comparator.count_pairs(
-            columns,
-            np.repeat(candidates, [len(leading) for leading in found]),
-            [member for leading in found for member in leading],
-            forward=forward,
+        # Member over candidate in slots 0 .. slot - 1, then, if asked,
+        # candidate over member in the next ``slot`` slots.
+        owners = np.repeat(candidates, [len(leading) for leading in found])
+        members = np.array(
+            [member for leading in found for member in leading], dtype=np.int64
         )
+        self._forward = slot if forward else -1
+        if forward:
+            x = np.concatenate([members, owners])
+            y = np.concatenate([owners, members])
+        else:
+            x, y = members, owners
+        self.outcomes: DirectionOutcomes = comparator.decide(columns, x, y)
+
+    def prepared(self, slot: int) -> Tuple[DirectionOutcomes, int, int]:
+        """``(outcomes, forward slot, backward slot)`` of pair ``slot``."""
+        forward = self._forward + slot if self._forward >= 0 else -1
+        return self.outcomes, forward, slot

@@ -183,8 +183,7 @@ def _execute_worker_chunk(query: _WorkerQuery, span, slot: int, fault) -> ChunkO
                 comparator,
                 span,
                 prune_policy=query.config.prune_policy,
-                flags=None,
-                exchange_interval=0,
+                columns=query.columns,
             )
         if chunk_span.is_recording:
             chunk_span.set_attribute("verdicts", len(verdicts))
@@ -220,7 +219,7 @@ class _WorkerState:
     def __init__(self):
         self.groups: Dict[str, list] = {}  # token -> List[Group]
         #: token -> RecordColumns, built at the attached dataset's first
-        #: candidate query (window batches), dropped at detach
+        #: query (the batch kernel's input), dropped at detach
         self.columns: Dict[str, RecordColumns] = {}
         self.pinned: Dict[str, Any] = {}  # digest key -> index / order
         self.queries: Dict[int, _WorkerQuery] = {}
@@ -248,12 +247,12 @@ def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
         results.put(("ack", slot, os.getpid(), key))
     elif kind == "prepare":
         _, qid, token, config, qkind, index_key, order_key, trace_ctx = msg
-        columns = None
-        if qkind == "candidates":
-            columns = state.columns.get(token)
-            if columns is None:
-                columns = RecordColumns.of_groups(state.groups[token])
-                state.columns[token] = columns
+        # Candidate slabs and (always two-phase) pair chunks both run on
+        # the batch kernel.
+        columns = state.columns.get(token)
+        if columns is None:
+            columns = RecordColumns.of_groups(state.groups[token])
+            state.columns[token] = columns
         state.queries[qid] = _WorkerQuery(
             config,
             qkind,

@@ -48,6 +48,7 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Seque
 
 from ..core import artifacts
 from ..core.algorithms.sorted_access import SORT_KEYS
+from ..core.comparator import RecordColumns
 from ..core.dominance import Direction
 from ..core.execution import ExecutionConfig, coerce_execution
 from ..core.gamma import GammaLike
@@ -700,10 +701,16 @@ class SkylineEngine:
                 else None
             )
 
+            columns = None
+
             def inline_fallback(span):
+                # Record columns are built at the first fallback chunk.
+                nonlocal columns
+                if columns is None:
+                    columns = RecordColumns.of_groups(groups)
                 return execute_span_inline(
                     groups, comparator_for(config), config, kind,
-                    index, order, None, span,
+                    index, order, None, span, columns,
                 )
 
             outcomes = pool.run_query(

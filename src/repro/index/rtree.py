@@ -143,7 +143,10 @@ class FlatRTree:
         aggregate skyline these are the dataset's ``max_corners``) and
         ``items[i]`` the integer payload of row ``i`` (defaults to the
         row number).  The nodes come from :func:`str_levels`; only their
-        depth-first entry order is kept.
+        depth-first entry order is kept.  Boolean, float and complex
+        ``items`` raise :class:`TypeError` rather than being truncated (an
+        empty ``items`` of any dtype is accepted for an empty tree);
+        non-numeric ones raise :class:`ValueError` from the integer cast.
         """
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2:
@@ -152,7 +155,12 @@ class FlatRTree:
         if items is None:
             payload = np.arange(count, dtype=np.int64)
         else:
-            payload = np.asarray(items, dtype=np.int64)
+            payload = np.asarray(items)
+            if payload.size and payload.dtype.kind in "bfc":
+                raise TypeError(
+                    f"items must be integer payloads, got dtype {payload.dtype}"
+                )
+            payload = payload.astype(np.int64)
             if payload.shape != (count,):
                 raise ValueError("items must be 1-d, one per point")
         if count == 0:

@@ -83,7 +83,7 @@ from ..obs import runlog as obs_runlog
 from ..obs import tracing as obs_tracing
 from ..obs.tracing import TraceContext, Tracer
 from .faults import ArmedFault, FaultSpec
-from .partition import iter_pairs
+from .partition import iter_pairs, pair_arrays
 from .scheduler import ChunkLedger, WorkerReport, assign_owners
 from .shm import (
     GroupShipment,
@@ -320,6 +320,10 @@ def apply_verdicts(state, verdicts: Sequence[Tuple[int, int, int]]) -> None:
             state.mark_dominated(i)
 
 
+#: Group pairs one batch-kernel call of a two-phase chunk decides.
+SPAN_PAIRS = 1 << 11
+
+
 def compare_span(
     groups: Sequence[Group],
     comparator: GroupComparator,
@@ -328,62 +332,82 @@ def compare_span(
     prune_policy: str = "paper",
     flags=None,
     exchange_interval: int = 0,
+    columns: Optional[RecordColumns] = None,
 ) -> Tuple[List[Tuple[int, int, int]], int]:
     """Compare every pair in ``span`` (linear indices); the chunk kernel.
 
     Returns ``(verdicts, pairs_skipped)`` where ``verdicts`` holds only the
-    pairs for which some dominance predicate fired.  ``flags`` (any
-    byte-indexable, byte-assignable buffer — a shared ``RawArray`` in pool
-    workers, a plain ``bytearray`` inline) enables the pruning exchange; the
-    kernel refreshes its snapshot of it every ``exchange_interval`` pairs.
+    pairs for which some dominance predicate fired, in pair order.
+
+    Two-phase chunks (no exchange) compare every pair, both directions,
+    and read no state, so they run on the batch kernel
+    (:meth:`~repro.core.comparator.GroupComparator.compare_batch`,
+    :data:`SPAN_PAIRS` pairs per call) over the dataset's record
+    ``columns``, which every caller builds once per process and dataset.
+    ``flags`` (any byte-indexable, byte-assignable buffer — a shared
+    ``RawArray`` in pool workers, a plain ``bytearray`` inline) with
+    ``exchange_interval > 0`` enables the pruning exchange instead: the
+    kernel refreshes its snapshot of the flags every ``exchange_interval``
+    pairs and compares pair by pair with ``compare()``, because which
+    directions a pair still needs depends on marks published meanwhile.
     """
     start, stop = span
     n = len(groups)
     verdicts: List[Tuple[int, int, int]] = []
+    if not (flags is not None and exchange_interval > 0):
+        if columns is None:
+            raise ValueError("two-phase chunks need the dataset's record columns")
+        for low in range(start, stop, SPAN_PAIRS):
+            i, j = pair_arrays(low, min(stop, low + SPAN_PAIRS), n)
+            d12, d12_strong, d21, d21_strong = comparator.compare_batch(
+                columns, i, j
+            )
+            codes = d12 * D12 | d12_strong * D12_STRONG
+            codes |= d21 * D21 | d21_strong * D21_STRONG
+            fired = np.flatnonzero(codes)
+            verdicts.extend(
+                zip(i[fired].tolist(), j[fired].tolist(), codes[fired].tolist())
+            )
+        return verdicts, 0
     skipped = 0
-    exchanging = flags is not None and exchange_interval > 0
-    local = bytes(flags) if exchanging else b""
+    local = bytes(flags)
     since_refresh = 0
     for i, j in iter_pairs(start, stop, n):
-        if exchanging:
-            if since_refresh >= exchange_interval:
-                local = bytes(flags)
-                since_refresh = 0
-            since_refresh += 1
-            if prune_policy == "paper":
-                if (local[i] | local[j]) & _FLAG_STRONG:
-                    skipped += 1
-                    continue
-                need_forward = need_backward = True
-            else:
-                need_forward = not local[j] & _FLAG_DOMINATED
-                need_backward = not local[i] & _FLAG_DOMINATED
-                if not (need_forward or need_backward):
-                    skipped += 1
-                    continue
-            outcome = comparator.compare(
-                groups[i],
-                groups[j],
-                need_forward=need_forward,
-                need_backward=need_backward,
-            )
+        if since_refresh >= exchange_interval:
+            local = bytes(flags)
+            since_refresh = 0
+        since_refresh += 1
+        if prune_policy == "paper":
+            if (local[i] | local[j]) & _FLAG_STRONG:
+                skipped += 1
+                continue
+            need_forward = need_backward = True
         else:
-            outcome = comparator.compare(groups[i], groups[j])
+            need_forward = not local[j] & _FLAG_DOMINATED
+            need_backward = not local[i] & _FLAG_DOMINATED
+            if not (need_forward or need_backward):
+                skipped += 1
+                continue
+        outcome = comparator.compare(
+            groups[i],
+            groups[j],
+            need_forward=need_forward,
+            need_backward=need_backward,
+        )
         code = _encode(outcome)
         if not code:
             continue
         verdicts.append((i, j, code))
-        if exchanging:
-            # Publish monotonic marks (benign unlocked read-modify-write:
-            # a lost bit only costs pruning, never correctness).
-            if code & D12_STRONG:
-                flags[j] |= _FLAG_DOMINATED | _FLAG_STRONG
-            elif code & D12:
-                flags[j] |= _FLAG_DOMINATED
-            if code & D21_STRONG:
-                flags[i] |= _FLAG_DOMINATED | _FLAG_STRONG
-            elif code & D21:
-                flags[i] |= _FLAG_DOMINATED
+        # Publish monotonic marks (benign unlocked read-modify-write: a
+        # lost bit only costs pruning, never correctness).
+        if code & D12_STRONG:
+            flags[j] |= _FLAG_DOMINATED | _FLAG_STRONG
+        elif code & D12:
+            flags[j] |= _FLAG_DOMINATED
+        if code & D21_STRONG:
+            flags[i] |= _FLAG_DOMINATED | _FLAG_STRONG
+        elif code & D21:
+            flags[i] |= _FLAG_DOMINATED
     return verdicts, skipped
 
 
@@ -393,7 +417,8 @@ def compare_candidate_span(
     index,
     order: Sequence[int],
     span: Tuple[int, int],
-    columns: Optional[RecordColumns] = None,
+    *,
+    columns: RecordColumns,
 ) -> Tuple[List[Tuple[int, int, int]], int, int]:
     """The parallel IN/LO chunk kernel: one slab of candidate groups.
 
@@ -411,17 +436,17 @@ def compare_candidate_span(
     work counter* are invariant under any partitioning of the candidates
     across chunks, workers and steal orders.
 
-    With the dataset's record ``columns`` (built once per worker process
-    and dataset, never per chunk) the kernel speculates as the serial loop
+    Over the dataset's record ``columns`` (built once per process and
+    dataset, never per chunk) the kernel speculates as the serial loop
     does (:mod:`repro.core.window_batch`): a candidate that no batch
-    covers yet batches the span's next candidates, counting each one's
-    leading window members in one pass, backward only.  The loop itself
-    is unchanged — one ``search_window`` per candidate, the window in
-    order, the first dominator breaks — and a compare whose member is the
-    candidate's next batched one is settled from the batch, identically
-    to ``compare()``; the rest, and every compare without ``columns``,
-    go through ``compare()``.  Speculation moves no counter, so the
-    chunking invariance above holds for it too.
+    covers yet batches the span's next candidates, deciding each one's
+    leading window members in one batch-kernel call, backward only.  The
+    loop itself is unchanged — one ``search_window`` per candidate, the
+    window in order, the first dominator breaks — and a compare whose
+    member is the candidate's next batched one is settled from the batch,
+    identically to ``compare()``; the rest go through ``compare()``.
+    Speculation moves no counter, so the chunking invariance above holds
+    for it too.
 
     Returns ``(verdicts, window_queries, index_candidates)`` where the
     verdicts are ``(i, i, D21|D21_STRONG)`` self-marks.
@@ -435,7 +460,7 @@ def compare_candidate_span(
     for position in range(start, stop):
         i = order[position]
         g1 = groups[i]
-        if columns is not None and (batch is None or i not in batch.members):
+        if batch is None or i not in batch.members:
             batch = WindowBatch(
                 comparator,
                 columns,
@@ -444,7 +469,7 @@ def compare_candidate_span(
                 upper,
                 forward=False,
             )
-        members, slot = batch.members[i] if batch is not None else ((), 0)
+        members, slot = batch.members[i]
         candidates = index.search_window(g1.bbox.min_corner, upper)
         window_queries += 1
         index_candidates += len(candidates)
@@ -454,8 +479,7 @@ def compare_candidate_span(
                 continue
             if taken < len(members) and members[taken] == j:
                 outcome = comparator.settle(
-                    batch.counts,
-                    slot + taken,
+                    *batch.prepared(slot + taken),
                     need_forward=False,
                     need_backward=True,
                 )
@@ -532,11 +556,14 @@ def _init_pool(payload: _PoolPayload) -> None:
     _WORKER_ORDER = payload.order
     _WORKER_SPANS = payload.spans
     _WORKER_INDEX = None
-    _WORKER_COLUMNS = None
     if payload.index_arrays is not None:
         from ..index.rtree import FlatRTree
 
         _WORKER_INDEX = FlatRTree.from_arrays(load_arrays(payload.index_arrays))
+    # Record columns for the batch kernel: candidate slabs and two-phase
+    # pair chunks use them, exchange-mode pair chunks compare pair by pair.
+    _WORKER_COLUMNS = None
+    if payload.kind == "candidates" or config.exchange_interval == 0:
         _WORKER_COLUMNS = RecordColumns.of_groups(_WORKER_GROUPS)
     _WORKER_LEDGER = None
     if payload.owners is not None:
@@ -609,6 +636,7 @@ def _run_chunk(
                 prune_policy=config.prune_policy,
                 flags=_WORKER_FLAGS,
                 exchange_interval=config.exchange_interval,
+                columns=_WORKER_COLUMNS,
             )
         if chunk_span.is_recording:
             chunk_span.set_attribute("verdicts", len(verdicts))
@@ -859,7 +887,8 @@ def _crash_error(
 
 
 def execute_span_inline(
-    groups, comparator, config: WorkerConfig, kind, index, order, flags, span
+    groups, comparator, config: WorkerConfig, kind, index, order, flags, span,
+    columns: RecordColumns,
 ) -> ChunkOutcome:
     """Run one chunk on the parent's serial engine (retry/fallback path).
 
@@ -870,6 +899,7 @@ def execute_span_inline(
     where the chunk actually ran.  Besides the retry layer here, the
     persistent engine (:mod:`repro.engine`) uses this as its last-resort
     fallback when every worker slot has exhausted its respawn budget.
+    ``columns`` are the groups' record columns, built once per fallback.
     """
     comparator.reset_stats()
     started = time.perf_counter()
@@ -878,7 +908,7 @@ def execute_span_inline(
     index_candidates = 0
     if kind == "candidates":
         verdicts, window_queries, index_candidates = compare_candidate_span(
-            groups, comparator, index, order, span
+            groups, comparator, index, order, span, columns=columns
         )
     else:
         verdicts, skipped = compare_span(
@@ -888,6 +918,7 @@ def execute_span_inline(
             prune_policy=config.prune_policy,
             flags=flags,
             exchange_interval=config.exchange_interval,
+            columns=columns,
         )
     return ChunkOutcome(
         start=span[0],
@@ -1218,11 +1249,12 @@ def run_spans(
                         "parallel.serial_fallback", chunks=len(remaining)
                     ):
                         comparator = comparator_for(config)
+                        columns = RecordColumns.of_groups(groups)
                         for lost in remaining:
                             outcomes.append(
                                 execute_span_inline(
                                     groups, comparator, config, kind,
-                                    index, order, flags, lost,
+                                    index, order, flags, lost, columns,
                                 )
                             )
                     if progress is not None:

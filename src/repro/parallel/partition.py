@@ -29,11 +29,14 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "pair_count",
     "index_of_pair",
     "pair_from_index",
     "iter_pairs",
+    "pair_arrays",
     "chunk_ranges",
     "sample_pair_indices",
 ]
@@ -85,6 +88,27 @@ def iter_pairs(start: int, stop: int, n: int) -> Iterator[Tuple[int, int]]:
         if j >= n:
             i += 1
             j = i + 1
+
+
+def pair_arrays(start: int, stop: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``i`` and ``j`` arrays of the pairs :func:`iter_pairs` yields.
+
+    Decodes both ends exactly and lays out the rows between them, so it
+    costs O(rows + pairs) numpy work however large ``n`` is.
+    """
+    if start >= stop:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    first, _ = pair_from_index(start, n)
+    last, _ = pair_from_index(stop - 1, n)
+    rows = np.arange(first, last + 1, dtype=np.int64)
+    # Linear index of each row's first pair (i, i + 1), clipped to the span.
+    row_start = rows * n - rows * (rows + 1) // 2
+    row_stop = np.minimum(row_start + (n - 1 - rows), stop)
+    lengths = row_stop - np.maximum(row_start, start)
+    i = np.repeat(rows, lengths)
+    j = np.arange(start, stop, dtype=np.int64) - np.repeat(row_start, lengths) + i + 1
+    return i, j
 
 
 def chunk_ranges(total: int, chunks: int) -> List[Tuple[int, int]]:

@@ -1,5 +1,6 @@
 """Tests for the pairwise group comparator (stopping rule, bbox, Fig. 9)."""
 
+import dataclasses
 from fractions import Fraction
 from unittest import mock
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import anytime as anytime_module
+from repro.core import comparator as comparator_module
 from repro.core.anytime import AnytimeAggregateSkyline
-from repro.core.comparator import DirectionalProbe, GroupComparator
+from repro.core.comparator import DirectionalProbe, GroupComparator, RecordColumns
 from repro.core.dominance import dominated_mask
 from repro.core.gamma import (
     DEFAULT_BLOCK_SIZE,
@@ -564,3 +566,226 @@ class TestExactThresholds:
         assert outcome.d21_strong is dominance_holds(
             reverse, 10_000, thresholds.strong
         )
+
+    @pytest.mark.parametrize(
+        "gamma, count, dominated",
+        [
+            (0.75, 7_500, False),
+            (0.75, 7_501, True),
+            (0.55, 5_500, False),
+            (0.55, 5_501, True),
+        ],
+    )
+    @pytest.mark.parametrize("use_stopping_rule", [True, False])
+    @pytest.mark.parametrize("use_bbox", [True, False])
+    def test_batch_kernel_verdict_one_pair_either_side(
+        self, gamma, count, dominated, use_stopping_rule, use_bbox
+    ):
+        # The batch kernel decides on T(t) = (num · t) // den.
+        a, b = self.groups_with_dominating_pairs(count)
+        thresholds = GammaThresholds(gamma)
+        comparator = GroupComparator(
+            thresholds, use_stopping_rule=use_stopping_rule, use_bbox=use_bbox
+        )
+        columns = RecordColumns.of_dataset(
+            GroupedDataset({"a": a.values, "b": b.values})
+        )
+        flags = [bool(flag[0]) for flag in comparator.compare_batch(columns, [0], [1])]
+        reverse = 10_000 - count
+        assert flags == [
+            dominated,
+            dominance_holds(count, 10_000, thresholds.strong),
+            dominance_holds(reverse, 10_000, thresholds.gamma),
+            dominance_holds(reverse, 10_000, thresholds.strong),
+        ]
+
+
+# ----------------------------------------------------------------------
+# The block-synchronous batch kernel against per-pair compare()
+# ----------------------------------------------------------------------
+
+REQUESTS = ((True, True), (True, False), (False, True))
+WIDER = {np.dtype(np.int8): np.int16, np.dtype(np.int16): np.int32}
+
+
+def widened(columns):
+    """``columns`` with its rank arrays one integer dtype wider."""
+    wide = WIDER[columns.ranks.dtype]
+    ranks = columns.ranks.astype(wide)
+    dominated = (
+        ranks
+        if columns.dominated_ranks is columns.ranks
+        else columns.dominated_ranks.astype(wide)
+    )
+    return dataclasses.replace(columns, ranks=ranks, dominated_ranks=dominated)
+
+
+@st.composite
+def kernel_datasets(draw):
+    """2-5 groups of 1-40 records on a small integer grid — ties, duplicate
+    records, single-record groups and, at 20-40 records, pairs spanning
+    many blocks — with NaN and ±inf sprinkled in."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    top = draw(st.integers(min_value=1, max_value=4))
+    record = st.lists(
+        st.integers(min_value=0, max_value=top), min_size=d, max_size=d
+    )
+    values = {}
+    for g in range(draw(st.integers(min_value=2, max_value=5))):
+        size = draw(st.sampled_from([1, 2, 3, 7, 20, 40]))
+        rows = draw(st.lists(record, min_size=size, max_size=size))
+        values[f"g{g}"] = np.array(rows, dtype=float)
+    special = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(values)),
+                st.integers(min_value=0, max_value=39),
+                st.integers(min_value=0, max_value=d - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ),
+            max_size=3,
+        )
+    )
+    for key, row, column, value in special:
+        values[key][row % len(values[key]), column] = value
+    return GroupedDataset(values, allow_non_finite=bool(special))
+
+
+class TestBatchKernel:
+    """:meth:`GroupComparator.decide` + :meth:`~GroupComparator.settle`, and
+    :meth:`~GroupComparator.compare_batch`, reproduce per-pair
+    ``compare()`` — verdicts, ``pairs_examined``, flags and counters — for
+    every direction request, block size, switch setting and rank dtype,
+    also when rounds are cut into many slices and chunks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel_datasets(),
+        st.sampled_from(GAMMAS),
+        st.sampled_from([1, 3, 64, 1024]),
+        st.booleans(),
+        st.sampled_from([3, 50, 1 << 15]),
+        st.sampled_from([1, 3, 1 << 12]),
+    )
+    def test_kernel_matches_compare(
+        self, dataset, gamma, block_size, widen, slice_pairs, chunk
+    ):
+        columns = RecordColumns.of_dataset(dataset)
+        if widen:
+            columns = widened(columns)
+        groups = dataset.groups
+        pairs = [
+            (a, b)
+            for a in range(len(groups))
+            for b in range(len(groups))
+            if a != b
+        ]
+        a = [a for a, _ in pairs]
+        b = [b for _, b in pairs]
+        thresholds = GammaThresholds(gamma)
+        with mock.patch.object(
+            comparator_module, "_SLICE_PAIRS", slice_pairs
+        ), mock.patch.object(
+            comparator_module, "_CHUNK_DIRECTIONS", chunk
+        ), mock.patch.object(comparator_module, "_CHUNK_RECORDS", chunk * 20):
+            for use_stopping_rule in (True, False):
+                for use_bbox in (True, False):
+                    switches = (use_stopping_rule, use_bbox, block_size)
+                    batch = GroupComparator(thresholds, *switches)
+                    single = GroupComparator(thresholds, *switches)
+                    outcomes = batch.decide(columns, a + b, b + a)
+                    for slot, (i, j) in enumerate(pairs):
+                        for request in REQUESTS:
+                            assert batch.settle(
+                                outcomes, slot, len(pairs) + slot, *request
+                            ) == single.compare(groups[i], groups[j], *request), (
+                                switches,
+                                request,
+                            )
+                    assert counters(batch) == counters(single), switches
+
+                    whole = GroupComparator(thresholds, *switches)
+                    one_by_one = GroupComparator(thresholds, *switches)
+                    flags = np.array(whole.compare_batch(columns, a, b)).T.tolist()
+                    for (i, j), row in zip(pairs, flags):
+                        outcome = one_by_one.compare(groups[i], groups[j])
+                        assert row == [
+                            outcome.d12,
+                            outcome.d12_strong,
+                            outcome.d21,
+                            outcome.d21_strong,
+                        ], switches
+                    assert counters(whole) == counters(one_by_one), switches
+
+    def test_settle_refuses_an_undecided_direction(self):
+        dataset = GroupedDataset({"a": [[1.0]], "b": [[2.0]]})
+        comparator = GroupComparator(GammaThresholds(0.5))
+        outcomes = comparator.decide(RecordColumns.of_dataset(dataset), [1], [0])
+        assert comparator.settle(outcomes, -1, 0, need_forward=False).d21
+        with pytest.raises(ValueError):
+            comparator.settle(outcomes, -1, 0)
+        with pytest.raises(ValueError):
+            comparator.settle(outcomes, -1, 0, False, False)
+
+    def test_a_group_is_never_decided_against_itself(self):
+        dataset = GroupedDataset({"a": [[1.0]], "b": [[2.0]]})
+        comparator = GroupComparator(GammaThresholds(0.5))
+        with pytest.raises(ValueError):
+            comparator.decide(RecordColumns.of_dataset(dataset), [0], [0])
+
+    def test_empty_request(self):
+        dataset = GroupedDataset({"a": [[1.0]], "b": [[2.0]]})
+        comparator = GroupComparator(GammaThresholds(0.5))
+        outcomes = comparator.decide(RecordColumns.of_dataset(dataset), [], [])
+        assert outcomes.examined == []
+        assert comparator.comparisons == 0
+
+
+class TestRankColumns:
+    def test_rank_dtype_is_the_narrowest_that_holds_every_rank(self):
+        rng = np.random.default_rng(0)
+        for distinct, dtype in ((127, np.int8), (128, np.int16), (40_000, np.int32)):
+            values = rng.permutation(distinct).astype(float)[:, None]
+            dataset = GroupedDataset({"a": values[:1], "b": values[1:]})
+            columns = RecordColumns.of_dataset(dataset)
+            assert columns.ranks.dtype == dtype, distinct
+            assert int(columns.ranks[0, : values.shape[0]].max()) == distinct - 1
+
+    def test_ranks_order_like_values_and_spare_columns_follow(self):
+        dataset = GroupedDataset(
+            {"a": [[0.5, -np.inf], [2.0, 3.0]], "b": [[0.5, 7.0], [1.0, np.inf]]},
+            allow_non_finite=True,
+        )
+        columns = RecordColumns.of_dataset(dataset)
+        assert columns.ranks[:, :4].tolist() == [[0, 2, 0, 1], [0, 1, 2, 3]]
+        assert columns.spare == 2
+        assert columns.ranks.shape == (2, 6)
+        assert columns.dominated_ranks is columns.ranks
+        assert columns.row_ids is None  # every record is distinct
+
+    def test_nan_fails_both_sides(self):
+        dataset = GroupedDataset(
+            {"a": [[np.nan, 1.0]], "b": [[0.0, 0.0], [2.0, np.nan]]},
+            allow_non_finite=True,
+        )
+        columns = RecordColumns.of_dataset(dataset)
+        # Two distinct non-NaN values in each dimension, so top is 2.
+        assert columns.ranks[:, :3].tolist() == [[-1, 0, 1], [1, 0, -1]]
+        assert columns.dominated_ranks[:, :3].tolist() == [[2, 0, 1], [1, 0, 2]]
+        comparator = GroupComparator(GammaThresholds(0.5), use_stopping_rule=False)
+        outcomes = comparator.decide(columns, [0, 1], [1, 0])
+        # a's NaN record dominates nothing; b's (2, NaN) is dominated by
+        # nothing and dominates nothing; b's (0, 0) is beaten by nobody.
+        assert outcomes.examined == [2, 2]
+        assert outcomes.gamma == [False, False]
+
+    def test_row_ids_number_duplicate_records(self):
+        dataset = GroupedDataset({"a": [[1.0, 2.0]], "b": [[1.0, 2.0], [0.0, 0.0]]})
+        columns = RecordColumns.of_dataset(dataset)
+        assert columns.row_ids is not None
+        ids = columns.row_ids[:3].tolist()
+        assert ids[0] == ids[1] != ids[2]
+        # An equal record does not dominate; (0, 0) is dominated by (1, 2).
+        outcomes = GroupComparator(GammaThresholds(0.5)).decide(columns, [0], [1])
+        assert outcomes.examined == [2]
+        assert outcomes.gamma == [False]  # p = 1/2, not above γ = .5

@@ -449,19 +449,24 @@ class TestStatsRegistryReconciliation:
             == stats.stopping_rule_exits
         )
 
-    @pytest.mark.parametrize("name", ["NL", "IN", "LO"])
+    @pytest.mark.parametrize("name", ["NL", "TR", "SI", "PAR", "IN", "LO"])
     def test_detailed_metrics_when_enabled(self, name, reconciliation_dataset):
-        # IN/LO settle most compares from window batches, not compare(),
-        # so this also pins the batched path's per-compare instruments.
+        # Every one of these loops decides its compares on the batch
+        # kernel (NL and PAR's two-phase chunks whole, TR/SI row prefixes,
+        # IN/LO window batches), not through compare(), so this pins the
+        # batched paths' per-compare instruments.  PAR runs its chunks
+        # inline, on the instrumented comparator.
         registry = MetricsRegistry()
+        options = {"execution": "workers=1"} if name == "PAR" else {}
         with use_registry(registry):
             obs_metrics.enable()
             try:
-                result = make_algorithm(name, 0.75).compute(
+                result = make_algorithm(name, 0.75, **options).compute(
                     reconciliation_dataset
                 )
             finally:
                 obs_metrics.disable()
+        assert result.stats.group_comparisons > 0
         snap = registry.histogram(
             "comparator_pairs_per_compare",
             labelnames=("algorithm",),

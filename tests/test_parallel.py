@@ -10,6 +10,7 @@ superset (the serial TR guarantee).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.algorithms import make_algorithm
 from repro.core.algorithms.parallel import ParallelSkylineAlgorithm
 from repro.core.execution import ExecutionConfig
+from repro.core.groups import GroupedDataset
 from repro.data.synthetic import SyntheticSpec, generate_grouped
 from repro.harness.persistence import results_from_json, results_to_json
 from repro.harness.runner import RunResult, run_algorithms
@@ -39,6 +41,7 @@ from repro.parallel import (
 )
 from repro.parallel.executor import WORKERS_ENV_VAR
 from tests.conftest import exact_aggregate_skyline, random_grouped_dataset
+from tests.test_pair_loops import PerPairNL
 
 DISTRIBUTIONS = ("independent", "correlated", "anticorrelated")
 POLICIES = ("paper", "safe")
@@ -247,6 +250,49 @@ class TestParallelEquivalence:
                 result.stats.stopping_rule_exits
                 == reference.stats.stopping_rule_exits
             ), context
+
+    @pytest.mark.parametrize(
+        "dims, block_size, prune_policy, workers",
+        [
+            (3, 64, "paper", 1),
+            (4, 64, "safe", 2),
+            (5, 64, "paper", 2),
+            (3, 1024, "safe", 1),
+            (4, 1024, "paper", 1),
+            (5, 1024, "safe", 2),
+            (3, 1024, "paper", 2),
+            (5, 64, "safe", 1),
+        ],
+    )
+    def test_multi_block_groups_identical_to_nested_loop(
+        self, dims, block_size, prune_policy, workers
+    ):
+        # 40-120-record groups: most compare directions span several
+        # blocks, so the stopping rule stops inside a pair, and the pool
+        # path's batch kernel has to reproduce where (``datasets`` draws
+        # ~15-record groups, whose pairs fit one 1,024-pair block).
+        rng = np.random.default_rng(dims * block_size)
+        dataset = GroupedDataset(
+            {
+                f"g{k}": rng.uniform(0.0, 0.6, size=(int(rng.integers(40, 121)), dims))
+                + rng.uniform(0.0, 0.4, size=dims)
+                for k in range(10)
+            }
+        )
+        options = dict(prune_policy=prune_policy, block_size=block_size)
+        reference = PerPairNL(0.5, **options).compute(dataset)
+        serial = make_algorithm("NL", 0.5, **options).compute(dataset)
+        result = make_algorithm(
+            "PAR", 0.5, execution=ExecutionConfig(workers=workers), **options
+        ).compute(dataset)
+        assert reference.stats.stopping_rule_exits > 0
+        for run in (serial, result):
+            assert run.keys == reference.keys
+            for field in dataclasses.fields(run.stats):
+                if field.name not in ("algorithm", "elapsed_seconds"):
+                    assert getattr(run.stats, field.name) == getattr(
+                        reference.stats, field.name
+                    ), (run.stats.algorithm, field.name)
 
     def test_repeated_compute_is_stable(self, datasets):
         algorithm = make_algorithm("PAR", 0.5, execution="workers=2")

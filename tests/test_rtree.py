@@ -40,6 +40,21 @@ class TestRTreeConstruction:
         )
         assert len(tree) == 0
         assert tree.search_window([0.0], [1.0]) == []
+        # An empty payload list has no integer dtype, and needs none.
+        assert len(FlatRTree.bulk_load_points(np.zeros((0, 1)), items=[])) == 0
+
+    def test_non_integer_items_rejected(self):
+        # A float payload must not be truncated (1.5 stored as 1).
+        with pytest.raises(TypeError):
+            FlatRTree.bulk_load_points(np.zeros((1, 2)), items=np.array([1.5]))
+        with pytest.raises(TypeError):
+            FlatRTree.bulk_load_points(np.zeros((1, 2)), items=np.array([1.0]))
+        with pytest.raises(TypeError):
+            FlatRTree.bulk_load_points(np.zeros((1, 2)), items=np.array([True]))
+        tree = FlatRTree.bulk_load_points(
+            np.zeros((2, 2)), items=np.array([7, 9], dtype=np.int32)
+        )
+        assert sorted(tree.entry_items.tolist()) == [7, 9]
 
 
 def brute_force_window(points, low, high):

@@ -11,6 +11,7 @@ batched pair they reach from the batch rather than through ``compare()``.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import contextmanager
 from math import isqrt
 from unittest import mock
 
@@ -84,23 +85,30 @@ def per_pair_span(groups, comparator, index, order, span):
     return verdicts, window_queries, index_candidates
 
 
+@contextmanager
 def record_calls(comparator):
-    """Log the ``(g1, g2)`` positions of every ``compare()`` call and
-    every pair a batch counted on ``comparator``."""
+    """Log the ``(g1, g2)`` positions of every ``compare()`` call on
+    ``comparator`` and the ``(candidate, member)`` pairs every window batch
+    built meanwhile decided."""
     compared, prepared = set(), set()
-    compare, count_pairs = comparator.compare, comparator.count_pairs
+    compare = comparator.compare
+    init = window_batch.WindowBatch.__init__
 
     def logged_compare(g1, g2, **directions):
         compared.add((g1.index, g2.index))
         return compare(g1, g2, **directions)
 
-    def logged_count_pairs(columns, a, b, **options):
-        prepared.update(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
-        return count_pairs(columns, a, b, **options)
+    def logged_init(batch, *args, **options):
+        init(batch, *args, **options)
+        prepared.update(
+            (candidate, member)
+            for candidate, (members, _) in batch.members.items()
+            for member in members
+        )
 
     comparator.compare = logged_compare
-    comparator.count_pairs = logged_count_pairs
-    return compared, prepared
+    with mock.patch.object(window_batch.WindowBatch, "__init__", logged_init):
+        yield compared, prepared
 
 
 def counters(comparator):
@@ -114,8 +122,8 @@ def configurations(draw):
     Integer-grid values give ties and duplicate records; sizes mix
     single-record groups, small groups and groups of ``isqrt(block) + 1``
     records, so one window holds pairs on both sides of the one-block
-    rule ``n_a · n_b <= block_size``.  ``K`` and ``L`` shrink the batch
-    constants so small datasets cross many batch boundaries.
+    member policy ``n_a · n_b <= block_size``.  ``K`` and ``L`` shrink the
+    batch constants so small datasets cross many batch boundaries.
     """
     dims = draw(st.integers(1, 5))
     block_size = draw(st.sampled_from([1, 3, 64, 1024]))
@@ -172,8 +180,8 @@ def test_batched_loops_match_per_pair_loops(config):
     ), mock.patch.object(window_batch, "BATCH_MEMBERS", config["batch_members"]):
         # Serial loop: same keys and every AlgorithmStats counter.
         batched = IndexedAlgorithm(**options)
-        compared, prepared = record_calls(batched.comparator)
-        result = batched.compute(dataset)
+        with record_calls(batched.comparator) as (compared, prepared):
+            result = batched.compute(dataset)
         expected = PerPairIndexed(**options).compute(dataset)
         assert result.keys == expected.keys
         for field in dataclasses.fields(result.stats):
@@ -202,10 +210,10 @@ def test_batched_loops_match_per_pair_loops(config):
                 use_bbox=options["use_bbox"],
                 block_size=options["block_size"],
             )
-            compared, prepared = record_calls(kernel)
-            assert compare_candidate_span(
-                groups, kernel, index, order, span, columns=columns
-            ) == per_pair_span(groups, reference, index, order, span)
+            with record_calls(kernel) as (compared, prepared):
+                assert compare_candidate_span(
+                    groups, kernel, index, order, span, columns=columns
+                ) == per_pair_span(groups, reference, index, order, span)
             assert counters(kernel) == counters(reference)
             assert not compared & prepared
 
@@ -213,33 +221,29 @@ def test_batched_loops_match_per_pair_loops(config):
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_settle_matches_compare_for_every_direction_request(config):
+    # Pairs on both sides of the one-block member policy: the kernel
+    # itself takes any group sizes.
     dataset = config["dataset"]
     groups = dataset.groups
-    block_size = config["block_size"]
     pairs = [
-        (a, b)
-        for a in range(len(groups))
-        for b in range(len(groups))
-        if a != b and groups[a].size * groups[b].size <= block_size
+        (a, b) for a in range(len(groups)) for b in range(len(groups)) if a != b
     ][:64]
     thresholds = GammaThresholds(config["gamma"])
     options = dict(
         use_stopping_rule=config["use_stopping_rule"],
         use_bbox=config["use_bbox"],
-        block_size=block_size,
+        block_size=config["block_size"],
     )
     batch = GroupComparator(thresholds, **options)
-    counts = batch.count_pairs(
-        RecordColumns.of_dataset(dataset),
-        [a for a, _ in pairs],
-        [b for _, b in pairs],
-    )
+    a = [a for a, _ in pairs]
+    b = [b for _, b in pairs]
+    outcomes = batch.decide(RecordColumns.of_dataset(dataset), a + b, b + a)
     for need_forward, need_backward in ((True, True), (True, False), (False, True)):
         directions = dict(need_forward=need_forward, need_backward=need_backward)
         single = GroupComparator(thresholds, **options)
         batch.reset_stats()
         for slot, (a, b) in enumerate(pairs):
-            assert batch.settle(counts, slot, **directions) == single.compare(
-                groups[a], groups[b], **directions
-            )
+            assert batch.settle(
+                outcomes, slot, len(pairs) + slot, **directions
+            ) == single.compare(groups[a], groups[b], **directions)
         assert counters(batch) == counters(single)
