@@ -104,7 +104,7 @@ net-bench:
 parallel-demo:
 	$(PYTHON) -m repro experiment parallel --scale $(SCALE) --workers 2
 
-# PAR + parallel-IN speedup benchmarks: both schedulers, steal counts
+# PAR + parallel-IN speedup benchmarks: both schedulers, chunk counts
 # (benchmarks/results/parallel_in_zipf_$(SCALE).txt; docs/parallel.md).
 parallel-bench:
 	REPRO_BENCH_SCALE=$(SCALE) $(PYTHON) -m pytest \

@@ -6,12 +6,12 @@ Two workloads, two claims:
   table (NL baseline vs ``PAR`` at 1/2/4 workers) and asserts the
   two-phase determinism contract: every configuration returns the same
   skyline and does exactly the same number of record-pair probes.
-* **IN on Zipfian group sizes** — the work-stealing showcase.  The same
+* **IN on Zipfian group sizes** — the guided-chunk showcase.  The same
   indexed computation runs at 1/2/4 workers under both schedulers; the
   independent-candidate discipline means results *and* counters match
   the inline (``workers=1``) kernel bit-for-bit, while the stealing
-  scheduler rebalances the skewed slabs.  Steal counts and per-config
-  timings are written to ``benchmarks/results/``.
+  scheduler's shrinking chunks rebalance the skewed slabs.  Chunk
+  counts and per-config timings are written to ``benchmarks/results/``.
 
 Wall-clock speedup assertions are gated on the host actually having the
 cores — on a 1-core container the pool can only add overhead, which the
@@ -98,9 +98,6 @@ def test_bench_par_by_worker_count(
     run = getattr(engine, "last_pool_run", None)
     if run is not None:
         benchmark.extra_info["chunks"] = len(run.outcomes)
-        benchmark.extra_info["steals"] = sum(
-            1 for o in run.outcomes if o.stolen
-        )
 
 
 def test_bench_nl_baseline(benchmark, workload, reference):
@@ -112,7 +109,7 @@ def test_bench_nl_baseline(benchmark, workload, reference):
 
 
 # ----------------------------------------------------------------------
-# IN on Zipfian group sizes: work stealing on skewed slabs
+# IN on Zipfian group sizes: guided chunks on skewed slabs
 # ----------------------------------------------------------------------
 
 
@@ -157,9 +154,6 @@ def test_bench_in_zipf_by_worker_count(
     run = getattr(engine, "last_pool_run", None)
     if run is not None:
         benchmark.extra_info["chunks"] = len(run.outcomes)
-        benchmark.extra_info["steals"] = sum(
-            1 for o in run.outcomes if o.stolen
-        )
 
 
 def test_in_zipf_speedup_report(zipf_workload, zipf_inline):
@@ -175,7 +169,7 @@ def test_in_zipf_speedup_report(zipf_workload, zipf_inline):
     serial = make_algorithm("IN", 0.5).compute(zipf_workload)
     serial_t = time.perf_counter() - start
     assert serial.as_set() == zipf_inline.as_set()
-    rows.append(("serial", "-", serial_t, 0, 0))
+    rows.append(("serial", "-", serial_t, 0))
 
     stealing_4 = None
     for scheduler in SCHEDULERS:
@@ -193,12 +187,7 @@ def test_in_zipf_speedup_report(zipf_workload, zipf_inline):
             assert result.as_set() == zipf_inline.as_set()
             run = getattr(engine, "last_pool_run", None)
             chunks = len(run.outcomes) if run is not None else 0
-            steals = (
-                sum(1 for o in run.outcomes if o.stolen)
-                if run is not None
-                else 0
-            )
-            rows.append((f"workers={workers}", scheduler, elapsed, chunks, steals))
+            rows.append((f"workers={workers}", scheduler, elapsed, chunks))
             if scheduler == "stealing" and workers == 4:
                 stealing_4 = elapsed
 
@@ -206,12 +195,11 @@ def test_in_zipf_speedup_report(zipf_workload, zipf_inline):
         f"IN on Zipfian group sizes (scale={BENCH_SCALE}, "
         f"cpus={os.cpu_count()})",
         f"{'config':<12} {'scheduler':<10} {'seconds':>9} "
-        f"{'chunks':>7} {'steals':>7}",
+        f"{'chunks':>7}",
     ]
-    for config, scheduler, elapsed, chunks, steals in rows:
+    for config, scheduler, elapsed, chunks in rows:
         lines.append(
-            f"{config:<12} {scheduler:<10} {elapsed:>9.4f} "
-            f"{chunks:>7} {steals:>7}"
+            f"{config:<12} {scheduler:<10} {elapsed:>9.4f} {chunks:>7}"
         )
     RESULTS_DIR.mkdir(exist_ok=True)
     out_path = RESULTS_DIR / f"parallel_in_zipf_{BENCH_SCALE}.txt"

@@ -127,7 +127,7 @@ def main() -> None:
     for line in log_buffer.getvalue().splitlines():
         event = json.loads(line)
         if event["event"] in (
-            "engine_start", "attach", "slot_respawn", "engine_end"
+            "pool_start", "attach", "slot_respawn", "engine_end"
         ):
             keys = (
                 "event", "workers", "pids", "groups", "via_shm", "slot",

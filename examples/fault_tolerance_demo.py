@@ -3,11 +3,11 @@
 The fault-injection harness (``repro.parallel.faults``) SIGKILLs one
 pool worker on its first chunk — injected through the same
 ``REPRO_FAULTS`` environment variable an operator would use.  With
-``on_failure="retry"`` the executor detects the dead worker within a
-liveness-poll interval, re-executes only the undelivered chunks on a
-fresh pool, and the recovered result is bit-identical to an unfaulted
-run — same skyline, same work counters.  The run-log events printed at
-the end show the crash and the retry correlated to one trace.
+``on_failure="retry"`` the pool detects the dead worker within a
+liveness-poll interval, respawns that one slot, re-runs exactly the
+chunks it held, and the recovered result is bit-identical to an
+unfaulted run — same skyline, same work counters.  The run-log events
+printed at the end show the pool's life and the respawn.
 
 Run:  python examples/fault_tolerance_demo.py   (or ``make faults-demo``)
 """
@@ -34,9 +34,7 @@ def main() -> None:
             seed=11,
         )
     )
-    execution = ExecutionConfig(
-        workers=2, on_failure="retry", max_retries=2, retry_backoff=0.05
-    )
+    execution = ExecutionConfig(workers=2, on_failure="retry", max_retries=2)
     print(
         f"workload: {dataset.total_records} records, {len(dataset)} groups;"
         f" execution: workers={execution.workers},"
@@ -47,7 +45,7 @@ def main() -> None:
     expected = baseline.compute(dataset)
 
     # Same run, but one worker is SIGKILLed on its first chunk.  The
-    # executor detects the crash, retries the lost chunks, and the
+    # pool detects the crash, respawns the slot, re-runs its chunks, and the
     # result must match the unfaulted run bit for bit.
     log_buffer = io.StringIO()
     os.environ[FAULTS_ENV_VAR] = "crash@0"
@@ -73,14 +71,15 @@ def main() -> None:
     print("\nfault-tolerance run-log events:")
     for line in log_buffer.getvalue().splitlines():
         event = json.loads(line)
-        if event["event"] in ("pool_start", "pool_error", "chunk_retry", "pool_end"):
+        if event["event"] in ("pool_start", "slot_respawn", "pool_end"):
             keys = (
                 "event",
-                "attempt",
-                "error",
-                "crashed_pids",
-                "lost_chunks",
-                "chunks",
+                "workers",
+                "old_pid",
+                "signal",
+                "new_pid",
+                "reclaimed",
+                "respawns",
             )
             shown = {key: event[key] for key in keys if key in event}
             print(f"  {shown}")

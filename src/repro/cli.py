@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="execution config as 'key=value,...' for PAR/IN/LO"
-        " (incl. on_failure/max_retries/retry_backoff)",
+        " (incl. on_failure/max_retries)",
     )
     record.add_argument(
         "--repeat", type=int, default=1,

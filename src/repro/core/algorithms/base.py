@@ -40,6 +40,7 @@ from ..comparator import (
     GroupComparator,
     RecordColumns,
 )
+from .. import artifacts
 from ..gamma import GammaLike, GammaThresholds
 from ..groups import Group, GroupedDataset
 from ..result import AggregateSkylineResult, AlgorithmStats, Timer
@@ -372,10 +373,11 @@ class AggregateSkylineAlgorithm(abc.ABC):
         return outcome
 
     def _batch_columns(self, groups: List[Group]) -> RecordColumns:
-        """The record columns the batch kernel compares over."""
+        """The record columns the batch kernel compares over (cached by
+        dataset content when the groups are the dataset's)."""
         dataset = self._dataset
         if dataset is not None and len(dataset) == len(groups):
-            return RecordColumns.of_dataset(dataset)
+            return artifacts.record_columns(dataset)
         return RecordColumns.of_groups(groups)
 
     def _run_rows(

@@ -43,7 +43,6 @@ from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
     absorb_outcomes,
     flush_pool_metrics,
-    pool_progress_callback,
     pool_run_kwargs,
     record_chunk_events,
 )
@@ -89,10 +88,9 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         self.worker_stats: List[AlgorithmStats] = []
         #: Full PoolRun of the last pooled compute(); None otherwise.
         self.last_pool_run: Optional[PoolRun] = None
-        #: Span executor override (see ParallelSkylineAlgorithm): a warm
-        #: engine swaps in its persistent pool; ``None`` means one-shot
-        #: :func:`~repro.parallel.executor.run_spans`.
-        self._pool_runner = None
+        #: A warm engine's ``(pool, token)`` (see ParallelSkylineAlgorithm);
+        #: ``None`` runs on a pool of its own.
+        self._resident = None
 
     _verdicts_are_independent = True
 
@@ -227,8 +225,8 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         :func:`repro.parallel.executor.compare_candidate_span`): every
         group's verdict is a pure function of its own deterministic
         window loop, so results **and all work counters** are identical
-        for any worker count, chunking and steal order — and exactly the
-        Definition-2 skyline.
+        for any worker count, chunking and dispatch order — and exactly
+        the Definition-2 skyline.
         """
         execution = self.execution
         assert execution is not None
@@ -275,8 +273,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             prune_policy=self.prune_policy,
         )
         with tracer.span("parallel.chunks", **span_attrs) as chunk_span:
-            runner = self._pool_runner or run_spans
-            run = runner(
+            run = run_spans(
                 groups,
                 config,
                 spans,
@@ -284,8 +281,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                 kind="candidates",
                 index=index,
                 order=order,
-                progress=pool_progress_callback(self),
-                **pool_run_kwargs(execution),
+                **pool_run_kwargs(self),
             )
             record_chunk_events(chunk_span, run)
         with tracer.span("parallel.merge", chunks=len(run.outcomes)):

@@ -7,21 +7,22 @@ skyline work such as *Aggregate Skyline Join Queries* (Bhattacharya & Teja)
 and *Efficient Contour Computation of Group-based Skyline* (Yu et al.)
 exploits.  ``PAR`` partitions the upper-triangular pair space into chunks
 (:mod:`repro.parallel.partition` / :mod:`repro.parallel.scheduler`) and
-runs them on a process pool (:mod:`repro.parallel.executor`), shipping the
-group ndarrays to the workers exactly once — inherited copy-on-write under
-``fork``, or through ``multiprocessing.shared_memory`` on spawn platforms.
+runs them on a process pool (:func:`repro.parallel.executor.run_spans`),
+shipping the group ndarrays to the workers exactly once — inherited
+copy-on-write under ``fork``, or through ``multiprocessing.shared_memory``
+on spawn platforms.
 
 Scheduling (``ExecutionConfig.scheduler``)
 ------------------------------------------
-* ``"static"`` — the near-equal contiguous chunking of PR 2, handed to
-  ``Pool.map``.  Lowest overhead for uniform workloads.
-* ``"stealing"`` — guided decreasing chunk sizes owned round-robin by
-  worker slots; a drained slot steals small chunks from the tail of the
-  most-loaded victim.  This is the remedy for skewed (Zipfian) group
-  sizes, where equal *pair counts* are wildly unequal *work*.
+* ``"static"`` — near-equal contiguous chunks.  Lowest overhead for
+  uniform workloads.
+* ``"stealing"`` — guided decreasing chunk sizes, so the small late
+  chunks balance the tail.  This is the remedy for skewed (Zipfian)
+  group sizes, where equal *pair counts* are wildly unequal *work*.
 
-Because both schedulers execute every chunk exactly once with the same
-kernel, the determinism contract below is scheduler-independent.
+Either way the pool hands the chunks out in order to whichever worker
+frees up, and executes every chunk exactly once with the same kernel, so
+the determinism contract below is scheduler-independent.
 
 Determinism contract (see ``docs/parallel.md``)
 -----------------------------------------------
@@ -41,8 +42,8 @@ Statistics of the pool workers are merged into the parent's comparator, so
 :meth:`~repro.core.algorithms.base.AggregateSkylineAlgorithm.compute` —
 reconciles exactly with the work actually performed across all processes;
 the per-chunk breakdown is kept in :attr:`ParallelSkylineAlgorithm.
-worker_stats` and the scheduling telemetry (steal and idle counters,
-chunk-latency histogram) flows into the metrics registry.
+worker_stats` and the chunk count and latency histogram flow into the
+metrics registry.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
     absorb_outcomes,
     flush_pool_metrics,
-    pool_progress_callback,
     pool_run_kwargs,
     record_chunk_events,
 )
@@ -115,17 +115,15 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         self.chunk_size = execution.chunk_size
         #: Per-chunk worker statistics of the last compute() (pooled runs).
         self.worker_stats: List[AlgorithmStats] = []
-        #: Full PoolRun of the last pooled compute() (chunk outcomes +
-        #: per-slot scheduling reports); None for inline runs.
+        #: Full PoolRun of the last pooled compute(); None for inline runs.
         self.last_pool_run: Optional[PoolRun] = None
-        #: Span executor override.  ``None`` runs each pooled compute on a
-        #: fresh one-shot pool (:func:`repro.parallel.executor.run_spans`);
-        #: a warm :class:`~repro.engine.SkylineEngine` injects a closure
-        #: with the same signature that routes the spans over its
-        #: persistent pool instead.  Everything else — span layout,
-        #: worker config, merge — is identical, which is what keeps warm
-        #: results and counters bit-identical to cold runs.
-        self._pool_runner = None
+        #: The ``(pool, token)`` a warm :class:`~repro.engine.SkylineEngine`
+        #: sets so the spans run on its resident pool; ``None`` runs each
+        #: pooled compute on a pool of its own
+        #: (:func:`repro.parallel.executor.run_spans`).  Everything else —
+        #: span layout, worker config, merge — is identical, which is what
+        #: keeps warm results and counters bit-identical to cold runs.
+        self._resident = None
 
     # ------------------------------------------------------------------
 
@@ -167,14 +165,12 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
             exchange_interval=self.exchange_interval,
         )
         with tracer.span("parallel.chunks", **span_attrs) as chunk_span:
-            runner = self._pool_runner or run_spans
-            run = runner(
+            run = run_spans(
                 groups,
                 config,
                 spans,
                 self.workers,
-                progress=pool_progress_callback(self),
-                **pool_run_kwargs(self.execution),
+                **pool_run_kwargs(self),
             )
             record_chunk_events(chunk_span, run)
         with tracer.span("parallel.merge", chunks=len(run.outcomes)):

@@ -1,12 +1,13 @@
 """Shared merge and observability plumbing for pooled algorithm runs.
 
 Both ``PAR`` (pair chunks) and the parallel IN/LO path (candidate slabs)
-end a pooled run the same way: absorb the workers' counters into the
-parent comparator so ``AlgorithmStats`` — and therefore the always-on
-metrics flush — reconciles exactly with the work done across all
-processes, keep the per-chunk breakdown for inspection, and record the
-scheduling telemetry (chunk latency, steal and idle counters) that the
-work-stealing scheduler produces.
+start a pooled run the same way — on a session's resident pool when an
+engine set one, else on a pool opened for the query — and end it the
+same way: absorb the workers' counters into the parent comparator so
+``AlgorithmStats`` — and therefore the always-on metrics flush —
+reconciles exactly with the work done across all processes, keep the
+per-chunk breakdown for inspection, and record the chunk count and
+latency.
 """
 
 from __future__ import annotations
@@ -27,21 +28,26 @@ __all__ = [
 ]
 
 
-def pool_run_kwargs(execution) -> dict:
-    """Pool + fault-tolerance knobs an ExecutionConfig forwards to
-    :func:`repro.parallel.executor.run_spans`.
+def pool_run_kwargs(algorithm) -> dict:
+    """What a pooled algorithm forwards to
+    :func:`repro.parallel.executor.run_spans`: its pool, its progress
+    callback, and the pool and fault-tolerance knobs of its
+    ``execution`` config.
 
     Every pooled algorithm routes its execution config through here so
-    the retry policy (``on_failure`` / ``max_retries`` / ``retry_backoff``)
-    reaches the executor uniformly — PAR, parallel IN and parallel LO all
-    recover from worker crashes the same way.
+    the failure policy (``on_failure`` / ``max_retries``) reaches the
+    pool uniformly — PAR, parallel IN and parallel LO all recover from
+    worker crashes the same way.  ``algorithm._resident`` is the
+    ``(pool, token)`` a warm :class:`~repro.engine.SkylineEngine` set for
+    this query, or ``None`` for a pool of its own.
     """
+    execution = algorithm.execution
     return dict(
+        resident=algorithm._resident,
+        progress=pool_progress_callback(algorithm),
         pool_timeout=execution.pool_timeout,
-        scheduler=execution.scheduler,
         shm=execution.shm,
         max_retries=execution.max_retries,
-        retry_backoff=execution.retry_backoff,
         on_failure=execution.on_failure,
     )
 
@@ -96,16 +102,12 @@ def absorb_outcomes(
 
 
 def flush_pool_metrics(algorithm_name: str, scheduler: str, run: PoolRun) -> None:
-    """Record pooled-run scheduling telemetry in the metrics registry.
+    """Record the pooled run's chunks in the metrics registry.
 
     Always on (a handful of locked adds once per run), like the end-of-run
     counter flush in ``compute()``:
 
     * ``parallel_chunks_total`` — chunks executed;
-    * ``parallel_steals_total`` — chunks executed by a slot that stole
-      them from another slot's queue (stealing scheduler only);
-    * ``parallel_worker_idle_seconds_total`` — time worker slots spent in
-      the claim loop rather than comparing;
     * ``parallel_chunk_seconds`` — per-chunk latency histogram.
     """
     registry = obs_metrics.get_registry()
@@ -116,18 +118,6 @@ def flush_pool_metrics(algorithm_name: str, scheduler: str, run: PoolRun) -> Non
         "Chunks executed by pooled skyline runs",
         names,
     ).inc(len(run.outcomes), **labels)
-    steals = sum(report.chunks_stolen for report in run.reports)
-    registry.counter(
-        "parallel_steals_total",
-        "Chunks executed by a worker slot that stole them",
-        names,
-    ).inc(steals, **labels)
-    idle = sum(report.idle_seconds for report in run.reports)
-    registry.counter(
-        "parallel_worker_idle_seconds_total",
-        "Seconds worker slots spent claiming instead of comparing",
-        names,
-    ).inc(idle, **labels)
     histogram = registry.histogram(
         "parallel_chunk_seconds",
         "Wall-clock latency of one pooled chunk",
@@ -144,10 +134,9 @@ def pool_progress_callback(algorithm):
     Returns the ``(chunks_done, chunks_total)`` callable that
     :func:`repro.parallel.executor.run_spans` polls, or ``None`` when no
     reporter is attached.  The reporter's ETA then comes from the chunk
-    claim rate (:func:`repro.obs.progress.eta_from_chunks`) — the serial
-    pair budget is meaningless when ``workers=N`` chew through pairs
-    concurrently, and under the stealing scheduler per-worker pair counts
-    do not even add up monotonically.
+    completion rate (:func:`repro.obs.progress.eta_from_chunks`) — the
+    serial pair budget is meaningless when ``workers=N`` chew through
+    pairs concurrently.
     """
     reporter = getattr(algorithm, "progress_reporter", None)
     if reporter is None:
@@ -175,10 +164,9 @@ def record_chunk_events(span, run: PoolRun) -> None:
     — by construction their ``parent_id`` already points at *span* (the
     :class:`~repro.obs.tracing.TraceContext` shipped to the pool was
     snapshotted while *span* was the innermost open span), so the whole
-    ``workers=N`` run renders as one coherent tree.  Worker reports stay
-    flat span events (one per slot).  Chunks with no recorded span (e.g.
-    a pool initialised before tracing was enabled) degrade to the flat
-    ``chunk`` events of PR-4.
+    ``workers=N`` run renders as one coherent tree.  Chunks with no
+    recorded span (those the inline fallback ran) degrade to flat
+    ``chunk`` events.
     """
     if not span.is_recording:
         return
@@ -193,17 +181,6 @@ def record_chunk_events(span, run: PoolRun) -> None:
             stop=outcome.stop,
             pid=outcome.worker_pid,
             slot=outcome.slot,
-            stolen=outcome.stolen,
             pairs_examined=outcome.pairs_examined,
             elapsed_seconds=outcome.elapsed_seconds,
-        )
-    for report in run.reports:
-        span.add_event(
-            "worker",
-            slot=report.slot,
-            pid=report.worker_pid,
-            chunks_done=report.chunks_done,
-            chunks_stolen=report.chunks_stolen,
-            idle_seconds=report.idle_seconds,
-            busy_seconds=report.busy_seconds,
         )

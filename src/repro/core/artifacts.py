@@ -14,9 +14,10 @@ fingerprint covers the full record matrix, any logically different dataset
 :class:`~repro.core.incremental.IncrementalAggregateSkyline` after a
 mutation (its ``version`` counter bumps and ``to_dataset`` yields new
 content) — misses naturally, which *is* the invalidation story.  The cache
-stores plain data (flat array dicts, index-order tuples); live objects with
-per-run counters (e.g. :class:`~repro.index.rtree.FlatRTree`) are
-re-hydrated per use so observability counters start at zero.
+stores plain data (flat array dicts, index-order tuples, read-only record
+columns); live objects with per-run counters (e.g.
+:class:`~repro.index.rtree.FlatRTree`) are re-hydrated per use so
+observability counters start at zero.
 
 Hit/miss/eviction counters are flushed into the observability registry
 (``artifact_cache_{hits,misses,evictions}_total`` by artifact kind), so a
@@ -44,6 +45,7 @@ __all__ = [
     "cache_enabled",
     "packed_rtree",
     "sort_order",
+    "record_columns",
     "overlap_estimate",
 ]
 
@@ -237,6 +239,28 @@ def sort_order(dataset, key_name: str, key_func) -> Tuple[int, ...]:
     if not cache_enabled():
         return build()
     return get_cache().get_or_build(dataset, "sort_order", (key_name,), build)
+
+
+def record_columns(dataset):
+    """The batch kernel's :class:`~repro.core.comparator.RecordColumns` of
+    the dataset, cached by content.
+
+    The arrays are made read-only, so the one cached instance can be
+    shared by every compute over the same content: the kernel only reads
+    them, and a stray write raises instead of corrupting later queries.
+    """
+    from .comparator import RecordColumns
+
+    def build():
+        columns = RecordColumns.of_dataset(dataset)
+        for value in vars(columns).values():
+            if value is not None:
+                value.flags.writeable = False
+        return columns
+
+    if not cache_enabled():
+        return RecordColumns.of_dataset(dataset)
+    return get_cache().get_or_build(dataset, "record_columns", (), build)
 
 
 def overlap_estimate(

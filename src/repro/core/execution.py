@@ -37,24 +37,25 @@ __all__ = [
     "suggest",
 ]
 
-#: Valid chunk-scheduling policies.
+#: Valid chunk-scheduling policies: how the span space is cut.  The pool
+#: hands the chunks out in order to whichever worker frees up either way.
 #:
-#: * ``"static"`` — the PR-2 behaviour: near-equal contiguous spans, one
-#:   batch per worker share, no runtime rebalancing.
-#: * ``"stealing"`` — guided decreasing chunk sizes owned round-robin by
-#:   worker slots; a worker that drains its own list steals from the
-#:   tail of the largest remaining victim list.
+#: * ``"static"`` — near-equal contiguous spans.
+#: * ``"stealing"`` — guided decreasing chunk sizes, whose small late
+#:   chunks balance the tail of skewed workloads.
 SCHEDULERS: Tuple[str, ...] = ("static", "stealing")
 
 #: What a pooled run does when a worker crashes or a chunk raises.
 #:
 #: * ``"raise"`` — fail fast: surface ``WorkerCrashError`` (or the worker
-#:   traceback) immediately; the pre-fault-tolerance behaviour.
-#: * ``"retry"`` — re-execute only the undelivered chunks on a fresh pool,
-#:   up to ``max_retries`` times with exponential backoff, then raise.
-#: * ``"serial"`` — like ``"retry"``, but after retries are exhausted the
-#:   remaining chunks finish inline on the parent's serial engine, so the
-#:   run always completes.
+#:   traceback) immediately.
+#: * ``"retry"`` — respawn a dead worker slot and re-run exactly the chunks
+#:   it held, and re-run a chunk that raised; each slot may do either
+#:   ``max_retries`` times, and a slot past its budget is retired.  When
+#:   every slot is gone, raise.
+#: * ``"serial"`` — like ``"retry"``, but once every slot is gone the
+#:   remaining chunks finish inline on the calling thread, so the run
+#:   always completes.
 ON_FAILURE_POLICIES: Tuple[str, ...] = ("raise", "retry", "serial")
 
 def suggest(name: str, candidates) -> str:
@@ -87,7 +88,7 @@ class ExecutionConfig:
         spins up a process pool.
     scheduler:
         ``"static"`` (near-equal contiguous chunks) or ``"stealing"``
-        (guided decreasing chunks + work stealing).
+        (guided decreasing chunks).
     shm:
         Ship group payloads via ``multiprocessing.shared_memory``.
         ``None`` auto-selects: shm on spawn platforms (where the
@@ -103,12 +104,10 @@ class ExecutionConfig:
         Seconds to wait for pool results before raising
         :class:`repro.parallel.PoolTimeoutError`.
     max_retries:
-        Fresh-pool re-executions of lost/failed chunks after a worker
-        crash or worker traceback, consulted when ``on_failure`` is not
-        ``"raise"``.
-    retry_backoff:
-        Base delay in seconds before the first retry; doubles per
-        attempt (exponential backoff).
+        Per-slot budget, consulted when ``on_failure`` is not
+        ``"raise"``: how often one worker slot may be respawned after a
+        crash, and how many chunks that raised it may re-run.  A
+        respawn does not wait.
     on_failure:
         Crash policy — one of :data:`ON_FAILURE_POLICIES`
         (``"raise"`` / ``"retry"`` / ``"serial"``).
@@ -121,7 +120,6 @@ class ExecutionConfig:
     chunk_size: Optional[int] = None
     pool_timeout: float = 300.0
     max_retries: int = 2
-    retry_backoff: float = 0.1
     on_failure: str = "raise"
 
     def __post_init__(self) -> None:
@@ -165,10 +163,6 @@ class ExecutionConfig:
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if not self.retry_backoff >= 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, got {self.retry_backoff!r}"
             )
 
     # ------------------------------------------------------------------
@@ -242,8 +236,8 @@ class ExecutionConfig:
         """Parse a CLI-style ``"key=value,key=value"`` spec.
 
         Values are coerced per-field: ints for ``workers`` /
-        ``exchange_interval`` / ``chunk_size`` / ``max_retries``, floats
-        for ``pool_timeout`` / ``retry_backoff``, bool-ish strings for
+        ``exchange_interval`` / ``chunk_size`` / ``max_retries``, a float
+        for ``pool_timeout``, bool-ish strings for
         ``shm``; ``on_failure`` stays a string
         (``raise`` / ``retry`` / ``serial``).
         """
@@ -276,7 +270,7 @@ def _coerce_field(key: str, raw: str) -> Any:
         return int(raw)
     if key in ("exchange_interval", "max_retries"):
         return int(raw)
-    if key in ("pool_timeout", "retry_backoff"):
+    if key == "pool_timeout":
         return float(raw)
     if key == "shm":
         lowered = raw.lower()

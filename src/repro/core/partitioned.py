@@ -15,13 +15,14 @@ is sound for *groups* despite the loss of transitivity:
    groups with one-directional probes.
 
 With ``execution=ExecutionConfig(workers=n)`` (``n > 1``) the local
-phase fans out through the shared pool executor
-(:func:`repro.parallel.executor.map_tasks`), inheriting its start-method
-resolution and :class:`~repro.parallel.executor.PoolTimeoutError`
-fail-fast — previously an ad-hoc ``multiprocessing.Pool`` here could
-hang forever on a wedged worker.  The default runs the same two
-phases serially, which already helps because the local phase shrinks the
-candidate set that the expensive all-groups verification must touch.
+phase fans out over a :class:`~repro.engine.pool.PersistentPool` opened
+for the call (:meth:`~repro.engine.pool.PersistentPool.map`), with the
+pool's start-method resolution and fail-fast: a dead worker raises
+:class:`~repro.parallel.executor.WorkerCrashError` within a liveness
+tick, and a wedged one :class:`~repro.parallel.executor.PoolTimeoutError`
+after ``pool_timeout``.  The default runs the same two phases serially,
+which already helps because the local phase shrinks the candidate set
+that the expensive all-groups verification must touch.
 """
 
 from __future__ import annotations
@@ -111,10 +112,11 @@ def partitioned_aggregate_skyline(
     ``execution`` (an :class:`~repro.core.execution.ExecutionConfig`,
     mapping or ``"k=v,..."`` spec — see :meth:`ExecutionConfig.coerce`)
     controls the local phase: ``None`` (default) runs it serially, a
-    config with ``workers >= 2`` fans it out over the shared pool
-    executor, raising :class:`repro.parallel.PoolTimeoutError` after
+    config with ``workers >= 2`` fans it out over a process pool, which
+    fails fast on a crashed worker and raises
+    :class:`repro.parallel.PoolTimeoutError` after
     ``execution.pool_timeout`` seconds instead of hanging on a wedged
-    pool.
+    one.
     """
     reject_kwargs("partitioned_aggregate_skyline", removed)
     execution = coerce_execution(execution)
@@ -142,14 +144,13 @@ def partitioned_aggregate_skyline(
             for bucket in buckets
         ]
         if workers > 1 and len(payloads) > 1:
-            from ..parallel.executor import map_tasks
+            # repro.engine imports from repro.core: imported at call time.
+            from ..engine.pool import PersistentPool
 
-            local_survivors = map_tasks(
-                _local_skyline,
-                payloads,
-                workers=workers,
-                pool_timeout=effective_timeout,
-            )
+            with PersistentPool(workers, max_respawns=0) as pool:
+                local_survivors = pool.map(
+                    _local_skyline, payloads, pool_timeout=effective_timeout
+                )
         else:
             local_survivors = [_local_skyline(p) for p in payloads]
 

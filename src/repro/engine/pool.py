@@ -1,58 +1,66 @@
-"""The persistent worker pool behind :class:`repro.engine.SkylineEngine`.
+"""The process pool: :class:`PersistentPool`, a fixed set of worker slots.
 
-The one-shot executor (:mod:`repro.parallel.executor`) builds a fresh
-``multiprocessing.Pool`` per run and ships the dataset through the pool
-initializer — correct, but every query pays interpreter spawn, payload
-shipping and worker-side ``Group`` materialisation again.  This module
-keeps the worker processes *alive across queries*:
+It serves a :class:`repro.engine.SkylineEngine` session for its whole
+life, and every one-shot pooled query for one query
+(:func:`repro.parallel.executor.run_spans` opens and closes one):
 
 * **slots** — the pool is a fixed set of worker slots, each one long-lived
   ``Process`` with one inbox pipe that carries its control messages and
-  its chunk tasks in send order; the worker's only blocking call is an
-  untimed ``recv()`` on it.  The parent's router thread keeps one FIFO
-  backlog of ``(qid, span)`` tasks and tops every live slot up to two
-  tasks (one running, one queued) as deliveries come back, so a drained
-  worker is fed from the shared tail without waiting on any poll (the
-  engine analogue of the work-stealing scheduler).  A slot gets a
-  query's ``prepare`` right before that query's first task, in the same
-  pipe, and its ``finish`` when the query ends.  The parent writes the
-  pipe itself, under the pool lock, with no feeder thread in between.
-* **attach once** — a dataset is shipped once (``ShmArena`` segments when
-  shared memory is available, pickled inline otherwise) and pinned in
-  every worker under a token; packed R-tree arrays and candidate orders
-  are pinned the same way, keyed by content digest, so repeat queries
-  ship nothing but tiny ``(qid, span)`` tuples.
-* **surviving-pool reuse** — when a worker dies the pool respawns *only
-  the dead slot*: the survivors keep their pids and their pinned state,
-  the replacement replays the attach/pin log, and exactly the tasks the
-  dead slot held go back to the front of the backlog.  Duplicated deliveries are harmless — chunks are
-  deterministic, the parent keeps the first result per span.
-* **per-worker retry budgets** — each slot may be respawned at most
-  ``max_respawns`` times over the pool's lifetime (not per run).  A slot
-  that exhausts its budget is retired; the pool narrows.  When every slot
-  is gone the query either finishes inline on the parent
+  its tasks in send order; the worker's only blocking call is an untimed
+  ``recv()`` on it.  The parent's router thread keeps one FIFO backlog of
+  ``(qid, span)`` tasks and tops every live slot up to two tasks (one
+  running, one queued) as deliveries come back, so a drained worker is
+  fed from the shared tail without waiting on any poll (backlog
+  dispatch).  A slot gets a query's ``prepare`` right before that
+  query's first task, in the same pipe, and its ``finish`` when the
+  query ends.  The parent writes the pipe itself, under the pool lock,
+  with no feeder thread in between.
+* **data ships at slot start** — :meth:`attach` registers a dataset under
+  a token, and :meth:`pin_index` / :meth:`pin_order` register a packed
+  R-tree's arrays and a candidate order under content-digest keys, in
+  the pool's replay log.  A slot process receives the whole log as its
+  process arguments when it starts: inherited copy-on-write under
+  ``fork``, pickled once under ``spawn``, where ``ShmArena`` segments
+  keep the payload small when shared memory is used.  Slots start
+  lazily, at the first query or :meth:`start`, so a pool opened for one
+  query registers everything first and needs no acknowledgement round
+  trip.  What is registered after the slots started is broadcast and
+  acknowledged by every slot, and repeat queries ship nothing but tiny
+  ``(qid, span)`` tuples.
+* **per-slot respawn** — when a worker dies the pool respawns *only the
+  dead slot*: the survivors keep their pids and their state, the
+  replacement starts with the replay log, and exactly the tasks the dead
+  slot held go back to the front of the backlog.  Duplicated deliveries
+  are harmless — chunks are deterministic, the parent keeps the first
+  result per span.  Each slot may be respawned at most ``max_respawns``
+  times over the pool's lifetime, and may re-run at most as many chunks
+  that raised; a slot past its budget is retired and the pool narrows.
+  When every slot is gone a query finishes inline on the calling thread
   (``on_failure="serial"``) or raises
   :class:`~repro.parallel.executor.WorkerCrashError`.
 * **concurrent admission** — many threads may call :meth:`run_query`
   at once (the network front-end in :mod:`repro.net` does).  Every
   delivery is tagged ``(qid, span)``: the router thread drains the one
-  shared result queue and routes each message to its
-  query's pending record, deduplicating by span within the query, so
-  interleaved chunk streams never cross.  Workers hold one
-  ``_WorkerQuery`` per active qid — each query keeps its own
-  comparator, reset per chunk — which is why interleaving does not
-  perturb any ``AlgorithmStats`` counter.
+  shared result queue and routes each message to its query's pending
+  record, deduplicating by span within the query, so interleaved chunk
+  streams never cross.  Workers hold one
+  :class:`~repro.parallel.executor.ChunkKernel` per active qid — each
+  query keeps its own comparator, reset per chunk — which is why
+  interleaving does not perturb any ``AlgorithmStats`` counter.
 
-Determinism: chunks execute the exact kernels of the one-shot executor
-(:func:`~repro.parallel.executor.compare_span` /
-:func:`~repro.parallel.executor.compare_candidate_span`) with a fresh
-comparator reset per chunk, and the parent merges outcomes in span order —
-so results *and every work counter* are bit-identical to a cold serial
-run, regardless of scheduling, crashes and respawns.
+Determinism: chunks run :meth:`ChunkKernel.run
+<repro.parallel.executor.ChunkKernel.run>` — the same kernels with a
+fresh comparator reset per chunk, also on the inline fallback — and the
+parent merges outcomes in span order, so results *and every work
+counter* are bit-identical to a serial run, regardless of scheduling,
+crashes and respawns.
 
-Telemetry rides the obs v2 vocabulary: ``slot_respawn`` run-log events,
-``engine_*`` metrics counters and worker-side ``parallel.chunk`` trace
-spans grafted back through :attr:`ChunkOutcome.spans`.
+Telemetry is emitted here and nowhere else: the ``pool_start`` /
+``pool_end`` / ``pool_timeout`` / ``pool_error`` / ``chunk_retry`` /
+``slot_respawn`` / ``pool_fallback`` run-log events and the ``pool_*``
+metrics counters (see ``docs/observability.md``); worker-side
+``parallel.chunk`` trace spans are grafted back through
+:attr:`~repro.parallel.executor.ChunkOutcome.spans`.
 """
 
 from __future__ import annotations
@@ -72,22 +80,21 @@ from ..core.comparator import RecordColumns
 from ..obs import metrics as obs_metrics
 from ..obs import runlog as obs_runlog
 from ..obs import tracing as obs_tracing
-from ..obs.tracing import TraceContext, Tracer
 from ..parallel.executor import (
+    ChunkKernel,
     ChunkOutcome,
     PoolTimeoutError,
     WorkerConfig,
     WorkerCrashError,
     _signal_name,
-    comparator_for,
-    compare_candidate_span,
-    compare_span,
     preferred_start_method,
 )
 from ..parallel.faults import FaultSpec
 from ..parallel.shm import (
     ArrayRef,
     ShmArena,
+    attach_array,
+    detach,
     detach_all,
     load_arrays,
     load_groups,
@@ -103,13 +110,16 @@ class EngineClosedError(RuntimeError):
     """The engine (or its pool) was used after :meth:`close`."""
 
 
-#: Parent-side liveness cadence while draining results (mirrors the
-#: one-shot executor's ``_LIVENESS_POLL_SECONDS``).
+#: How often the router surveys slot liveness while it waits for
+#: deliveries: a crashed worker is detected within about this long.
 _LIVENESS_POLL_SECONDS = 0.25
 
 #: Tasks a live slot holds at most: one running and one queued behind it,
 #: so a worker never idles while its next task crosses the pipe.
 _SLOT_DEPTH = 2
+
+#: Control messages every live slot acknowledges (the parent waits).
+_ACKED = ("attach", "pin", "detach")
 
 
 # ----------------------------------------------------------------------
@@ -117,183 +127,117 @@ _SLOT_DEPTH = 2
 # ----------------------------------------------------------------------
 
 
-class _WorkerQuery:
-    """Per-query state inside one worker: comparator, kernel inputs, tracer."""
-
-    __slots__ = (
-        "config",
-        "kind",
-        "groups",
-        "index",
-        "order",
-        "columns",
-        "comparator",
-        "tracer",
-    )
-
-    def __init__(self, config, kind, groups, index, order, columns, trace_ctx):
-        self.config = config
-        self.kind = kind
-        self.groups = groups
-        self.index = index
-        self.order = order
-        self.columns = columns
-        self.comparator = comparator_for(config)
-        self.tracer = (
-            Tracer(context=trace_ctx)
-            if trace_ctx is not None
-            else obs_tracing.NOOP_TRACER
-        )
-
-
-def _execute_worker_chunk(query: _WorkerQuery, span, slot: int, fault) -> ChunkOutcome:
-    """One chunk in an engine worker — mirrors the executor's ``_run_chunk``
-    exactly (fresh counter reset, same kernels, same outcome fields), so a
-    warm chunk is bit-identical to a cold pool or inline chunk."""
-    if fault is not None:
-        fault.maybe_fire()
-    comparator = query.comparator
-    comparator.reset_stats()
-    chunk_span = query.tracer.span(
-        "parallel.chunk",
-        start=span[0],
-        stop=span[1],
-        kind=query.kind,
-        slot=slot,
-        stolen=False,
-        pid=os.getpid(),
-    )
-    started = time.perf_counter()
-    skipped = 0
-    window_queries = 0
-    index_candidates = 0
-    with chunk_span:
-        if query.kind == "candidates":
-            verdicts, window_queries, index_candidates = compare_candidate_span(
-                query.groups,
-                comparator,
-                query.index,
-                query.order,
-                span,
-                columns=query.columns,
-            )
-        else:
-            verdicts, skipped = compare_span(
-                query.groups,
-                comparator,
-                span,
-                prune_policy=query.config.prune_policy,
-                columns=query.columns,
-            )
-        if chunk_span.is_recording:
-            chunk_span.set_attribute("verdicts", len(verdicts))
-            chunk_span.set_attribute("comparisons", comparator.comparisons)
-            chunk_span.set_attribute("pairs_examined", comparator.pairs_examined)
-            if window_queries:
-                chunk_span.set_attribute("window_queries", window_queries)
-                chunk_span.set_attribute("index_candidates", index_candidates)
-    outcome = ChunkOutcome(
-        start=span[0],
-        stop=span[1],
-        verdicts=verdicts,
-        comparisons=comparator.comparisons,
-        pairs_examined=comparator.pairs_examined,
-        bbox_shortcuts=comparator.bbox_shortcuts,
-        stopping_rule_exits=comparator.stopping_rule_exits,
-        pairs_skipped=skipped,
-        elapsed_seconds=time.perf_counter() - started,
-        worker_pid=os.getpid(),
-        window_queries=window_queries,
-        index_candidates=index_candidates,
-        slot=slot,
-        stolen=False,
-    )
-    if chunk_span.is_recording:
-        outcome.spans = [chunk_span.to_dict()]
-    return outcome
-
-
 class _WorkerState:
-    """Everything a long-lived engine worker accumulates."""
+    """Everything a long-lived worker accumulates."""
 
-    def __init__(self):
+    def __init__(self, slot: int):
+        self.slot = slot
         self.groups: Dict[str, list] = {}  # token -> List[Group]
         #: token -> RecordColumns, built at the attached dataset's first
         #: query (the batch kernel's input), dropped at detach
         self.columns: Dict[str, RecordColumns] = {}
         self.pinned: Dict[str, Any] = {}  # digest key -> index / order
-        self.queries: Dict[int, _WorkerQuery] = {}
+        #: qid -> the query's task body, ``(span, item) -> result``
+        self.queries: Dict[int, Callable] = {}
+        #: qid -> name of the query's shared exchange-flags segment
+        self.flags: Dict[int, str] = {}
 
+    def apply(self, msg: tuple) -> None:
+        """Apply one control message (replayed at start, or received)."""
+        kind = msg[0]
+        if kind == "attach":
+            _, token, shipment = msg
+            self.groups[token] = load_groups(shipment)
+        elif kind == "pin":
+            _, key, tag, payload = msg
+            if tag == "index":
+                from ..index.rtree import FlatRTree
 
-def _worker_handle_ctrl(state: _WorkerState, msg, slot: int, results) -> None:
-    kind = msg[0]
-    if kind == "attach":
-        _, token, shipment = msg
-        state.groups[token] = load_groups(shipment)
-        results.put(("ack", slot, os.getpid(), token))
-    elif kind == "pin":
-        _, key, tag, payload = msg
-        if tag == "index":
-            from ..index.rtree import FlatRTree
-
-            state.pinned[key] = FlatRTree.from_arrays(load_arrays(payload))
-        else:  # "order"
-            if isinstance(payload, ArrayRef):
-                from ..parallel.shm import attach_array
-
-                state.pinned[key] = attach_array(payload)
+                self.pinned[key] = FlatRTree.from_arrays(load_arrays(payload))
+            elif isinstance(payload, ArrayRef):  # an order in shared memory
+                self.pinned[key] = attach_array(payload)
             else:
-                state.pinned[key] = payload
-        results.put(("ack", slot, os.getpid(), key))
-    elif kind == "prepare":
-        _, qid, token, config, qkind, index_key, order_key, trace_ctx = msg
-        # Candidate slabs and (always two-phase) pair chunks both run on
-        # the batch kernel.
-        columns = state.columns.get(token)
-        if columns is None:
-            columns = RecordColumns.of_groups(state.groups[token])
-            state.columns[token] = columns
-        state.queries[qid] = _WorkerQuery(
+                self.pinned[key] = payload
+        elif kind == "prepare":
+            _, qid, job = msg
+            self.queries[qid] = self._prepare(qid, job)
+        elif kind == "finish":
+            _, qid = msg
+            self.queries.pop(qid, None)
+            name = self.flags.pop(qid, None)
+            if name is not None:
+                detach(name)
+        elif kind == "detach":
+            _, token, keys = msg
+            self.groups.pop(token, None)
+            self.columns.pop(token, None)
+            for key in keys:
+                self.pinned.pop(key, None)
+
+    def _prepare(self, qid: int, job: tuple) -> Callable:
+        """The task body of one query: a mapped function, or a chunk kernel."""
+        if job[0] == "map":
+            fn = job[1]
+            return lambda span, item: fn(item)
+        _, token, config, kind, index_key, order_key, trace, flags_ref = job
+        groups = self.groups[token]
+        # Candidate slabs and two-phase pair chunks run on the batch
+        # kernel; exchange-mode pair chunks compare pair by pair.
+        columns = None
+        if kind == "candidates" or config.exchange_interval == 0:
+            columns = self.columns.get(token)
+            if columns is None:
+                columns = RecordColumns.of_groups(groups)
+                self.columns[token] = columns
+        flags = None
+        if flags_ref is not None:
+            try:
+                flags = attach_array(flags_ref, writable=True)
+                self.flags[qid] = flags_ref.name
+            except FileNotFoundError:
+                # The query ended before this slot prepared it; its tasks
+                # are dropped, and private flags would only prune less.
+                flags = None
+        kernel = ChunkKernel(
+            groups,
             config,
-            qkind,
-            state.groups[token],
-            state.pinned[index_key] if index_key is not None else None,
-            state.pinned[order_key] if order_key is not None else None,
-            columns,
-            trace_ctx,
+            kind,
+            index=self.pinned[index_key] if index_key is not None else None,
+            order=self.pinned[order_key] if order_key is not None else None,
+            columns=columns,
+            flags=flags,
+            trace=trace,
         )
-    elif kind == "finish":
-        _, qid = msg
-        state.queries.pop(qid, None)
-    elif kind == "detach":
-        _, token, keys = msg
-        state.groups.pop(token, None)
-        state.columns.pop(token, None)
-        for key in keys:
-            state.pinned.pop(key, None)
-        results.put(("ack", slot, os.getpid(), token))
+        slot = self.slot
+        return lambda span, item: kernel.run(span, slot)
 
 
-def _engine_worker_main(slot, inbox, results, faults, fault_state) -> None:
-    """Main loop of one engine worker slot.
+def _worker_main(slot, inbox, results, replay, faults, fault_state) -> None:
+    """Main loop of one worker slot.
 
-    Everything arrives on the slot's ``inbox`` pipe in send order:
-    control messages (attach / pin / prepare / finish / detach / stop)
-    and chunk tasks ``("task", qid, span)``.  The parent sends a query's
-    prepare before its first task here and its finish after the last,
-    so a task always finds its query prepared, and every task gets
-    exactly one reply.
+    ``replay`` is the pool's attach/pin log as it stood when the slot
+    started; it is applied before the first message.  Everything else
+    arrives on the slot's ``inbox`` pipe in send order: control messages
+    (attach / pin / prepare / finish / detach / stop) and tasks
+    ``("task", qid, span, item)``.  The parent sends a query's prepare
+    before its first task here and its finish after the last, so a task
+    always finds its query prepared, and every task gets exactly one
+    reply.  ``stop`` is answered with ``stopped``, which wakes the
+    parent's router for its own exit.
 
-    Observability mirrors the pool initializer: the run log is silenced,
-    the global tracer is a no-op, and each query carries its own
-    :class:`TraceContext` so worker chunk spans graft back onto the
-    parent trace.
+    The run log is silenced and the global tracer is a no-op: pool
+    lifecycle is the parent's to record, and each query carries its own
+    :class:`~repro.obs.tracing.TraceContext` so worker chunk spans graft
+    back onto the parent trace.
     """
     obs_runlog.set_runlog(obs_runlog.NOOP_RUNLOG)
     obs_tracing.set_tracer(obs_tracing.NOOP_TRACER)
     fault = faults.arm(fault_state) if faults is not None else None
-    state = _WorkerState()
+    state = _WorkerState(slot)
+    pid = os.getpid()
     try:
+        for msg in replay:
+            state.apply(msg)
         while True:
             try:
                 msg = inbox.recv()
@@ -301,17 +245,22 @@ def _engine_worker_main(slot, inbox, results, faults, fault_state) -> None:
                 break
             kind = msg[0]
             if kind == "stop":
+                results.put(("stopped", slot, pid))
                 break
             if kind != "task":
-                _worker_handle_ctrl(state, msg, slot, results)
+                state.apply(msg)
+                if kind in _ACKED:
+                    results.put(("ack", slot, pid, msg[1]))
                 continue
-            _, qid, span = msg
+            _, qid, span, item = msg
             try:
-                outcome = _execute_worker_chunk(state.queries[qid], span, slot, fault)
+                if fault is not None:
+                    fault.maybe_fire()
+                result = state.queries[qid](span, item)
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                results.put(("chunk_error", slot, os.getpid(), qid, span, exc))
+                results.put(("error", slot, pid, qid, span, exc))
                 continue
-            results.put(("chunk", slot, os.getpid(), qid, outcome))
+            results.put(("done", slot, pid, qid, span, result))
     finally:
         detach_all()
 
@@ -344,8 +293,8 @@ def _release_pool_state(state: Dict[str, list]) -> None:
     free segments.
 
     Idempotent and exception-safe; registered through ``weakref.finalize``
-    so an engine that is never closed still cannot leak processes, pipe
-    feeder threads or ``/dev/shm`` segments.
+    so a pool that is never closed still cannot leak processes, queue
+    threads or ``/dev/shm`` segments.
     """
     for proc in state.get("processes", ()):
         try:
@@ -373,7 +322,7 @@ def _release_pool_state(state: Dict[str, list]) -> None:
     state["arenas"] = []
 
 
-def _engine_counter(name: str, help_text: str):
+def _pool_counter(name: str, help_text: str):
     return obs_metrics.get_registry().counter(name, help_text, ())
 
 
@@ -393,32 +342,37 @@ class _PendingQuery:
     """Parent-side record of one in-flight query on the shared pool.
 
     The router thread owns delivery: it moves spans out of
-    ``outstanding`` into ``outcomes`` (worker deliveries, deduplicated
-    by span) or ``inline`` (serial-fallback spans the *waiting* thread
-    must execute itself — chunk kernels never run on the router).  All
-    fields are guarded by the pool lock; ``cond`` shares it.
+    ``outstanding`` into ``results`` (worker deliveries, deduplicated by
+    span) or ``inline`` (serial-fallback spans the *waiting* thread must
+    execute itself — chunk kernels never run on the router).  All fields
+    are guarded by the pool lock; ``cond`` shares it.
     """
 
     __slots__ = (
-        "qid", "prepare", "outstanding", "outcomes", "inline", "total",
-        "on_failure", "progress", "inline_fallback", "cond", "error",
+        "qid", "prepare", "items", "outstanding", "results", "inline",
+        "total", "on_failure", "progress", "inline_fallback", "cond", "error",
     )
 
     def __init__(
-        self, qid, prepare, outstanding, total, on_failure, progress,
+        self, qid, prepare, items, outstanding, on_failure, progress,
         inline_fallback, cond,
     ):
         self.qid = qid
         self.prepare = prepare  # sent to a slot before its first task
+        self.items = items  # map queries: the item of task (k, k + 1)
         self.outstanding: Set[Tuple[int, int]] = outstanding
-        self.outcomes: List[ChunkOutcome] = []
+        self.results: Dict[Tuple[int, int], Any] = {}
         self.inline: List[Tuple[int, int]] = []
-        self.total = total
+        self.total = len(outstanding)
         self.on_failure = on_failure
         self.progress = progress
         self.inline_fallback = inline_fallback
         self.cond = cond
         self.error: Optional[BaseException] = None
+
+    def task(self, span: Tuple[int, int]) -> tuple:
+        item = self.items[span[0]] if self.items is not None else None
+        return ("task", self.qid, span, item)
 
     def fail(self, exc: BaseException) -> None:
         if self.error is None:
@@ -429,9 +383,9 @@ class _PendingQuery:
 class PersistentPool:
     """A fixed set of long-lived worker slots shared by many queries.
 
-    Created by :class:`~repro.engine.SkylineEngine` at first attach and
-    safe to use from many threads at once.  See the module docstring for
-    the protocol and the fault model.
+    Safe to use from many threads at once.  See the module docstring for
+    the protocol and the fault model; ``faults`` defaults to
+    ``$REPRO_FAULTS`` (see :mod:`repro.parallel.faults`).
     """
 
     def __init__(
@@ -450,23 +404,26 @@ class PersistentPool:
         self.workers = workers
         self.start_method = start_method or preferred_start_method()
         self._ctx = mp.get_context(self.start_method)
-        # Workers outlive any single attach, so fork inheritance cannot
-        # carry late-attached datasets: shared memory is the default
-        # shipping path whenever the platform offers it.
+        # ``None`` ships through shared memory whenever the platform
+        # offers it: a session's slots outlive any single attach, so fork
+        # inheritance cannot carry late-attached datasets.
         self.use_shm = shm_available() if shm is None else bool(shm) and shm_available()
         self.max_respawns = max_respawns
         self.total_respawns = 0
-        self._faults = faults
-        self._fault_state = self._ctx.Value("i", 0) if faults is not None else None
+        self._faults = faults if faults is not None else FaultSpec.from_env()
+        self._fault_state = (
+            self._ctx.Value("i", 0) if self._faults is not None else None
+        )
         self._results = self._ctx.Queue()
         #: ``(qid, span)`` tasks not yet sent to any slot, oldest first
         self._backlog: Deque[Tuple[int, Tuple[int, int]]] = deque()
-        self._replay: List[tuple] = []  # attach/pin log replayed on respawn
+        self._replay: List[tuple] = []  # attach/pin log every slot starts with
         self._arenas: Dict[str, ShmArena] = {}
         self._pinned: Dict[str, tuple] = {}  # key -> (tag, strong payload ref)
         self._pin_keys_by_token: Dict[str, List[str]] = {}
         self._next_qid = 0
         self._closed = False
+        self._started_at: Optional[float] = None
         # Concurrent admission: the pool lock guards qid allocation, the
         # backlog and every slot's sends, slot casualty handling, the
         # replay log and every pending record; the
@@ -485,11 +442,8 @@ class PersistentPool:
             "arenas": [],
         }
         self._finalizer = weakref.finalize(self, _release_pool_state, self._state)
-        self._slots: List[_Slot] = [self._spawn_slot(i) for i in range(workers)]
-        self._router = threading.Thread(
-            target=self._route_loop, name="repro-engine-router", daemon=True
-        )
-        self._router.start()
+        self._slots: List[_Slot] = []
+        self._router: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -507,20 +461,53 @@ class PersistentPool:
         """Current pid of every non-retired slot (tests assert on these)."""
         return [slot.pid for slot in self.live_slots]
 
-    def _spawn_slot(self, index: int) -> _Slot:
-        """Start a worker for slot *index* (caller holds the pool lock, or
-        is the constructor); its inbox first replays the attach/pin log.
+    def start(self) -> "PersistentPool":
+        """Start the slots and the router, once (later calls do nothing).
 
-        The parent keeps only the pipe's write end, so once the worker is
-        gone a send fails with ``BrokenPipeError`` instead of filling the
-        pipe and blocking.
+        Each slot receives what is registered so far as its process
+        arguments.  The slots fork before the router thread exists.
+        """
+        self._require_open()
+        with self._lock:
+            if self._started_at is not None:
+                return self
+            self._started_at = time.perf_counter()
+            self._slots = [self._spawn_slot(i) for i in range(self.workers)]
+        self._router = threading.Thread(
+            target=self._route_loop, name="repro-pool-router", daemon=True
+        )
+        self._router.start()
+        obs_runlog.emit(
+            "pool_start",
+            workers=self.workers,
+            start_method=self.start_method,
+            shm=self.use_shm,
+            pids=self.pids,
+            respawn_budget=self.max_respawns,
+        )
+        return self
+
+    def _spawn_slot(self, index: int) -> _Slot:
+        """Start a worker for slot *index* (caller holds the pool lock).
+
+        The process gets the replay log as its arguments.  The parent
+        keeps only the inbox's write end, so once the worker is gone a
+        send fails with ``BrokenPipeError`` instead of filling the pipe
+        and blocking.
         """
         reader, inbox = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=_engine_worker_main,
-            args=(index, reader, self._results, self._faults, self._fault_state),
+            target=_worker_main,
+            args=(
+                index,
+                reader,
+                self._results,
+                tuple(self._replay),
+                self._faults,
+                self._fault_state,
+            ),
             daemon=True,
-            name=f"repro-engine-{index}",
+            name=f"repro-pool-{index}",
         )
         try:
             process.start()
@@ -528,35 +515,25 @@ class PersistentPool:
             reader.close()
         self._state["processes"].append(process)
         self._state["pipes"].append(inbox)
-        slot = _Slot(index=index, process=process, inbox=inbox, pid=process.pid)
-        for msg in self._replay:
-            self._send(slot, msg)
-        return slot
+        return _Slot(index=index, process=process, inbox=inbox, pid=process.pid)
 
     def close(self) -> None:
         """Stop the workers and release every owned resource (idempotent).
 
-        The router goes first, woken by a sentinel on the result queue so
-        it neither waits out its liveness poll nor mistakes the stopping
-        workers for casualties.  Then a ``stop`` message lets each worker
-        run its own teardown (shm detach), and the ``weakref.finalize``
-        hook terminates stragglers, drops the queue feeder threads and
-        unlinks the shared-memory arenas.
+        Idle slots get a ``stop`` message, so each worker runs its own
+        teardown (shm detach); a slot still holding tasks — busy, or
+        hung — is terminated instead of waited for.  The router exits at
+        the first ``stopped`` reply (or its next liveness tick) without
+        mistaking the stopping workers for casualties, and the
+        ``weakref.finalize`` hook terminates stragglers, closes the queue
+        and unlinks the shared-memory arenas.
         """
         if self._closed:
             return
         self._closed = True
         self._router_stop = True
-        router = getattr(self, "_router", None)
-        if (
-            router is not None
-            and router.is_alive()
-            and router is not threading.current_thread()
-        ):
-            self._results.put(("wake",))
-            router.join(timeout=2.0)
         with self._lock:
-            closed = EngineClosedError("the engine pool has been closed")
+            closed = EngineClosedError("the pool has been closed")
             for pending in self._pending.values():
                 pending.fail(closed)
             for waits in self._ack_waits.values():
@@ -564,10 +541,23 @@ class PersistentPool:
                     wait.error = closed
                     wait.cond.notify_all()
             for slot in self.live_slots:
-                self._send(slot, ("stop",))
+                if slot.outstanding:
+                    slot.process.terminate()
+                else:
+                    self._send(slot, ("stop",))
+        router = self._router
+        if router is not None and router is not threading.current_thread():
+            router.join(timeout=2.0)
         deadline = time.monotonic() + 5.0
         for slot in self.live_slots:
             slot.process.join(timeout=max(0.0, deadline - time.monotonic()))
+        if self._started_at is not None:
+            obs_runlog.emit(
+                "pool_end",
+                queries=self._next_qid,
+                respawns=self.total_respawns,
+                elapsed_seconds=time.perf_counter() - self._started_at,
+            )
         self._finalizer()
 
     def __enter__(self) -> "PersistentPool":
@@ -578,13 +568,13 @@ class PersistentPool:
 
     def _require_open(self) -> None:
         if self._closed:
-            raise EngineClosedError("the engine pool has been closed")
+            raise EngineClosedError("the pool has been closed")
 
     # ------------------------------------------------------------------
     # shipping: attach datasets, pin derived artifacts
 
     def attach(self, token: str, groups: Sequence, *, timeout: float = 300.0) -> bool:
-        """Ship *groups* to every worker and pin them under *token*.
+        """Register *groups* under *token* in every worker.
 
         Returns True when the payload travelled via shared memory.
         """
@@ -596,9 +586,7 @@ class PersistentPool:
                 self._arenas[token] = arena
                 self._state["arenas"].append(arena)
             shipment = ship_groups(groups, arena)
-            msg = ("attach", token, shipment)
-            wait = self._ship(msg, token, replay=msg)
-            self._await_acks(wait, timeout)
+            self._register(("attach", token, shipment), timeout)
             return shipment.via_shm
 
     def detach(self, token: str, *, timeout: float = 300.0) -> None:
@@ -628,7 +616,7 @@ class PersistentPool:
 
         Keys are content digests, so the same cached artifact
         (:func:`repro.core.artifacts.packed_rtree` returns the same array
-        dict across queries) ships exactly once per engine — including
+        dict across queries) ships exactly once per pool — including
         when two concurrent queries race to pin it.
         """
         arrays = index.arrays()
@@ -668,27 +656,24 @@ class PersistentPool:
 
     def _pin(self, token, key, tag, payload, strong_ref, timeout) -> None:
         self._require_open()
-        msg = ("pin", key, tag, payload)
         with self._lock:
             self._pinned[key] = (tag, strong_ref)
             self._pin_keys_by_token.setdefault(token, []).append(key)
-            self._replay.append(msg)
-            wait = self._register_ack_wait(key)
-            self._broadcast(msg)
-        self._await_acks(wait, timeout)
+        self._register(("pin", key, tag, payload), timeout)
 
-    def _ship(self, msg: tuple, ack_key: str, *, replay: Optional[tuple]) -> _AckWait:
-        """Broadcast *msg* with the pool lock held; returns the ack wait.
+    def _register(self, msg: tuple, timeout: float) -> None:
+        """Add *msg* to the replay log and send it to every live slot.
 
-        The wait is registered *before* the broadcast so the router
-        cannot drop acks that race the registration.
+        Slots started later receive it as a process argument.  The ack
+        wait is registered *before* the broadcast so the router cannot
+        drop acks that race the registration; with no slot started yet
+        there is nothing to wait for.
         """
         with self._lock:
-            if replay is not None:
-                self._replay.append(replay)
-            wait = self._register_ack_wait(ack_key)
+            self._replay.append(msg)
+            wait = self._register_ack_wait(msg[1])
             self._broadcast(msg)
-        return wait
+        self._await_acks(wait, timeout)
 
     def _register_ack_wait(self, key: str) -> _AckWait:
         """Create an ack wait for *key* (caller holds the pool lock)."""
@@ -720,10 +705,10 @@ class PersistentPool:
         """Block until every live slot acknowledged the wait's key.
 
         Crashes during the wait are handled by the router's liveness
-        survey: a dead slot is respawned (budget permitting) and its
-        replayed attach/pin log produces the missing ack from the new
-        process; a retired slot is dropped from the wait.  The router
-        notifies on every change, so the wait needs no poll.
+        survey: a dead slot owes no ack (a replacement starts with the
+        replay log, which already holds the key), so it is dropped from
+        the wait.  The router notifies on every change, so the wait needs
+        no poll.
         """
         deadline = time.monotonic() + timeout
         try:
@@ -732,7 +717,7 @@ class PersistentPool:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise PoolTimeoutError(
-                            f"engine workers failed to acknowledge"
+                            f"pool workers failed to acknowledge"
                             f" {wait.key!r} within {timeout:.0f}s"
                             f" ({len(wait.pending)} slot(s) pending)"
                         )
@@ -759,63 +744,108 @@ class PersistentPool:
         kind: str = "pairs",
         index_key: Optional[str] = None,
         order_key: Optional[str] = None,
+        flags: Optional[ArrayRef] = None,
         pool_timeout: float = 300.0,
         on_failure: str = "raise",
         progress: Optional[Callable[[int, int], None]] = None,
         inline_fallback: Optional[Callable[[Tuple[int, int]], ChunkOutcome]] = None,
     ) -> List[ChunkOutcome]:
-        """Run *spans* of one query over the warm pool; ordered outcomes.
+        """Run *spans* of one query over the pool; outcomes in span order.
 
-        Safe to call from many threads at once: the parent broadcasts the
-        query's prepare, appends every chunk as a ``(qid, span)`` task to
-        the shared backlog, and the router feeds the backlog to the slots
-        as they deliver; deliveries are routed back to this query's
-        pending record (deduplicating by span within the query), and the
-        calling thread blocks on the record until it completes, fails, or
-        the pool timeout expires.  On a crash the router respawns only
-        the dead slot and re-dispatches exactly the tasks it held
-        (``on_failure != "raise"``).  ``inline_fallback`` finishes
-        remaining chunks on the *calling* thread when no slot survives
-        and the policy is ``"serial"``.
+        Safe to call from many threads at once: every chunk joins the
+        shared backlog as a ``(qid, span)`` task, the router feeds the
+        backlog to the slots as they deliver, deliveries are routed back
+        to this query's pending record (deduplicating by span within the
+        query), and the calling thread blocks on the record until it
+        completes, fails, or ``pool_timeout`` expires.  ``flags`` names
+        the query's shared exchange-flags array (exchange-mode pair
+        chunks).  On a crash the router respawns only the dead slot and
+        re-dispatches exactly the tasks it held (``on_failure !=
+        "raise"``).  ``inline_fallback`` finishes remaining chunks on the
+        *calling* thread when no slot survives and the policy is
+        ``"serial"``.
         """
-        self._require_open()
+        job = (
+            "chunks",
+            token,
+            config,
+            kind,
+            index_key,
+            order_key,
+            obs_tracing.current_trace_context(),
+            flags,
+        )
+        return self._run(
+            job, spans, None, pool_timeout, on_failure, progress, inline_fallback
+        )
+
+    def map(self, fn: Callable, items: Sequence, *, pool_timeout: float = 300.0) -> list:
+        """``[fn(item) for item in items]``, one task per item, on the slots.
+
+        ``fn`` must be picklable under ``spawn`` (a module-level
+        function); each item travels with its task.  Fail-fast: a crash
+        raises :class:`~repro.parallel.executor.WorkerCrashError` within
+        a liveness tick, an exception in ``fn`` re-raises here, and
+        silence past ``pool_timeout`` raises
+        :class:`~repro.parallel.executor.PoolTimeoutError`.
+        """
+        items = list(items)
+        spans = [(k, k + 1) for k in range(len(items))]
+        return self._run(("map", fn), spans, items, pool_timeout, "raise", None, None)
+
+    def _run(self, job, spans, items, pool_timeout, on_failure, progress, inline_fallback):
+        """One query: queue its tasks, wait for them, clean up after it."""
+        self.start()
         self.ensure_healthy()
-        if not self.live_slots:
-            if on_failure == "serial" and inline_fallback is not None:
-                return self._finish_inline(spans, [], set(spans), inline_fallback)
-            raise WorkerCrashError(
-                "no live engine worker slots remain (respawn budgets exhausted)"
-            )
-        trace_ctx = obs_tracing.current_trace_context()
-        outstanding = {(int(a), int(b)) for a, b in spans}
+        spans = sorted({(int(a), int(b)) for a, b in spans})
         with self._lock:
+            self._require_open()  # close() may have run since start()
             qid = self._next_qid
             self._next_qid += 1
-            prepare = (
-                "prepare",
-                qid,
-                token,
-                config,
-                kind,
-                index_key,
-                order_key,
-                trace_ctx,
-            )
             pending = _PendingQuery(
                 qid,
-                prepare,
-                outstanding=set(outstanding),
-                total=len(outstanding),
+                ("prepare", qid, job),
+                items,
+                outstanding=set(spans),
                 on_failure=on_failure,
                 progress=progress,
                 inline_fallback=inline_fallback,
                 cond=threading.Condition(self._lock),
             )
             self._pending[qid] = pending
-            self._backlog.extend((qid, span) for span in sorted(outstanding))
-            self._dispatch_locked()
+            if self.live_slots:
+                self._backlog.extend((qid, span) for span in spans)
+                self._dispatch_locked()
+            elif on_failure == "serial" and inline_fallback is not None:
+                self._fallback_locked(pending)
+            else:
+                pending.fail(
+                    WorkerCrashError(
+                        "no live pool worker slots remain (respawn budgets"
+                        " exhausted)"
+                    )
+                )
         try:
             self._drain_pending(pending, pool_timeout)
+        except PoolTimeoutError as exc:
+            obs_runlog.emit(
+                "pool_timeout",
+                timeout_seconds=pool_timeout,
+                chunks=len(pending.outstanding),
+                live_slots=len(self.live_slots),
+                message=str(exc),
+            )
+            raise
+        except BaseException as exc:
+            fields: Dict[str, Any] = {"chunks": len(pending.outstanding)}
+            if isinstance(exc, WorkerCrashError):
+                fields.update(
+                    pids=list(exc.pids),
+                    signals=[name for name in exc.signals if name],
+                    lost_chunks=len(exc.lost_spans),
+                )
+            obs_runlog.emit_error("pool_error", exc, **fields)
+            raise
         finally:
             with self._lock:
                 self._pending.pop(qid, None)
@@ -831,9 +861,7 @@ class PersistentPool:
                         if qid in slot.prepared:
                             slot.prepared.discard(qid)
                             self._send(slot, ("finish", qid))
-        outcomes = pending.outcomes
-        outcomes.sort(key=lambda outcome: (outcome.start, outcome.stop))
-        return outcomes
+        return [pending.results[span] for span in spans]
 
     def _drain_pending(self, pending: _PendingQuery, pool_timeout: float) -> None:
         """Block until *pending* completes; run its serial-fallback spans.
@@ -857,16 +885,16 @@ class PersistentPool:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise PoolTimeoutError(
-                            f"engine pool produced no result within"
-                            f" {pool_timeout:.0f}s ({len(self.live_slots)} live"
+                            f"worker pool produced no result within"
+                            f" {pool_timeout:g}s ({len(self.live_slots)} live"
                             f" slots, {len(pending.outstanding)} chunks"
                             f" outstanding)"
                         )
                     pending.cond.wait(timeout=remaining)
             for span in inline_spans:
-                outcome = pending.inline_fallback(tuple(span))
+                result = pending.inline_fallback(span)
                 with self._lock:
-                    pending.outcomes.append(outcome)
+                    pending.results[span] = result
 
     # ------------------------------------------------------------------
     # the router: delivery routing, liveness, fault handling
@@ -874,12 +902,11 @@ class PersistentPool:
     def _route_loop(self) -> None:
         """Drain the shared result queue and run the liveness survey.
 
-        The single reader of ``self._results``: chunk deliveries, chunk
-        errors and attach/pin acks are routed to their pending records
-        under the pool lock, and every answered task frees its slot for
-        the next one in the backlog.  Casualties are detected here too,
-        on the same cadence as the one-shot executor's liveness poll;
-        :meth:`close` wakes the loop with a sentinel.
+        The single reader of ``self._results``: deliveries, chunk errors
+        and attach/pin acks are routed to their pending records under the
+        pool lock, and every answered task frees its slot for the next
+        one in the backlog.  Casualties are detected here too, every
+        :data:`_LIVENESS_POLL_SECONDS`; :meth:`close` stops the loop.
         """
         while not self._router_stop:
             try:
@@ -900,29 +927,24 @@ class PersistentPool:
 
     def _route_locked(self, msg: tuple) -> None:
         kind = msg[0]
-        if kind == "chunk":
-            _, slot_index, pid, qid, outcome = msg
-            span = (outcome.start, outcome.stop)
+        if kind in ("done", "error"):
+            _, slot_index, pid, qid, span, payload = msg
+            span = tuple(span)
             self._answered_locked(slot_index, pid, qid, span)
             pending = self._pending.get(qid)
             # else: a stale delivery for a finished/abandoned query, or a
             # duplicate that raced a re-dispatch (dedup by span)
             if pending is not None and span in pending.outstanding:
-                pending.outstanding.discard(span)
-                pending.outcomes.append(outcome)
-                if pending.progress is not None:
-                    done = pending.total - len(pending.outstanding) - len(pending.inline)
-                    pending.progress(done, pending.total)
-                if not pending.outstanding:
-                    pending.cond.notify_all()
-            self._dispatch_locked()
-        elif kind == "chunk_error":
-            _, slot_index, pid, qid, span, exc = msg
-            span = tuple(span)
-            self._answered_locked(slot_index, pid, qid, span)
-            pending = self._pending.get(qid)
-            if pending is not None and span in pending.outstanding:
-                self._handle_chunk_error_locked(pending, slot_index, span, exc)
+                if kind == "error":
+                    self._chunk_failed_locked(pending, slot_index, span, payload)
+                else:
+                    pending.outstanding.discard(span)
+                    pending.results[span] = payload
+                    if pending.progress is not None:
+                        done = pending.total - len(pending.outstanding) - len(pending.inline)
+                        pending.progress(done, pending.total)
+                    if not pending.outstanding:
+                        pending.cond.notify_all()
             self._dispatch_locked()
         elif kind == "ack":
             _, slot_index, pid, key = msg
@@ -930,7 +952,7 @@ class PersistentPool:
                 wait.pending.discard(slot_index)
                 if not wait.pending:
                     wait.cond.notify_all()
-        # anything else is the close sentinel or a stale message: ignore
+        # anything else is a stop reply or a stale message: ignore
 
     def _answered_locked(self, slot_index: int, pid: int, qid: int, span) -> None:
         """A slot's process replied to one task: free its place.
@@ -969,27 +991,17 @@ class PersistentPool:
                 slot.prepared.add(qid)
                 self._send(slot, pending.prepare)
             slot.outstanding.append(task)
-            self._send(slot, ("task", qid, span))
+            self._send(slot, pending.task(span))
 
-    def _reclaim_locked(self, slot: _Slot) -> int:
-        """Put a dead slot's unanswered tasks back at the backlog front,
-        in their original order; returns how many."""
-        reclaimed = len(slot.outstanding)
-        self._backlog.extendleft(reversed(slot.outstanding))
-        slot.outstanding.clear()
-        return reclaimed
-
-    def _handle_chunk_error_locked(
+    def _chunk_failed_locked(
         self, pending: _PendingQuery, slot_index: int, span, exc
     ) -> None:
-        """A chunk raised inside a surviving worker (worker-traceback model)."""
-        obs_runlog.emit_error(
-            "pool_error",
-            exc,
-            slot=slot_index,
-            chunk=list(span),
-            scope="engine",
-        )
+        """A chunk raised inside a surviving worker (worker-traceback model).
+
+        Fail-fast fails the query; otherwise the chunk goes back to the
+        backlog front while the slot has budget, and past it the chunk
+        finishes inline (``"serial"``) or the query fails.
+        """
         if pending.on_failure == "raise":
             pending.fail(exc)
             return
@@ -998,21 +1010,32 @@ class PersistentPool:
             slot.failures += 1
             obs_runlog.emit(
                 "chunk_retry",
-                attempt=slot.failures,
-                max_retries=self.max_respawns,
-                chunks=1,
-                scope="engine",
                 slot=slot_index,
+                chunk=list(span),
+                error=type(exc).__name__,
+                attempt=slot.failures,
+                budget=self.max_respawns,
             )
             self._backlog.appendleft((pending.qid, span))
             return
         if pending.on_failure == "serial" and pending.inline_fallback is not None:
             pending.outstanding.discard(span)
-            pending.inline.append(span)
-            obs_runlog.emit("pool_fallback", chunks=1, scope="engine")
-            pending.cond.notify_all()
+            self._fallback_locked(pending, [span])
             return
         pending.fail(exc)
+
+    def _fallback_locked(self, pending: _PendingQuery, spans=None) -> None:
+        """Hand *spans* (default: all outstanding) to the query's own
+        thread, which runs them inline."""
+        spans = sorted(pending.outstanding) if spans is None else list(spans)
+        pending.outstanding.difference_update(spans)
+        pending.inline.extend(spans)
+        obs_runlog.emit("pool_fallback", chunks=len(spans))
+        _pool_counter(
+            "pool_inline_fallbacks_total",
+            "Chunk batches finished inline after the pool could not run them",
+        ).inc(1)
+        pending.cond.notify_all()
 
     def _survey_locked(self) -> None:
         """Liveness poll: detect casualties, respawn/retire, recover chunks.
@@ -1027,10 +1050,6 @@ class PersistentPool:
         crashed = self._collect_casualties()
         if not crashed:
             return
-        _engine_counter(
-            "engine_worker_crashes_total",
-            "Engine worker processes that died mid-session",
-        ).inc(len(crashed))
         pids = [slot.pid for slot in crashed]
         exitcodes = [slot.process.exitcode for slot in crashed]
         detail = ", ".join(
@@ -1042,7 +1061,7 @@ class PersistentPool:
             if pending.error is None and pending.on_failure == "raise":
                 pending.fail(
                     WorkerCrashError(
-                        f"engine worker crashed mid-query: {detail};"
+                        f"pool worker crashed mid-query: {detail};"
                         f" {len(pending.outstanding)} chunk(s) undelivered",
                         pids=pids,
                         exitcodes=exitcodes,
@@ -1050,7 +1069,7 @@ class PersistentPool:
                     )
                 )
         for slot in crashed:
-            self._handle_casualty(slot, respawn=True)
+            self._handle_casualty(slot)
         if self.live_slots:
             self._dispatch_locked()
             return
@@ -1058,7 +1077,7 @@ class PersistentPool:
             for wait in waits:
                 if wait.error is None:
                     wait.error = WorkerCrashError(
-                        "every engine worker slot died while attaching",
+                        "every pool worker slot died while attaching",
                         pids=pids,
                         exitcodes=exitcodes,
                     )
@@ -1067,20 +1086,11 @@ class PersistentPool:
             if pending.error is not None:
                 continue
             if pending.on_failure == "serial" and pending.inline_fallback is not None:
-                spans = sorted(pending.outstanding)
-                pending.outstanding.clear()
-                pending.inline.extend(spans)
-                obs_runlog.emit("pool_fallback", chunks=len(spans), scope="engine")
-                _engine_counter(
-                    "engine_serial_fallbacks_total",
-                    "Engine queries finished inline after losing every"
-                    " worker slot",
-                ).inc(1)
-                pending.cond.notify_all()
+                self._fallback_locked(pending)
             else:
                 pending.fail(
                     WorkerCrashError(
-                        "every engine worker slot is gone (respawn"
+                        "every pool worker slot is gone (respawn"
                         " budgets exhausted);"
                         f" {len(pending.outstanding)} chunk(s) undelivered",
                         pids=pids,
@@ -1093,24 +1103,32 @@ class PersistentPool:
     # fault handling
 
     def _collect_casualties(self) -> List[_Slot]:
+        if self._closed:  # stopping workers are not casualties
+            return []
         return [
             slot
             for slot in self._slots
             if not slot.disabled and slot.process.exitcode is not None
         ]
 
-    def _handle_casualty(self, slot: _Slot, *, respawn: bool) -> None:
+    def _handle_casualty(self, slot: _Slot) -> None:
         """Retire or respawn one dead slot (caller holds the pool lock).
 
-        Its unanswered tasks go back to the backlog front, and ack waits
-        stop expecting what the slot will never send: a retired slot
-        sends nothing, a replacement re-sends only the acks its replayed
-        attach/pin log produces (no detach acks).
+        Its unanswered tasks go back to the backlog front, in their
+        original order, and ack waits stop expecting the slot: a retired
+        slot sends nothing, and a replacement starts with the replay log,
+        which holds everything registered so far.
         """
-        reclaimed = self._reclaim_locked(slot)
+        _pool_counter(
+            "pool_slot_crashes_total",
+            "Pool worker processes that died mid-run",
+        ).inc(1)
+        reclaimed = len(slot.outstanding)
+        self._backlog.extendleft(reversed(slot.outstanding))
+        slot.outstanding.clear()
         exitcode = slot.process.exitcode
         old_pid = slot.pid
-        can_respawn = respawn and slot.respawns < self.max_respawns
+        can_respawn = slot.respawns < self.max_respawns
         slot.inbox.close()
         slot.prepared.clear()
         if can_respawn:
@@ -1120,21 +1138,18 @@ class PersistentPool:
             slot.pid = replacement.pid
             slot.respawns += 1
             self.total_respawns += 1
-            _engine_counter(
-                "engine_slot_respawns_total",
-                "Engine worker slots respawned after a crash",
+            _pool_counter(
+                "pool_slot_respawns_total",
+                "Pool worker slots respawned after a crash",
             ).inc(1)
         else:
             slot.disabled = True
-            _engine_counter(
-                "engine_slots_retired_total",
-                "Engine worker slots retired after exhausting their"
+            _pool_counter(
+                "pool_slots_retired_total",
+                "Pool worker slots retired after exhausting their"
                 " respawn budget",
             ).inc(1)
-        replayed = {msg[1] for msg in self._replay} if can_respawn else set()
-        for key, waits in self._ack_waits.items():
-            if key in replayed:
-                continue
+        for waits in self._ack_waits.values():
             for wait in waits:
                 wait.pending.discard(slot.index)
                 if not wait.pending:
@@ -1152,19 +1167,6 @@ class PersistentPool:
             reclaimed=reclaimed,
         )
 
-    def _finish_inline(self, spans, outcomes, outstanding, inline_fallback):
-        """Run every remaining chunk on the parent (serial fallback)."""
-        obs_runlog.emit("pool_fallback", chunks=len(outstanding), scope="engine")
-        _engine_counter(
-            "engine_serial_fallbacks_total",
-            "Engine queries finished inline after losing every worker slot",
-        ).inc(1)
-        for span in sorted(outstanding):
-            outcomes.append(inline_fallback(tuple(span)))
-        outstanding.clear()
-        outcomes.sort(key=lambda outcome: (outcome.start, outcome.stop))
-        return outcomes
-
     def ensure_healthy(self) -> int:
         """Respawn every repairable dead slot; returns the live-slot count.
 
@@ -1176,7 +1178,7 @@ class PersistentPool:
         with self._lock:
             casualties = self._collect_casualties()
             for slot in casualties:
-                self._handle_casualty(slot, respawn=True)
+                self._handle_casualty(slot)
             if casualties:
                 self._dispatch_locked()
             return len(self.live_slots)

@@ -23,10 +23,11 @@ Determinism contract
 --------------------
 A warm query builds the *same* algorithm object with the same spans,
 worker config, index and candidate order as a cold
-``aggregate_skyline()`` call; only the span executor is swapped (the
-``_pool_runner`` hook).  Chunk kernels, per-chunk comparator resets and
-the span-ordered merge are shared code, so warm results **and every
-``AlgorithmStats`` counter** are bit-identical to cold, serial runs.
+``aggregate_skyline()`` call; only the pool differs (the algorithm's
+``_resident`` pool and token, instead of a pool opened for the query).
+Chunk kernels, per-chunk comparator resets and the span-ordered merge
+are shared code, so warm results **and every ``AlgorithmStats``
+counter** are bit-identical to cold, serial runs.
 
 Failure semantics
 -----------------
@@ -48,7 +49,6 @@ from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Seque
 
 from ..core import artifacts
 from ..core.algorithms.sorted_access import SORT_KEYS
-from ..core.comparator import RecordColumns
 from ..core.dominance import Direction
 from ..core.execution import ExecutionConfig, coerce_execution
 from ..core.gamma import GammaLike
@@ -57,13 +57,7 @@ from ..core.result import AggregateSkylineResult
 from ..obs import runlog as obs_runlog
 from ..obs import metrics as obs_metrics
 from ..plan import logical_for_dataset, optimize
-from ..parallel.executor import (
-    PoolRun,
-    _reports_from_outcomes,
-    comparator_for,
-    execute_span_inline,
-    resolve_workers,
-)
+from ..parallel.executor import resolve_workers
 from ..parallel.faults import FaultSpec
 from .pool import EngineClosedError, PersistentPool
 
@@ -151,8 +145,9 @@ class SkylineEngine:
         Default :class:`ExecutionConfig` (or mapping / spec string) for
         the session: its ``workers`` sizes the pool, ``max_retries`` is
         the per-slot lifetime respawn budget, ``on_failure`` the default
-        crash policy.  ``None`` defaults to a work-stealing config sized
-        by the standard worker resolution (``$REPRO_WORKERS`` → cpu).
+        crash policy.  ``None`` defaults to a ``scheduler="stealing"``
+        config sized by the standard worker resolution
+        (``$REPRO_WORKERS`` → cpu).
     start_method:
         Multiprocessing start method for the pool (default: the
         platform/env preference, see ``$REPRO_START_METHOD``).
@@ -188,7 +183,7 @@ class SkylineEngine:
             )
         self.execution = execution
         self.start_method = start_method
-        self._faults = faults if faults is not None else FaultSpec.from_env()
+        self._faults = faults
         self._ephemeral = _ephemeral
         self.stats = EngineStats()
         self._pool: Optional[PersistentPool] = None
@@ -205,11 +200,14 @@ class SkylineEngine:
 
     @classmethod
     def ephemeral(cls, execution=None) -> "SkylineEngine":
-        """A one-shot engine: no persistent pool, no session telemetry.
+        """A one-shot engine: no resident pool, no session telemetry.
 
-        This is what :func:`repro.aggregate_skyline` wraps — queries run
-        the exact legacy cold path (one-shot pools included), so the
-        wrapper is behaviourally identical to the pre-engine API.
+        This is what :func:`repro.aggregate_skyline` wraps.  Its queries
+        run cold: a pooled IN/LO/PAR query opens a
+        :class:`~repro.engine.pool.PersistentPool` for itself (through
+        :func:`~repro.parallel.executor.run_spans`), registers its
+        dataset, index and order there before the slots start, and
+        closes it when the query ends.
         """
         return cls(execution, _ephemeral=True)
 
@@ -303,18 +301,10 @@ class SkylineEngine:
                 shm=self.execution.shm,
                 max_respawns=self.execution.max_retries,
                 faults=self._faults,
-            )
+            ).start()
             obs_metrics.get_registry().counter(
                 "engine_starts_total", "SkylineEngine pools started"
             ).inc(1)
-            obs_runlog.emit(
-                "engine_start",
-                workers=workers,
-                start_method=self._pool.start_method,
-                shm=self._pool.use_shm,
-                pids=self._pool.pids,
-                respawn_budget=self.execution.max_retries,
-            )
         return self._pool
 
     def attach(
@@ -492,11 +482,10 @@ class SkylineEngine:
             and execution is not None
             and execution.parallel
             and execution.resolve_workers() >= 2
-            and execution.exchange_interval == 0
-            and hasattr(engine_algorithm, "_pool_runner")
+            and hasattr(engine_algorithm, "_resident")
         )
         if warm:
-            engine_algorithm._pool_runner = self._warm_runner(handle, execution)
+            engine_algorithm._resident = (self._pool, handle.token)
         with self._lock:
             self.stats.queries += 1
             if warm:
@@ -604,8 +593,7 @@ class SkylineEngine:
         (``gamma``, ``algorithm``, ``execution``, ``dims``, options...).
         The dataset is attached once up front; warm-eligible queries then
         ship nothing but chunk spans, and the pool's shared task backlog
-        keeps every worker busy across query boundaries (the engine-side
-        analogue of the work-stealing scheduler).
+        keeps every worker busy across query boundaries.
 
         ``concurrency`` overlaps up to that many queries' chunk streams
         on the one resident pool — deliveries are routed by
@@ -652,81 +640,3 @@ class SkylineEngine:
             if first_error is not None:
                 raise first_error
             return outcome
-
-    # ------------------------------------------------------------------
-    # warm span execution
-
-    def _warm_runner(self, handle: DatasetHandle, execution: ExecutionConfig):
-        """A ``run_spans``-compatible closure over the persistent pool.
-
-        The algorithm calls it exactly where it would call
-        :func:`~repro.parallel.executor.run_spans`; the closure pins the
-        query's index/order (content-keyed, so repeats ship nothing),
-        schedules the spans on the resident workers and re-packages the
-        outcomes as a :class:`~repro.parallel.executor.PoolRun`.
-        ``scheduler``/``shm`` knobs are satisfied structurally (shared
-        task backlog, shipping decided at attach); ``max_retries`` is
-        enforced as the pool's per-slot lifetime budget.
-        """
-        pool = self._pool
-        token = handle.token
-
-        def runner(
-            groups,
-            config,
-            spans,
-            workers,
-            *,
-            kind: str = "pairs",
-            index=None,
-            order=None,
-            progress=None,
-            pool_timeout: float = 300.0,
-            on_failure: str = "raise",
-            scheduler: str = "static",
-            shm=None,
-            owners=None,
-            max_retries: int = 2,
-            retry_backoff: float = 0.1,
-            faults=None,
-        ) -> PoolRun:
-            index_key = (
-                pool.pin_index(token, index, timeout=pool_timeout)
-                if index is not None
-                else None
-            )
-            order_key = (
-                pool.pin_order(token, order, timeout=pool_timeout)
-                if order is not None
-                else None
-            )
-
-            columns = None
-
-            def inline_fallback(span):
-                # Record columns are built at the first fallback chunk.
-                nonlocal columns
-                if columns is None:
-                    columns = RecordColumns.of_groups(groups)
-                return execute_span_inline(
-                    groups, comparator_for(config), config, kind,
-                    index, order, None, span, columns,
-                )
-
-            outcomes = pool.run_query(
-                token,
-                config,
-                spans,
-                kind=kind,
-                index_key=index_key,
-                order_key=order_key,
-                pool_timeout=pool_timeout,
-                on_failure=on_failure,
-                progress=progress,
-                inline_fallback=inline_fallback,
-            )
-            return PoolRun(
-                outcomes=outcomes, reports=_reports_from_outcomes(outcomes)
-            )
-
-        return runner

@@ -26,12 +26,12 @@ Design notes
   ``compute()``) is always on; *detailed* per-comparison instruments are
   gated behind :func:`enable` / :func:`is_enabled` so the disabled path
   costs a single ``None`` check.
-* **Engine counters.**  The persistent-session layer
-  (:mod:`repro.engine`) reports through the same registry:
-  ``engine_starts_total``, ``engine_attaches_total``,
-  ``engine_queries_total{mode=warm|cold}``, ``engine_worker_crashes_total``,
-  ``engine_slot_respawns_total``, ``engine_slots_retired_total`` and
-  ``engine_serial_fallbacks_total``.
+* **Engine and pool counters.**  The persistent-session layer
+  (:mod:`repro.engine`) reports through the same registry: the session's
+  ``engine_starts_total``, ``engine_attaches_total`` and
+  ``engine_queries_total{mode=warm|cold}``, and the process pool's
+  ``pool_slot_crashes_total``, ``pool_slot_respawns_total``,
+  ``pool_slots_retired_total`` and ``pool_inline_fallbacks_total``.
 """
 
 from __future__ import annotations

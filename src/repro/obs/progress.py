@@ -44,13 +44,12 @@ def eta_from_pair_budget(
 def eta_from_chunks(
     chunks_done: int, chunks_total: Optional[int], elapsed_seconds: float
 ) -> Optional[float]:
-    """Remaining seconds, extrapolated from the pool's chunk-claim rate.
+    """Remaining seconds, extrapolated from the pool's chunk rate.
 
     The right estimator for pooled runs: the serial pair budget wildly
-    overestimates when ``workers=N`` chew through pairs N-at-a-time (and
-    the stealing scheduler makes per-worker pair counts meaningless),
-    while chunks claimed from the shared ledger track real pool
-    throughput whatever the schedule looks like.
+    overestimates when ``workers=N`` chew through pairs N-at-a-time,
+    while delivered chunks track real pool throughput whatever the
+    schedule looks like.
     """
     if not chunks_total or chunks_done <= 0 or elapsed_seconds <= 0:
         return None
@@ -70,9 +69,9 @@ class ProgressEvent:
     pair_budget: Optional[int] = None
     elapsed_seconds: float = 0.0
     eta_seconds: Optional[float] = None
-    #: Pooled-run telemetry: chunks claimed / total chunks / chunks that
-    #: ran on a stealing slot.  ``chunks_total`` set means a pool is
-    #: driving this run and the ETA came from the chunk rate.
+    #: Pooled-run telemetry: chunks done / total chunks / chunks a caller
+    #: reports as moved between workers.  ``chunks_total`` set means a
+    #: pool is driving this run and the ETA came from the chunk rate.
     chunks_done: int = 0
     chunks_total: Optional[int] = None
     chunks_stolen: int = 0

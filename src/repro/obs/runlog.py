@@ -21,35 +21,37 @@ fields.  Events emitted by the engine:
     end adds elapsed/survivors/counters; error adds the traceback).
 ``phase_start`` / ``phase_end``
     A named phase inside a run (``harness.figure``, ``bench.run``, ...).
-``pool_start`` / ``pool_end`` / ``pool_timeout``
-    Worker-pool lifecycle (workers, start method, scheduler, chunks,
-    attempt).  Every ``pool_start`` is closed by exactly one of
-    ``pool_end``, ``pool_timeout`` or ``pool_error``.
-``pool_error`` / ``chunk_retry`` / ``pool_fallback``
-    Fault tolerance: a worker crash or worker traceback (exception type,
-    message, crashed pids/signals, undelivered chunk count), a retry of
-    the lost chunks on a fresh pool (attempt, chunk count, backoff), and
-    the serial-fallback completion after retries are exhausted.
+``pool_start`` / ``pool_end``
+    A :class:`repro.engine.pool.PersistentPool` — an engine session's,
+    or one a pooled query opened for itself — starting its slots
+    (workers, start method, shm, pids, respawn budget) and closing
+    (queries, respawns, elapsed).
+``pool_timeout`` / ``pool_error``
+    A pooled query failed: it timed out (timeout, chunks outstanding,
+    live slots), or raised (exception type, message, traceback, chunks
+    outstanding; for a worker crash also pids, signals, lost chunks).
+``chunk_retry`` / ``slot_respawn`` / ``pool_fallback``
+    Fault tolerance: a chunk that raised in a worker goes back to the
+    backlog (slot, chunk, error, attempt vs budget); a dead worker slot
+    is respawned or retired (slot, old/new pid, exitcode/signal,
+    respawn count vs budget, and ``reclaimed``: the unanswered tasks it
+    held, put back at the front of the backlog) — surviving slots keep
+    their pids and pinned data; chunks finish inline on the calling
+    thread once no slot can run them.
 ``cache_hit`` / ``cache_miss``
     Derived-artifact cache traffic (kind).
 ``api_call``
     One public-API invocation (``aggregate_skyline``: algorithm, groups,
     gamma, execution).
-``engine_start`` / ``engine_end``
-    A :class:`repro.engine.SkylineEngine` persistent pool coming up
-    (workers, start method, shm, pids, respawn budget) and the session
-    summary at close (queries, warm queries, attaches, slot respawns).
+``engine_end``
+    A :class:`repro.engine.SkylineEngine` session's summary at close
+    (queries, warm queries, attaches, slot respawns).
 ``attach``
     A dataset made resident in an engine (token prefix, groups, records,
     via_shm, warm pre-pinning, elapsed).
 ``query_start`` / ``query_end``
     One engine query (algorithm, gamma, groups, warm/cold, dims; end
     adds survivors and elapsed, or the error payload on failure).
-``slot_respawn``
-    The engine replaced exactly one dead worker slot (slot, old/new pid,
-    exitcode/signal, respawn count vs budget, and ``reclaimed``: the
-    unanswered tasks it held, put back at the front of the backlog) —
-    surviving slots keep their pids and pinned data.
 ``engine_teardown_error``
     The engine's GC safety net failed to release the pool (possible
     leaked shm segments or worker slots) — previously swallowed

@@ -90,9 +90,9 @@ def new_span_id() -> str:
 class TraceContext:
     """Picklable snapshot of "where we are" in a trace.
 
-    Shipped through pool-worker initializers so spans recorded in worker
-    processes share the parent run's ``trace_id`` and parent under the
-    span that launched the pool.
+    Shipped to pool workers in each query's ``prepare`` message so spans
+    recorded in worker processes share the parent run's ``trace_id`` and
+    parent under the span that queued the query.
     """
 
     trace_id: str

@@ -5,12 +5,14 @@ Layers (bottom-up):
 * :mod:`repro.parallel.partition` — linear indexing and chunking of the
   upper-triangular group-pair space (pure math, no engine imports; also
   backs the adaptive dispatcher's duplicate-free overlap sampling).
-* :mod:`repro.parallel.executor` — the process-pool driver: one-shot data
-  shipping (fork-inherited or pickled once per worker), the chunk kernel,
-  the lock-free pruning-exchange flags, and the fault-tolerance layer —
-  a pool timeout for wedged pools, a worker-liveness poll that surfaces
-  crashes in seconds (:class:`WorkerCrashError`), chunk retry with
-  backoff and an optional serial fallback (``on_failure`` policy).
+* :mod:`repro.parallel.scheduler` — guided decreasing chunk sizes for
+  skewed workloads (the ``stealing`` scheduler).
+* :mod:`repro.parallel.executor` — the chunk kernels, the lock-free
+  pruning-exchange flags, and :func:`run_spans`, which runs one query's
+  chunks on :class:`repro.engine.pool.PersistentPool` — the one process
+  pool, with its timeout for wedged pools (:class:`PoolTimeoutError`),
+  crash detection in a liveness tick (:class:`WorkerCrashError`),
+  per-slot respawn and an optional inline fallback (``on_failure``).
 * :mod:`repro.parallel.faults` — opt-in fault injection (``$REPRO_FAULTS``
   or :class:`FaultSpec`): crash / hang / slow / exception at chunk *k* or
   with probability *p*, for testing the recovery paths.
@@ -33,7 +35,6 @@ from .executor import (
     apply_verdicts,
     compare_candidate_span,
     compare_span,
-    map_tasks,
     preferred_start_method,
     resolve_workers,
     run_spans,
@@ -47,7 +48,7 @@ from .partition import (
     sample_pair_indices,
 )
 from .faults import FAULTS_ENV_VAR, FaultSpec, InjectedFaultError
-from .scheduler import ChunkLedger, WorkerReport, assign_owners, guided_spans
+from .scheduler import guided_spans
 from .shm import ArrayRef, GroupShipment, ShmArena, ship_groups, load_groups
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "apply_verdicts",
     "compare_candidate_span",
     "compare_span",
-    "map_tasks",
     "preferred_start_method",
     "resolve_workers",
     "run_spans",
@@ -73,9 +73,6 @@ __all__ = [
     "pair_count",
     "pair_from_index",
     "sample_pair_indices",
-    "ChunkLedger",
-    "WorkerReport",
-    "assign_owners",
     "guided_spans",
     "ArrayRef",
     "GroupShipment",

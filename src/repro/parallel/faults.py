@@ -1,21 +1,21 @@
 """Fault injection for the worker pool (testing and demos only).
 
-The fault-tolerance layer in :mod:`repro.parallel.executor` — crash
-detection, chunk retry, serial fallback — is only trustworthy if worker
-failure is reproducible on demand.  This module provides the injection
-harness: a :class:`FaultSpec` describing *what* goes wrong (a
-SIGKILL-style crash, a hang, a slow chunk, a raised exception), *when*
-(at the k-th chunk a worker runs, or with probability ``p`` per chunk)
-and *how often* (``max_fires`` across the whole run, enforced through a
-shared counter so retried pools do not re-fire an already-spent fault).
+The pool's fault handling (:class:`repro.engine.pool.PersistentPool`) —
+crash detection, per-slot respawn, chunk retry, inline fallback — is
+only trustworthy if worker failure is reproducible on demand.  This
+module provides the injection harness: a :class:`FaultSpec` describing
+*what* goes wrong (a SIGKILL-style crash, a hang, a slow chunk, a
+raised exception), *when* (at the k-th chunk a worker runs, or with
+probability ``p`` per chunk) and *how often* (``max_fires`` across the
+whole pool, enforced through a shared counter so respawned workers do
+not re-fire an already-spent fault).
 
 Activation is strictly opt-in, through either
 
 * the ``faults=FaultSpec(...)`` argument of
-  :func:`repro.parallel.executor.run_spans` (or of
-  :class:`repro.engine.SkylineEngine`, whose persistent workers arm the
-  same spec — this is how the slot-respawn tests kill exactly one
-  resident worker), or
+  :func:`repro.parallel.executor.run_spans` (a one-query pool) or of
+  :class:`repro.engine.SkylineEngine` (its resident pool — this is how
+  the slot-respawn tests kill exactly one resident worker), or
 * the ``REPRO_FAULTS`` environment variable, parsed by
   :meth:`FaultSpec.from_env` with the same mini-language as
   :meth:`FaultSpec.from_spec`::
@@ -26,10 +26,10 @@ Activation is strictly opt-in, through either
       REPRO_FAULTS="hang"                 # first chunk sleeps past pool_timeout
       REPRO_FAULTS="slow@1:delay=0.5"     # second chunk takes an extra 500ms
 
-The armed fault lives in pool *workers* only (installed by the pool
-initializer); the parent process and the inline / serial-fallback code
-paths never fire, which is what lets an exhausted-retry run still finish
-correctly on the parent's serial engine.
+The armed fault lives in pool *workers* only (armed when a slot process
+starts, and fired before each task it runs); the parent process and
+the inline code paths never fire, which is what lets a run whose slots
+all died still finish correctly inline under ``on_failure="serial"``.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ class FaultSpec:
         Fire with this per-chunk probability (deterministic given
         ``seed``, the worker pid and the worker-local chunk counter).
     max_fires:
-        Total firings across the whole run, *including retried pools* —
-        enforced via a shared counter created by the executor, so a
-        ``max_fires=1`` crash hits the first pool and spares the retry.
+        Total firings across the whole pool, *including respawned
+        workers* — enforced via a shared counter the pool creates, so a
+        ``max_fires=1`` crash kills one worker and spares its
+        replacement.
     delay:
         Sleep seconds for ``slow`` (and override for ``hang``).
     seed:
@@ -179,10 +180,10 @@ class FaultSpec:
 class ArmedFault:
     """A :class:`FaultSpec` installed in one worker process.
 
-    ``maybe_fire`` is called once per chunk by the worker's task body;
-    the worker-local chunk counter lives here, the cross-process fire
-    budget in the shared ``state`` (a ``multiprocessing.Value``) the
-    executor created alongside the pool.
+    ``maybe_fire`` is called once per task by the worker loop; the
+    worker-local chunk counter lives here, the cross-process fire budget
+    in the shared ``state`` (a ``multiprocessing.Value``) the pool
+    created.
     """
 
     def __init__(self, spec: FaultSpec, state=None):

@@ -1,46 +1,27 @@
-"""Work-stealing chunk scheduling for skewed workloads.
+"""Guided chunk sizes for skewed workloads.
 
-The PR-2 executor cut the pair space into ``workers * chunks_per_worker``
-near-equal contiguous spans and let ``Pool.map`` hand them out.  That is
-fine when every pair costs the same, but aggregate-skyline work is
-anything but uniform: under a Zipfian group-size distribution one pair
-involving the head group can cost orders of magnitude more record-pair
-checks than a tail-tail pair, so a near-equal *pair-count* split is a
-wildly unequal *work* split and the pool convoy-waits on one straggler.
+Cutting the pair space into ``workers * chunks_per_worker`` near-equal
+contiguous spans (:func:`repro.parallel.partition.chunk_ranges`, the
+``static`` scheduler) is fine when every pair costs the same, but
+aggregate-skyline work is anything but uniform: under a Zipfian
+group-size distribution one pair involving the head group can cost
+orders of magnitude more record-pair checks than a tail-tail pair, so a
+near-equal *pair-count* split is a wildly unequal *work* split and the
+pool convoy-waits on one straggler.
 
-This module provides the classic remedy — guided self-scheduling plus
-work stealing:
-
-* :func:`guided_spans` cuts the index space into chunks of *decreasing*
-  size: early chunks are large (low scheduling overhead while everyone
-  is busy), late chunks are small (fine-grained slack to balance the
-  tail).
-* :func:`assign_owners` deals the chunks round-robin to worker slots, so
-  each slot's private run-queue is itself big→small.
-* :class:`ChunkLedger` is the shared claim table: a worker takes from
-  the *front* of its own queue (largest remaining chunk) and, when its
-  queue is drained, **steals from the tail** of the most-loaded victim's
-  queue (the smallest chunks — cheap to migrate, perfect tail filler).
-
-The ledger is deliberately storage-agnostic: in pool workers the claim
-table is a ``multiprocessing.RawArray`` guarded by a shared ``Lock``; in
-tests it is a plain ``bytearray`` with a no-op lock, which makes the
-"every chunk claimed exactly once under any steal order" property
-directly checkable in-process.
+The ``stealing`` scheduler cuts the index space with :func:`guided_spans`
+instead: chunks of *decreasing* size, large early (low scheduling
+overhead while everyone is busy) and small late (fine-grained slack to
+balance the tail).  The pool's backlog dispatch does the rest: it hands
+the chunks out in order to whichever slot frees up, so the small tail
+chunks fill the idle time of the slots that finish first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = [
-    "guided_spans",
-    "assign_owners",
-    "ChunkLedger",
-    "WorkerReport",
-    "default_min_chunk",
-]
+__all__ = ["guided_spans", "default_min_chunk"]
 
 
 def default_min_chunk(total: int, workers: int) -> int:
@@ -82,113 +63,3 @@ def guided_spans(
         spans.append((start, start + size))
         start += size
     return spans
-
-
-def assign_owners(n_chunks: int, workers: int) -> List[List[int]]:
-    """Deal chunk ids round-robin to ``workers`` slots.
-
-    With :func:`guided_spans`' decreasing sizes this leaves every slot's
-    private queue ordered big→small, which is exactly what the ledger's
-    front-of-own / tail-of-victim discipline wants.
-    """
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    queues: List[List[int]] = [[] for _ in range(workers)]
-    for chunk in range(n_chunks):
-        queues[chunk % workers].append(chunk)
-    return queues
-
-
-class _NullLock:
-    """Context-manager no-op lock for in-process ledgers."""
-
-    def __enter__(self):  # pragma: no cover - trivial
-        return self
-
-    def __exit__(self, *exc):  # pragma: no cover - trivial
-        return False
-
-
-class ChunkLedger:
-    """Shared claim table implementing own-queue-first work stealing.
-
-    Parameters
-    ----------
-    owners:
-        ``owners[slot]`` lists the chunk ids dealt to worker ``slot``
-        (front = largest).  The lists themselves are immutable; progress
-        lives entirely in ``claimed``.
-    claimed:
-        Byte-per-chunk claim flags — a ``multiprocessing.RawArray('B')``
-        for pools, a ``bytearray`` in-process.  0 = free, 1 = claimed.
-    lock:
-        Context manager guarding claim transitions.  A shared
-        ``multiprocessing.Lock`` for pools; defaults to a no-op for
-        single-threaded use.
-    """
-
-    def __init__(self, owners: Sequence[Sequence[int]], claimed, lock=None):
-        self.owners = [list(queue) for queue in owners]
-        self.claimed = claimed
-        self.lock = lock if lock is not None else _NullLock()
-        total = sum(len(queue) for queue in self.owners)
-        if total != len(claimed):
-            raise ValueError(
-                f"claim table holds {len(claimed)} chunks but owners list {total}"
-            )
-        seen = [chunk for queue in self.owners for chunk in queue]
-        if sorted(seen) != list(range(len(claimed))):
-            raise ValueError("owners must partition range(n_chunks) exactly")
-
-    def claim(self, slot: int) -> Optional[Tuple[int, bool]]:
-        """Claim the next chunk for worker *slot*.
-
-        Returns ``(chunk_id, stolen)`` or ``None`` when every chunk is
-        claimed.  Own queue is scanned front-to-back (largest first);
-        when empty the victim with the most unclaimed chunks is robbed
-        from the tail (smallest first).
-        """
-
-        with self.lock:
-            # 1. own queue, front to back
-            for chunk in self.owners[slot]:
-                if not self.claimed[chunk]:
-                    self.claimed[chunk] = 1
-                    return chunk, False
-            # 2. steal from the most-loaded victim's tail
-            best_victim = -1
-            best_load = 0
-            for victim, queue in enumerate(self.owners):
-                if victim == slot:
-                    continue
-                load = sum(1 for chunk in queue if not self.claimed[chunk])
-                if load > best_load:
-                    best_load = load
-                    best_victim = victim
-            if best_victim < 0:
-                return None
-            for chunk in reversed(self.owners[best_victim]):
-                if not self.claimed[chunk]:
-                    self.claimed[chunk] = 1
-                    return chunk, True
-        return None  # pragma: no cover - victim raced to empty
-
-    def remaining(self) -> int:
-        """Number of unclaimed chunks (diagnostic)."""
-
-        with self.lock:
-            return sum(1 for flag in self.claimed if not flag)
-
-
-@dataclass
-class WorkerReport:
-    """Per-worker-slot scheduling telemetry sent back with the results."""
-
-    slot: int
-    worker_pid: int = 0
-    chunks_done: int = 0
-    chunks_stolen: int = 0
-    idle_seconds: float = 0.0
-    busy_seconds: float = 0.0
-    chunk_seconds: List[float] = field(default_factory=list)

@@ -2,12 +2,12 @@
 
 Under the ``fork`` start method workers inherit the parent's memory
 copy-on-write, so the group payload ships for free.  Under ``spawn``
-(Windows, macOS default, or ``REPRO_START_METHOD=spawn``) the PR-2
-executor pickled the full group list once per worker at pool start-up —
-cheap for small workloads, painful for the paper-scale ones.  This
-module removes that copy: the parent packs the group ndarrays into
-``multiprocessing.shared_memory`` segments once, and every worker maps
-the same physical pages, reconstructing zero-copy read-only views.
+(Windows, macOS default, or ``REPRO_START_METHOD=spawn``) the full group
+list would be pickled once per worker — cheap for small workloads,
+painful for the paper-scale ones.  This module removes that copy: the
+parent packs the group ndarrays into ``multiprocessing.shared_memory``
+segments once, and every worker maps the same physical pages,
+reconstructing zero-copy read-only views.
 
 Leak safety
 -----------
@@ -19,12 +19,12 @@ garbage collection, *and* at interpreter exit, whichever comes first,
 and is idempotent.  Error paths therefore cannot leak: the arena is
 created before the pool and finalized in a ``finally``.
 
-Besides the one-shot executor, :mod:`repro.engine` builds *long-lived*
-arenas on this module: a :class:`~repro.engine.pool.PersistentPool` keeps
-one arena per attached dataset (plus pinned index/order arrays) open for
-the whole session and releases them deterministically on
-``SkylineEngine.close()`` / ``detach()`` — same finalize discipline,
-longer lifetime.
+A :class:`~repro.engine.pool.PersistentPool` keeps one arena per
+attached dataset (plus pinned index/order arrays) open for as long as
+the pool lives — one query, or a whole engine session — and releases
+them deterministically on ``close()`` / ``detach()``.  A pooled
+exchange-mode ``PAR`` query adds one writable segment, its pruning
+flags, for the length of the query.
 
 Attach-side quirk: CPython's ``resource_tracker`` (bpo-39959) registers
 *attached* segments as if the attaching process owned them, producing
@@ -54,6 +54,7 @@ __all__ = [
     "GroupShipment",
     "shm_available",
     "attach_array",
+    "detach",
     "detach_all",
     "ship_groups",
     "load_groups",
@@ -97,10 +98,9 @@ def _release_segments(segments: List) -> None:
 class ShmArena:
     """Owner of a set of shared-memory segments with leak-proof cleanup.
 
-    The parent creates one arena per pooled run, :meth:`share`\\ s the
-    ndarrays it wants to ship, hands the returned :class:`ArrayRef`\\ s
-    to the pool initializer, and calls :meth:`close` when the pool is
-    done.  If it never does (exception, ctrl-C, GC), the
+    The parent creates an arena, :meth:`share`\\ s the ndarrays it wants
+    to ship, hands the returned :class:`ArrayRef`\\ s to the pool's
+    workers, and calls :meth:`close` when they are done.  If it never does (exception, ctrl-C, GC), the
     ``weakref.finalize`` hook unlinks the segments anyway.
     """
 
@@ -182,27 +182,41 @@ def _attach_untracked(name: str):
         resource_tracker.register = original
 
 
-def attach_array(ref: ArrayRef) -> np.ndarray:
-    """Map the segment behind *ref* and return a read-only ndarray view."""
+def attach_array(ref: ArrayRef, *, writable: bool = False) -> np.ndarray:
+    """Map the segment behind *ref* and return an ndarray view of it,
+    read-only unless *writable* (the pool's exchange flags)."""
 
     seg = _ATTACHED.get(ref.name)
     if seg is None:
         seg = _attach_untracked(ref.name)
         _ATTACHED[ref.name] = seg
     view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf)
-    view.flags.writeable = False
+    view.flags.writeable = writable
     return view
+
+
+def _close(seg) -> None:
+    try:
+        seg.close()
+    except Exception:  # pragma: no cover - best-effort cleanup
+        pass
+
+
+def detach(name: str) -> None:
+    """Close one attached segment (without unlinking; the owner does that).
+
+    A view still in use keeps the mapping until the process exits."""
+
+    seg = _ATTACHED.pop(name, None)
+    if seg is not None:
+        _close(seg)
 
 
 def detach_all() -> None:
     """Close every attached segment (without unlinking; the owner does that)."""
 
     while _ATTACHED:
-        _, seg = _ATTACHED.popitem()
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
+        _close(_ATTACHED.popitem()[1])
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +226,7 @@ def detach_all() -> None:
 
 @dataclass
 class GroupShipment:
-    """A group list packed for the pool initializer.
+    """A group list packed for the pool's workers.
 
     Either ``inline`` holds the :class:`Group` objects directly (fork:
     inherited copy-on-write; small spawn runs: pickled once per worker)

@@ -440,6 +440,38 @@ def test_partitioned_execution_kwarg(dataset):
     assert serial.as_set() == pooled.as_set()
 
 
+@pytest.mark.parametrize("start_method", START_METHODS)
+def test_partitioned_pool_returns_serial_keys(dataset, start_method, monkeypatch):
+    """The partitioned baseline's local phase maps over a pool opened for
+    the call, under either start method, with the serial keys."""
+    _require_start_method(start_method)
+    monkeypatch.setenv("REPRO_START_METHOD", start_method)
+    serial = partitioned_aggregate_skyline(dataset, gamma=GAMMA, partitions=4)
+    pooled = partitioned_aggregate_skyline(
+        dataset, gamma=GAMMA, partitions=4, execution="workers=2"
+    )
+    assert pooled.keys == serial.keys
+
+
+def test_exchange_mode_par_runs_warm(dataset):
+    """Exchange-mode PAR (shared pruning flags) runs on the resident pool:
+    it counts as a warm query, and under the safe policy returns exactly
+    serial NL's keys, on every repeat."""
+    nl = aggregate_skyline(dataset, gamma=GAMMA, algorithm="NL")
+    execution = ExecutionConfig(workers=2, exchange_interval=4)
+    with SkylineEngine(execution) as engine:
+        handle = engine.attach(dataset)
+        pids = list(engine.worker_pids)
+        for _ in range(2):
+            result = engine.query(
+                handle, gamma=GAMMA, algorithm="PAR", prune_policy="safe"
+            )
+            assert result.keys == nl.keys
+        assert engine.stats.warm_queries == 2
+        assert engine.stats.cold_queries == 0
+        assert engine.worker_pids == pids
+
+
 def test_partitioned_legacy_kwargs_raise(dataset):
     for removed in ({"processes": 2}, {"pool_timeout": 60.0}):
         with pytest.raises(TypeError, match="execution="):

@@ -87,7 +87,7 @@ class TestExecutionConfig:
             {"max_retries": -1},
             {"max_retries": True},
             {"max_retries": 1.5},
-            {"retry_backoff": -0.1},
+            {"max_retries": "2"},
             {"on_failure": "panic"},
         ],
     )
@@ -102,16 +102,16 @@ class TestExecutionConfig:
     def test_fault_tolerance_defaults(self):
         config = ExecutionConfig()
         assert config.max_retries == 2
-        assert config.retry_backoff == 0.1
         assert config.on_failure == "raise"
+        # A respawn does not wait: there is no backoff to configure.
+        with pytest.raises(ValueError, match="retry_backoff"):
+            ExecutionConfig.from_dict({"retry_backoff": 0.1})
 
     def test_fault_tolerance_round_trip(self):
-        config = ExecutionConfig(
-            workers=4, on_failure="serial", max_retries=3, retry_backoff=0.5
-        )
+        config = ExecutionConfig(workers=4, on_failure="serial", max_retries=3)
         assert ExecutionConfig.from_dict(config.to_dict()) == config
         assert ExecutionConfig.from_spec(
-            "workers=4,on_failure=serial,max_retries=3,retry_backoff=0.5"
+            "workers=4,on_failure=serial,max_retries=3"
         ) == config
 
     def test_replace_revalidates(self):

@@ -1,19 +1,23 @@
-"""Fault-injection matrix for the pool's crash/retry/fallback machinery.
+"""Fault-injection matrix for the pool's crash/respawn/fallback machinery.
 
-The contract under test (``docs/parallel.md``, fault-tolerance section):
+The contract under test (``docs/parallel.md``, fault-tolerance section),
+for one-shot pooled runs on a pool opened per query:
 
-* a worker killed mid-run is *detected* by the liveness poll within
+* a worker killed mid-run is *detected* by the liveness survey within
   seconds — wall-clock far below ``pool_timeout`` — and surfaces as
   :class:`~repro.parallel.WorkerCrashError` carrying the dead pids,
   signals and the undelivered chunk spans;
-* ``on_failure="retry"`` re-executes only the lost chunks on a fresh
-  pool, and because chunks are independent deterministic spans the
-  recovered run is **bit-identical** to an unfaulted one — same chunk
-  outcomes, same skyline, same ``AlgorithmStats`` counters;
-* ``on_failure="serial"`` finishes the lost chunks inline on the parent
-  after retries are exhausted, still producing the exact skyline;
-* a *hung* worker is not a crash: the liveness poll sees a live process,
-  so the run ends via ``pool_timeout`` exactly as before.
+* ``on_failure="retry"`` respawns only the dead slot and re-runs exactly
+  the chunks it held (and re-queues a chunk that raised), and because
+  chunks are independent deterministic spans the recovered run is
+  **bit-identical** to an unfaulted one — same chunk outcomes, same
+  skyline, same ``AlgorithmStats`` counters;
+* ``on_failure="serial"`` finishes the lost chunks inline on the calling
+  thread once every slot has spent its respawn budget, still producing
+  the exact skyline;
+* a *hung* worker is not a crash: the liveness survey sees a live
+  process, so the run ends via ``pool_timeout``, and the pool's
+  processes are gone afterwards.
 
 Every scenario runs under both ``fork`` and ``spawn`` (parametrized via
 ``REPRO_START_METHOD``), because the two start methods exercise different
@@ -24,11 +28,13 @@ local fallback so a regression hangs a test run for at most 120 seconds.
 
 from __future__ import annotations
 
+import multiprocessing
 import signal
 import time
 
 import pytest
 
+from repro import partitioned_aggregate_skyline
 from repro.core.algorithms import make_algorithm
 from repro.core.execution import ExecutionConfig
 from repro.data.synthetic import SyntheticSpec, generate_grouped
@@ -174,10 +180,10 @@ class TestFaultSpec:
 
 class TestCrashDetection:
     def test_sigkill_detected_fast_stealing(self, start_method):
-        """The acceptance scenario: workers=4, stealing, pool_timeout=300 —
-
-        an injected SIGKILL must surface as WorkerCrashError in well under
-        10 seconds, not hang toward the 300s timeout.
+        """The acceptance scenario: workers=4, guided spans,
+        pool_timeout=300 — an injected SIGKILL must surface as
+        WorkerCrashError in well under 10 seconds, naming the pid, the
+        signal and the lost spans, not hang toward the 300s timeout.
         """
         dataset = workload()
         total = pair_count(len(dataset.groups))
@@ -188,7 +194,6 @@ class TestCrashDetection:
                 dataset.groups,
                 spans,
                 4,
-                scheduler="stealing",
                 pool_timeout=300.0,
                 faults=FaultSpec("crash", at_chunk=0),
             )
@@ -197,7 +202,9 @@ class TestCrashDetection:
         error = excinfo.value
         assert error.pids and all(pid > 0 for pid in error.pids)
         assert "SIGKILL" in str(error)
+        assert str(error.pids[0]) in str(error)
         assert error.lost_spans  # the crashed chunk was never delivered
+        assert set(error.lost_spans) <= set(spans)
 
     def test_sigkill_detected_fast_static(self, start_method):
         dataset = workload()
@@ -212,6 +219,7 @@ class TestCrashDetection:
                 faults=FaultSpec("crash", at_chunk=0),
             )
         assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
 
     def test_crash_error_carries_signal_names(self):
         dataset = workload(n_records=120)
@@ -236,6 +244,7 @@ class TestCrashDetection:
                 2,
                 faults=FaultSpec("exception", at_chunk=0),
             )
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -252,16 +261,14 @@ class TestRetry:
             spans = guided_spans(total, 2, min_chunk=max(1, total // 32))
         else:
             spans = chunk_ranges(total, 8)
-        clean = run_pairs(dataset.groups, spans, 2, scheduler=scheduler)
+        clean = run_pairs(dataset.groups, spans, 2)
         recovered = run_pairs(
             dataset.groups,
             spans,
             2,
-            scheduler=scheduler,
             faults=FaultSpec("crash", at_chunk=0),
             on_failure="retry",
             max_retries=2,
-            retry_backoff=0.01,
         )
         assert [outcome_key(o) for o in clean.outcomes] == [
             outcome_key(o) for o in recovered.outcomes
@@ -279,15 +286,14 @@ class TestRetry:
             faults=FaultSpec("exception", at_chunk=0),
             on_failure="retry",
             max_retries=2,
-            retry_backoff=0.01,
         )
         assert [outcome_key(o) for o in clean.outcomes] == [
             outcome_key(o) for o in recovered.outcomes
         ]
 
     def test_retries_exhausted_raises_crash_error(self):
-        """A fault that keeps firing defeats every retry; policy 'retry'
-        then surfaces the final WorkerCrashError."""
+        """A fault that keeps firing defeats every respawn; policy 'retry'
+        then surfaces a WorkerCrashError once every slot is retired."""
         dataset = workload(n_records=120)
         total = pair_count(len(dataset.groups))
         with pytest.raises(WorkerCrashError):
@@ -298,19 +304,19 @@ class TestRetry:
                 faults=FaultSpec("crash", probability=1.0, max_fires=10**6),
                 on_failure="retry",
                 max_retries=1,
-                retry_backoff=0.01,
             )
 
 
 # ----------------------------------------------------------------------
-# Serial fallback: exhausted retries still produce the exact result
+# Serial fallback: exhausted respawns still produce the exact result
 # ----------------------------------------------------------------------
 
 
 class TestSerialFallback:
     def test_fallback_bit_identical(self, start_method):
-        """Every pool attempt dies (p=1 crash, unlimited fires); the
-        parent finishes the lost chunks inline and the run is still
+        """Every worker dies on every chunk (p=1 crash, unlimited fires);
+        once every slot has spent its respawn budget the calling thread
+        finishes the lost chunks inline, and the run is still
         bit-identical to an unfaulted one."""
         dataset = workload()
         total = pair_count(len(dataset.groups))
@@ -323,15 +329,14 @@ class TestSerialFallback:
             faults=FaultSpec("crash", probability=1.0, max_fires=10**6),
             on_failure="serial",
             max_retries=1,
-            retry_backoff=0.01,
         )
         assert [outcome_key(o) for o in clean.outcomes] == [
             outcome_key(o) for o in recovered.outcomes
         ]
 
     def test_single_crash_recovers_via_retry_before_fallback(self):
-        """on_failure='serial' retries first; a one-shot crash never
-        reaches the fallback path (no pool_fallback counter tick)."""
+        """on_failure='serial' respawns first; a one-shot crash never
+        reaches the fallback path (no pool_inline_fallbacks_total tick)."""
         dataset = workload(n_records=120)
         total = pair_count(len(dataset.groups))
         registry = MetricsRegistry()
@@ -342,15 +347,11 @@ class TestSerialFallback:
                 2,
                 faults=FaultSpec("crash", at_chunk=0),
                 on_failure="serial",
-                # Generous retry headroom: the injected fault can fire
-                # only once (max_fires=1), so the fallback counter may
-                # tick only if several consecutive attempts fail for
-                # unrelated environmental reasons.
                 max_retries=3,
-                retry_backoff=0.01,
             )
-        assert registry.get("pool_fallbacks_total") is None
-        assert registry.get("worker_crashes_total") is not None
+        assert registry.get("pool_inline_fallbacks_total") is None
+        assert registry.get("pool_slot_crashes_total") is not None
+        assert registry.get("pool_slot_respawns_total") is not None
 
 
 # ----------------------------------------------------------------------
@@ -371,8 +372,10 @@ class TestHang:
                 pool_timeout=2.0,
                 faults=FaultSpec("hang", at_chunk=0),
             )
-        # Bounded by the timeout plus teardown, not by HANG_SECONDS.
+        # Bounded by the timeout plus teardown, not by HANG_SECONDS, and
+        # the hung worker is terminated, not left behind.
         assert time.monotonic() - started < 30.0
+        assert multiprocessing.active_children() == []
 
     def test_hang_not_retried(self):
         """Timeouts are not retry-worthy: the pool is wedged, not dead."""
@@ -391,7 +394,7 @@ class TestHang:
 
 
 # ----------------------------------------------------------------------
-# Algorithm level: PAR and pooled IN recover end to end
+# Algorithm level: PAR, pooled IN and the partitioned baseline
 # ----------------------------------------------------------------------
 
 
@@ -406,9 +409,7 @@ class TestAlgorithmRecovery:
         serial = make_algorithm("NL", gamma=0.5)
         serial_result = serial.compute(dataset)
 
-        execution = ExecutionConfig(
-            workers=2, max_retries=2, retry_backoff=0.01, on_failure="retry"
-        )
+        execution = ExecutionConfig(workers=2, max_retries=2, on_failure="retry")
         clean = make_algorithm(name, gamma=0.5, execution=execution)
         clean_result = clean.compute(dataset)
 
@@ -429,7 +430,7 @@ class TestAlgorithmRecovery:
         )
 
     def test_env_injected_crash_serial_fallback(self, monkeypatch):
-        """Exhausted retries + on_failure='serial' still yields the exact
+        """Exhausted respawns + on_failure='serial' still yields the exact
         Definition-2 skyline."""
         dataset = workload(n_records=120)
         monkeypatch.setenv(FAULTS_ENV_VAR, "crash:p=1.0,fires=1000000")
@@ -437,7 +438,7 @@ class TestAlgorithmRecovery:
             "PAR",
             gamma=0.5,
             execution=ExecutionConfig(
-                workers=2, max_retries=1, retry_backoff=0.01, on_failure="serial"
+                workers=2, max_retries=1, on_failure="serial"
             ),
         )
         result = algorithm.compute(dataset)
@@ -452,9 +453,23 @@ class TestAlgorithmRecovery:
         with pytest.raises(WorkerCrashError):
             algorithm.compute(dataset)
 
+    def test_partitioned_crash_fails_fast(self, start_method, monkeypatch):
+        """The partitioned baseline's local phase runs on the same pool:
+        an injected crash raises WorkerCrashError well before
+        pool_timeout, and leaves no worker behind."""
+        dataset = workload()
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash@0")
+        started = time.monotonic()
+        with pytest.raises(WorkerCrashError):
+            partitioned_aggregate_skyline(
+                dataset, 0.5, execution="workers=2,pool_timeout=300"
+            )
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
+
 
 # ----------------------------------------------------------------------
-# Observability: events, counters, trace correlation
+# Observability: one event vocabulary, one emitter per event and counter
 # ----------------------------------------------------------------------
 
 
@@ -481,38 +496,34 @@ class TestObservability:
                             error = exc
         return obs_runlog.read_events(log_path), registry, error
 
+    @staticmethod
+    def _one_pool(names):
+        """The query's pool started once and closed once."""
+        assert names.count("pool_start") == names.count("pool_end") == 1
+        assert names[0] == "pool_start" and names[-1] == "pool_end"
+
     def test_retry_events_and_counters(self, tmp_path):
         events, registry, error = self._run_with_obs(
             tmp_path,
             faults=FaultSpec("crash", at_chunk=0),
             on_failure="retry",
             max_retries=2,
-            retry_backoff=0.01,
         )
         assert error is None
         names = [event["event"] for event in events]
-        assert "pool_error" in names
-        assert "chunk_retry" in names
-        # every pool_start closed by exactly one terminal event
-        starts = names.count("pool_start")
-        terminals = (
-            names.count("pool_end")
-            + names.count("pool_timeout")
-            + names.count("pool_error")
-        )
-        assert starts >= 2  # the crashed attempt plus the retry
-        assert starts == terminals
-        # all events correlate to the same trace
+        self._one_pool(names)
+        assert names.count("slot_respawn") == 1
+        assert "pool_error" not in names  # the query recovered
+        # events emitted on the query's thread correlate to its trace
         trace_ids = {e["trace_id"] for e in events if "trace_id" in e}
         assert len(trace_ids) == 1
-        pool_error = next(e for e in events if e["event"] == "pool_error")
-        assert pool_error["error"] == "WorkerCrashError"
-        assert pool_error["crashed_pids"]
-        assert pool_error["lost_chunks"] >= 1
-        retry = next(e for e in events if e["event"] == "chunk_retry")
-        assert retry["attempt"] >= 1 and retry["chunks"] >= 1
-        assert registry.get("worker_crashes_total") is not None
-        assert registry.get("chunk_retries_total") is not None
+        respawn = next(e for e in events if e["event"] == "slot_respawn")
+        assert respawn["respawned"] is True
+        assert respawn["signal"] == "SIGKILL"
+        assert respawn["old_pid"] != respawn["new_pid"]
+        assert respawn["reclaimed"] >= 1
+        assert registry.get("pool_slot_crashes_total").value() == 1
+        assert registry.get("pool_slot_respawns_total").value() == 1
 
     def test_worker_exception_emits_pool_error(self, tmp_path):
         events, _, error = self._run_with_obs(
@@ -520,14 +531,11 @@ class TestObservability:
         )
         assert isinstance(error, InjectedFaultError)
         names = [event["event"] for event in events]
-        assert "pool_error" in names
-        assert names.count("pool_start") == (
-            names.count("pool_end")
-            + names.count("pool_timeout")
-            + names.count("pool_error")
-        )
+        self._one_pool(names)
+        assert names.count("pool_error") == 1
         pool_error = next(e for e in events if e["event"] == "pool_error")
         assert pool_error["error"] == "InjectedFaultError"
+        assert pool_error["chunks"] >= 1
 
     def test_fallback_event_and_counter(self, tmp_path):
         events, registry, error = self._run_with_obs(
@@ -535,21 +543,29 @@ class TestObservability:
             faults=FaultSpec("crash", probability=1.0, max_fires=10**6),
             on_failure="serial",
             max_retries=1,
-            retry_backoff=0.01,
         )
         assert error is None
         names = [event["event"] for event in events]
+        self._one_pool(names)
         assert "pool_fallback" in names
         fallback = next(e for e in events if e["event"] == "pool_fallback")
         assert fallback["chunks"] >= 1
-        assert registry.get("pool_fallbacks_total") is not None
+        retired = [
+            e for e in events
+            if e["event"] == "slot_respawn" and not e["respawned"]
+        ]
+        assert len(retired) == 2  # both slots spent their one respawn
+        assert registry.get("pool_inline_fallbacks_total") is not None
+        assert registry.get("pool_slots_retired_total").value() == 2
 
     def test_clean_run_emits_no_fault_events(self, tmp_path):
         events, registry, error = self._run_with_obs(tmp_path)
         assert error is None
         names = [event["event"] for event in events]
-        assert "pool_error" not in names
-        assert "chunk_retry" not in names
-        assert "pool_fallback" not in names
-        assert names.count("pool_start") == names.count("pool_end") == 1
-        assert registry.get("worker_crashes_total") is None
+        self._one_pool(names)
+        for fault in (
+            "pool_error", "pool_timeout", "chunk_retry", "slot_respawn",
+            "pool_fallback",
+        ):
+            assert fault not in names
+        assert registry.get("pool_slot_crashes_total") is None

@@ -193,7 +193,6 @@ class TestCrossProcessTraceMerge:
         for chunk in chunks:
             assert chunk.attributes["kind"] == "candidates"
             assert "slot" in chunk.attributes
-            assert "stolen" in chunk.attributes
             assert "pid" in chunk.attributes
         # Chunk-span counters reconcile with the merged stats.
         assert (

@@ -5,15 +5,18 @@ indexed algorithms run every candidate's window loop under the
 independent-candidate discipline, so the skyline **and every work
 counter** are identical to the inline ``workers=1`` kernel for any
 worker count, either scheduler, and either payload-shipping mode — and
-exactly the Definition-2 skyline.  Shared-memory segments must never
-outlive the run, and the work-stealing ledger must hand out every chunk
-exactly once under any steal order.
+exactly the Definition-2 skyline.  Shared-memory segments, worker
+processes and pool threads must never outlive the run, and guided spans
+must tile the candidate range.
 """
 
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +29,7 @@ from repro.core.execution import ExecutionConfig
 from repro.data.synthetic import SyntheticSpec, generate_grouped
 from repro.index.rtree import FlatRTree, str_levels
 from repro.obs.metrics import use_registry
-from repro.parallel.scheduler import (
-    ChunkLedger,
-    assign_owners,
-    guided_spans,
-)
+from repro.parallel.scheduler import guided_spans
 from repro.parallel.shm import (
     ShmArena,
     attach_array,
@@ -189,6 +188,8 @@ class TestParallelIndexed:
             )
 
     def test_stealing_reports_present(self, zipfian):
+        """Every chunk outcome reports the pool slot and pid that ran it,
+        and the outcomes tile the candidate range in span order."""
         engine = make_algorithm(
             "IN",
             execution=ExecutionConfig(
@@ -198,10 +199,13 @@ class TestParallelIndexed:
         engine.compute(zipfian)
         run = engine.last_pool_run
         assert run is not None
-        assert {report.slot for report in run.reports} == {0, 1}
-        assert sum(report.chunks_done for report in run.reports) == len(
-            run.outcomes
-        )
+        assert {outcome.slot for outcome in run.outcomes} <= {0, 1}
+        assert all(outcome.worker_pid > 0 for outcome in run.outcomes)
+        position = 0
+        for outcome in run.outcomes:
+            assert outcome.start == position
+            position = outcome.stop
+        assert position == len(zipfian)
 
     def test_workers_none_keeps_the_serial_path(self, anticorrelated):
         engine = make_algorithm("IN", execution=ExecutionConfig())
@@ -233,39 +237,6 @@ class TestScheduler:
             previous = stop - start
             position = stop
         assert position == total
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        n_chunks=st.integers(min_value=0, max_value=60),
-        workers=st.integers(min_value=1, max_value=6),
-        data=st.data(),
-    )
-    def test_every_chunk_claimed_exactly_once(self, n_chunks, workers, data):
-        owners = assign_owners(n_chunks, workers)
-        ledger = ChunkLedger(owners, bytearray(n_chunks))
-        owner_of = {
-            chunk: slot for slot, queue in enumerate(owners) for chunk in queue
-        }
-        claimed = []
-        active = list(range(workers))
-        while active:
-            slot = data.draw(st.sampled_from(active))
-            grabbed = ledger.claim(slot)
-            if grabbed is None:
-                active.remove(slot)
-                continue
-            chunk, stolen = grabbed
-            assert stolen == (owner_of[chunk] != slot)
-            claimed.append(chunk)
-        assert sorted(claimed) == list(range(n_chunks))
-        assert ledger.remaining() == 0
-        assert all(ledger.claim(slot) is None for slot in range(workers))
-
-    def test_ledger_validates_owner_partition(self):
-        with pytest.raises(ValueError):
-            ChunkLedger([[0, 1], [1]], bytearray(3))
-        with pytest.raises(ValueError):
-            ChunkLedger([[0]], bytearray(2))
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +316,32 @@ class TestShm:
         assert load_groups(shipment) is shipment.inline
 
     def test_pooled_run_leaves_no_segments_behind(self, anticorrelated):
+        """A one-shot pooled IN/LO/PAR query closes its pool: no worker
+        process, pool thread or ``/dev/shm`` segment (data, index, order,
+        exchange flags) outlives it."""
         before = _live_segments()
-        result = make_algorithm(
-            "IN", execution=ExecutionConfig(workers=2, shm=True)
-        ).compute(anticorrelated)
-        assert len(result) > 0
-        assert _live_segments() <= before
+        threads = {thread.ident for thread in threading.enumerate()}
+        for name, options in (
+            ("IN", {}),
+            ("LO", {}),
+            ("PAR", {}),
+            ("PAR", {"exchange_interval": 4}),
+        ):
+            result = make_algorithm(
+                name, execution=ExecutionConfig(workers=2, shm=True, **options)
+            ).compute(anticorrelated)
+            assert len(result) > 0
+            assert _live_segments() <= before, name
+            assert multiprocessing.active_children() == [], name
+            deadline = time.monotonic() + 5.0
+            while True:
+                extra = [
+                    t for t in threading.enumerate() if t.ident not in threads
+                ]
+                if not extra or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert extra == [], name
 
     def test_engine_close_releases_all_segments(self, anticorrelated):
         """Engine-owned arenas (dataset + pinned index/order) are released

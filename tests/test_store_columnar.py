@@ -282,6 +282,30 @@ class TestArtifactCache:
         assert fresh_cache.stats()["hits"] == 1
 
 
+    def test_record_columns_artifact(self, fresh_cache):
+        """The batch kernel's columns are built once per content, shared
+        read-only, and a compute over them keeps its counters."""
+        from repro.core.algorithms import make_algorithm
+
+        dataset = GroupedDataset(
+            {"a": [[1.0, 2.0], [0.5, 0.5]], "b": [[2.0, 1.0]], "c": [[0.2, 0.1]]}
+        )
+        columns = artifacts.record_columns(dataset)
+        assert artifacts.record_columns(dataset) is columns
+        assert fresh_cache.stats()["misses"] == 1
+        assert not columns.ranks.flags.writeable
+        assert not columns.records.flags.writeable
+        with pytest.raises(ValueError):
+            columns.ranks[0, 0] = 0
+        first = make_algorithm("NL", 0.5).compute(dataset)
+        second = make_algorithm("NL", 0.5).compute(dataset)
+        assert first.keys == second.keys
+        assert (
+            first.stats.record_pairs_examined
+            == second.stats.record_pairs_examined
+        )
+
+
 class TestCacheInvalidationOnUpdate:
     """The incremental structure's version bump invalidates artifacts."""
 
