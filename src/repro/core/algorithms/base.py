@@ -26,7 +26,9 @@ faithfulness notes"):
 from __future__ import annotations
 
 import abc
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import islice
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,28 +36,16 @@ from ...obs import metrics as obs_metrics
 from ...obs import runlog as obs_runlog
 from ...obs import tracing as obs_tracing
 from ...obs.sampler import profile_phase
-from ..comparator import (
-    ComparisonOutcome,
-    DirectionOutcomes,
-    GroupComparator,
-    RecordColumns,
-)
-from .. import artifacts
+from ..comparator import ComparisonOutcome, GroupComparator, RecordColumns
+from .. import artifacts, row_batch
 from ..gamma import GammaLike, GammaThresholds
 from ..groups import Group, GroupedDataset
 from ..result import AggregateSkylineResult, AlgorithmStats, Timer
+from ..row_batch import Prepared, RowBatch
 
-__all__ = ["AggregateSkylineAlgorithm", "GroupState", "PRUNE_POLICIES", "ROW_BATCH"]
+__all__ = ["AggregateSkylineAlgorithm", "GroupState", "PRUNE_POLICIES"]
 
 PRUNE_POLICIES = ("paper", "safe")
-
-#: Row members the first batch of a polled candidate's Algorithm-3 row
-#: decides; each further batch of the same row takes twice as many.
-ROW_BATCH = 8
-
-#: ``(outcomes, forward slot, backward slot)`` of a pair the batch kernel
-#: already decided (see :meth:`GroupComparator.settle`).
-Prepared = Tuple[DirectionOutcomes, int, int]
 
 
 def _record_run_metrics(registry, stats: AlgorithmStats) -> None:
@@ -315,6 +305,24 @@ class AggregateSkylineAlgorithm(abc.ABC):
             self._groups_skipped += 1
         return skip
 
+    def _needs(
+        self, state: GroupState, i: int, j: int
+    ) -> Optional[Tuple[bool, bool]]:
+        """The directions of ``(g_i, g_j)`` the pruning policy still needs.
+
+        ``(forward, backward)``, forward being ``g_i`` over ``g_j``, or
+        ``None`` when the policy skips the pair.  The paper policy skips a
+        strongly dominated ``g_j`` and otherwise needs both directions;
+        the safe policy drops the directions that can no longer change
+        any verdict instead of whole groups.  Marks only grow, so a later
+        call never needs more.
+        """
+        if self.prune_policy == "paper":
+            return None if state.strong[j] else (True, True)
+        forward = not state.dominated[j]
+        backward = not state.dominated[i]
+        return (forward, backward) if forward or backward else None
+
     def _compare_pair(
         self,
         groups: List[Group],
@@ -325,31 +333,21 @@ class AggregateSkylineAlgorithm(abc.ABC):
     ) -> Optional[ComparisonOutcome]:
         """Algorithm-3 inner step for the pair ``(g_i, g_j)``.
 
-        Applies the pruning policy, performs the (possibly one-directional)
-        comparison and updates ``state``.  Returns the raw outcome, or
-        ``None`` when the pair was skipped entirely.  Callers should stop
-        processing ``g_i`` when the outcome says it became strongly
-        dominated (``d21_strong``) — and, under the safe policy, already
-        when it is merely dominated.  ``prepared`` is ``(outcomes, forward
-        slot, backward slot)`` when the batch kernel already decided this
-        pair (see :meth:`_run_rows` and :mod:`repro.core.window_batch`);
+        Applies the pruning policy (:meth:`_needs`), performs the
+        (possibly one-directional) comparison and updates ``state``.
+        Returns the raw outcome, or ``None`` when the pair was skipped
+        entirely.  Callers should stop processing ``g_i`` when the outcome
+        says it became strongly dominated (``d21_strong``) — and, under the
+        safe policy, already when it is merely dominated.  ``prepared`` is
+        ``(outcomes, forward slot, backward slot)`` when a
+        :class:`~repro.core.row_batch.RowBatch` already decided this pair;
         the outcome is then settled from it, identically to ``compare()``.
         """
-        if self.prune_policy == "paper":
-            if state.is_strong(j):
-                self._groups_skipped += 1
-                return None
-            need_forward = True
-            need_backward = True
-        else:
-            # Safe policy: directions that can no longer change any verdict
-            # are dropped instead of whole groups.
-            need_forward = not state.is_dominated(j)
-            need_backward = not state.is_dominated(i)
-            if not (need_forward or need_backward):
-                self._groups_skipped += 1
-                return None
-
+        needs = self._needs(state, i, j)
+        if needs is None:
+            self._groups_skipped += 1
+            return None
+        need_forward, need_backward = needs
         if prepared is None:
             outcome = self.comparator.compare(
                 groups[i], groups[j],
@@ -383,39 +381,44 @@ class AggregateSkylineAlgorithm(abc.ABC):
     def _run_rows(
         self, groups: List[Group], state: GroupState, order: Sequence[int]
     ) -> None:
-        """Algorithm 3's loop over ``order``, on the batch kernel.
+        """Algorithm 3's loop over ``order``, decided ahead in row batches.
 
         Each polled candidate meets the groups after it in ``order`` (TR:
         index order; SI: its sort).  The loop runs exactly as the paper's
-        does — same skips, marks and breaks via :meth:`_compare_pair` — but
-        a candidate's row is decided ahead in doubling prefixes: when the
-        loop reaches a member no batch covers, the next :data:`ROW_BATCH`,
-        then twice as many, batchable members are decided in one kernel
-        call and replayed from it.  A member is batchable unless the
-        pruning policy already skips it, and only the directions the
-        policy still needs are decided; marks only grow, so neither
-        changes before the replay reaches the member.  Replays equal
-        ``compare()`` outcomes and counters, and ``compare()`` reads no
-        state, so deciding ahead changes no verdict and no counter;
-        doubling keeps decided-but-unused pairs, after a break, under
-        half of the row's work.
+        does — same skips, marks and breaks via :meth:`_compare_pair` —
+        and replays its pairs from :class:`~repro.core.row_batch.RowBatch`
+        decisions: a polled candidate no batch covers batches itself and
+        the next candidates not yet excluded, each with the first members
+        of its row, and when the loop passes a candidate's batched prefix
+        its next members are decided as a one-candidate batch twice as
+        wide as the last.  Doubling keeps decided-but-unused pairs, after
+        a break, under half of the row's work.
         """
         columns = self._batch_columns(groups)
         paper = self.prune_policy == "paper"
+        needs = partial(self._needs, state)
         count = len(order)
+        batch: Optional[RowBatch] = None
         for rank, i in enumerate(order):
             if self._skip_as_candidate(i, state):
                 continue
-            prepared: Dict[int, Prepared] = {}
-            covered = rank + 1
-            width = ROW_BATCH
+            if batch is None or i not in batch.rows:
+                upcoming = (
+                    (candidate, order, position + 1)
+                    for position, candidate in enumerate(islice(order, rank, None), rank)
+                    if not self._excluded_as_candidate(candidate, state)
+                )
+                batch = RowBatch(self.comparator, columns, upcoming, needs)
+            _, prepared, covered = batch.rows[i]
+            width = row_batch.BATCH_MEMBERS
             for position in range(rank + 1, count):
                 j = order[position]
                 if position >= covered:
-                    prepared, covered = self._decide_row(
-                        columns, i, order, position, width, state
-                    )
                     width *= 2
+                    tail = RowBatch(
+                        self.comparator, columns, [(i, order, position)], needs, width
+                    )
+                    _, prepared, covered = tail.rows[i]
                 outcome = self._compare_pair(groups, i, j, state, prepared.get(j))
                 if outcome is None:
                     continue
@@ -425,48 +428,3 @@ class AggregateSkylineAlgorithm(abc.ABC):
                     # still dominate later groups, which _compare_pair
                     # handles with cheap one-directional probes.
                     break
-
-    def _decide_row(
-        self,
-        columns: RecordColumns,
-        i: int,
-        order: Sequence[int],
-        position: int,
-        width: int,
-        state: GroupState,
-    ) -> Tuple[Dict[int, Prepared], int]:
-        """Decide ``i`` against the next ``width`` batchable members of
-        ``order[position:]``; return them by member, and the position the
-        batch covers up to."""
-        paper = self.prune_policy == "paper"
-        backward = paper or not state.is_dominated(i)
-        x: List[int] = []
-        y: List[int] = []
-        slots: List[Tuple[int, int, int]] = []
-        count = len(order)
-        while position < count and len(slots) < width:
-            j = order[position]
-            position += 1
-            if paper:
-                if state.is_strong(j):
-                    continue
-                forward = True
-            else:
-                forward = not state.is_dominated(j)
-                if not (forward or backward):
-                    continue
-            forward_slot = backward_slot = -1
-            if forward:
-                forward_slot = len(x)
-                x.append(i)
-                y.append(j)
-            if backward:
-                backward_slot = len(x)
-                x.append(j)
-                y.append(i)
-            slots.append((j, forward_slot, backward_slot))
-        outcomes = self.comparator.decide(columns, x, y)
-        return (
-            {j: (outcomes, forward, back) for j, forward, back in slots},
-            position,
-        )

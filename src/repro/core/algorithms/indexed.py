@@ -11,10 +11,15 @@ if ``s > r`` for some ``s ∈ g2``, ``r ∈ g1``, then componentwise
 Under the safe policy every group's verdict is produced by its *own* window
 loop over all potential dominators (none skipped), so a polled group whose
 verdict is already sealed can be skipped entirely without affecting others.
+
+A window is a candidate's row: the loop decides its first members ahead,
+for the next candidates at once, in row batches (:mod:`repro.core.row_batch`),
+and compares the members past that prefix with ``compare()``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import List, Optional
 
@@ -33,12 +38,11 @@ from ...parallel.executor import (
 )
 from ...parallel.partition import chunk_ranges
 from ...parallel.scheduler import guided_spans
-from ..comparator import RecordColumns
 from ..execution import ExecutionConfig, coerce_execution
 from ..gamma import GammaLike
 from ..groups import Group
 from ..result import AlgorithmStats
-from ..window_batch import WindowBatch
+from ..row_batch import RowBatch, windows
 from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
     absorb_outcomes,
@@ -119,19 +123,19 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
     def _run(self, groups: List[Group], state: GroupState) -> None:
         """Algorithm 5: each polled candidate against its window, in order.
 
-        The loop speculates (:mod:`repro.core.window_batch`): when a polled
-        candidate is not covered by the current batch, the next
-        candidates in ``order`` that are not yet excluded are batched, and
-        each one's leading window members are decided in one batch-kernel
-        call.  Each candidate then runs its loop unchanged — its one
-        ``search_window`` call, the window in order, the same policy,
-        marks and breaks via :meth:`_compare_pair` — and replays a pair
-        from the batch when the member is its next batched one; members
-        past the batched prefix and groups too large for one kernel block
-        fall back to ``compare()``.  A replayed outcome equals
-        ``compare()``'s and updates the same counters, and ``compare()``
-        reads no state, so speculating ahead of marks that appear later
-        changes no verdict and no counter.
+        The loop decides ahead in row batches (:mod:`repro.core.row_batch`):
+        a polled candidate no batch covers batches itself and the next
+        candidates in ``order`` not yet excluded, querying each one's
+        window and deciding its first members the policy still needs in
+        one batch-kernel call.  Each candidate then walks its window in
+        order — the same policy, marks and breaks via
+        :meth:`_compare_pair` — settling batched members from the batch
+        and comparing the members past its batched prefix with
+        ``compare()``.  A settled outcome equals ``compare()``'s and
+        updates the same counters, and ``compare()`` reads no state, so
+        deciding ahead of marks that appear later changes no verdict and
+        no counter.  The windows and members polled candidates walk are
+        what the index counters count.
         """
         self.worker_stats = []
         self.last_pool_run = None
@@ -143,30 +147,34 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         tracer = obs_tracing.get_tracer()
         with tracer.span("index.build", groups=len(groups)):
             index = self._build_index(groups)
-        dimensions = groups[0].dimensions
-        upper = np.full(dimensions, np.inf)
-
+        upper = np.full(groups[0].dimensions, np.inf)
         order = self._sorted_order(groups)
         columns = self._batch_columns(groups)
-        batch: Optional[WindowBatch] = None
+        needs = partial(self._needs, state)
+        polled = 0
+        batch: Optional[RowBatch] = None
         for position, i in enumerate(order):
             if self._skip_as_candidate(i, state):
                 continue
-            if batch is None or i not in batch.members:
-                batch = self._speculate(columns, index, order, position, upper, state)
-            members, slot = batch.members[i]
-            g1 = groups[i]
-            candidates = index.search_window(g1.bbox.min_corner, upper)
-            self._index_candidates += len(candidates)
-            taken = 0
-            for j in candidates:
+            if batch is None or i not in batch.rows:
+                upcoming = (
+                    candidate
+                    for candidate in islice(order, position, None)
+                    if not self._excluded_as_candidate(candidate, state)
+                )
+                batch = RowBatch(
+                    self.comparator,
+                    columns,
+                    windows(index, groups, upcoming, upper),
+                    needs,
+                )
+            window, prepared, _ = batch.rows[i]
+            polled += 1
+            self._index_candidates += len(window)
+            for j in window:
                 if j == i:
                     continue
-                prepared = None
-                if taken < len(members) and members[taken] == j:
-                    prepared = batch.prepared(slot + taken)
-                    taken += 1
-                outcome = self._compare_pair(groups, i, j, state, prepared)
+                outcome = self._compare_pair(groups, i, j, state, prepared.get(j))
                 if outcome is None:
                     continue
                 if outcome.d21 or outcome.d21_strong:
@@ -178,36 +186,8 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                     # other groups' own window queries will redo anyway).
                     if self.prune_policy == "safe" or outcome.d21_strong:
                         break
-        self._flush_index_counts(
-            index.window_queries, index.candidates_returned, tracer
-        )
+        self._flush_index_counts(polled, self._index_candidates, tracer)
         self._final_sweep(groups, state)
-
-    def _speculate(
-        self,
-        columns: RecordColumns,
-        index: FlatRTree,
-        order: List[int],
-        position: int,
-        upper: np.ndarray,
-        state: GroupState,
-    ) -> WindowBatch:
-        """Batch the next candidates of ``order[position:]`` not yet excluded.
-
-        Under the paper policy strongly dominated groups are never compared,
-        and marks only grow, so they are not batched as members either.
-        """
-        upcoming = (
-            i
-            for i in islice(order, position, None)
-            if not self._excluded_as_candidate(i, state)
-        )
-        blocked = None
-        if self.prune_policy == "paper":
-            blocked = np.array(state.strong, dtype=bool)
-        return WindowBatch(
-            self.comparator, columns, index, upcoming, upper, blocked
-        )
 
     # ------------------------------------------------------------------
     # parallel candidate-slab path
@@ -242,7 +222,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         if workers == 1:
             # Inline degenerate case: same kernel and index, no pool.
             with tracer.span("parallel.chunks", **span_attrs):
-                verdicts, _, index_candidates = compare_candidate_span(
+                verdicts, window_queries, index_candidates = compare_candidate_span(
                     groups,
                     self.comparator,
                     index,
@@ -252,9 +232,7 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                 )
                 apply_verdicts(state, verdicts)
                 self._index_candidates += index_candidates
-            self._flush_index_counts(
-                index.window_queries, index.candidates_returned, tracer
-            )
+            self._flush_index_counts(window_queries, index_candidates, tracer)
             self._final_sweep(groups, state)
             return
 

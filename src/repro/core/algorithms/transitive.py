@@ -9,8 +9,10 @@ Under ``prune_policy="safe"`` no candidate is skipped outright; instead a
 group whose verdict is sealed only participates in the directions that can
 still change someone's verdict (see base module docstring).
 
-The loop runs on the batch kernel: each candidate's row is decided ahead
-in doubling prefixes and replayed pair by pair
+The loop runs on the batch kernel: the rows of upcoming candidates are
+decided ahead in row batches (:mod:`repro.core.row_batch`), a candidate's
+row past its batched prefix in doubling one-candidate batches, and
+replayed pair by pair
 (:meth:`~repro.core.algorithms.base.AggregateSkylineAlgorithm._run_rows`).
 """
 

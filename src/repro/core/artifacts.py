@@ -14,10 +14,8 @@ fingerprint covers the full record matrix, any logically different dataset
 :class:`~repro.core.incremental.IncrementalAggregateSkyline` after a
 mutation (its ``version`` counter bumps and ``to_dataset`` yields new
 content) — misses naturally, which *is* the invalidation story.  The cache
-stores plain data (flat array dicts, index-order tuples, read-only record
-columns); live objects with per-run counters (e.g.
-:class:`~repro.index.rtree.FlatRTree`) are re-hydrated per use so
-observability counters start at zero.
+stores read-only data (packed R-trees, index-order tuples, read-only record
+columns), shared by every compute over the same content.
 
 Hit/miss/eviction counters are flushed into the observability registry
 (``artifact_cache_{hits,misses,evictions}_total`` by artifact kind), so a
@@ -59,7 +57,7 @@ class ArtifactCache:
     """A thread-safe LRU of derived artifacts, keyed by content.
 
     ``maxsize`` bounds the number of entries (not bytes); the artifacts
-    cached here (flat R-tree arrays, sort orders) are small compared to the
+    cached here (packed R-trees, sort orders) are small compared to the
     datasets they derive from, and an experiment sweep touches only a
     handful of distinct datasets at a time.
     """
@@ -203,27 +201,17 @@ def set_cache(cache: Optional[ArtifactCache]) -> None:
 
 def packed_rtree(dataset, max_entries: int = 16):
     """A queryable :class:`~repro.index.rtree.FlatRTree` over the dataset's
-    max corners, with the packed arrays cached by content.
-
-    The cache stores the flat arrays (plain ndarrays); every call
-    re-hydrates a fresh ``FlatRTree`` via ``from_arrays`` — zero-copy on
-    the arrays, but with per-instance query counters starting at zero so
-    observability and :class:`~repro.core.result.AlgorithmStats` stay
-    bit-identical to an uncached build.
-    """
+    max corners, cached by content (queries only read it)."""
     from ..index.rtree import FlatRTree
 
     def build():
-        return FlatRTree.bulk_load_points(
-            dataset.max_corners, max_entries=max_entries
-        ).arrays()
+        return FlatRTree.bulk_load_points(dataset.max_corners, max_entries=max_entries)
 
     if not cache_enabled():
-        return FlatRTree.from_arrays(build())
-    arrays = get_cache().get_or_build(
+        return build()
+    return get_cache().get_or_build(
         dataset, "flat_rtree", ("max_corners", max_entries), build
     )
-    return FlatRTree.from_arrays(arrays)
 
 
 def sort_order(dataset, key_name: str, key_func) -> Tuple[int, ...]:

@@ -33,8 +33,9 @@ comparisons of large ones pay it once per block.
 dataset's :class:`RecordColumns`, and runs them *block-synchronously*:
 
 1. The Figure-9 setup of every direction in one vectorised pass (corner
-   tests, then regions A and C record by record), which leaves each
-   direction its known and pending pair counts and its pending records.
+   tests, then regions A and C record by record for the directions the
+   corners leave open), which leaves each direction its known and pending
+   pair counts and its pending records.
 2. Rounds.  Each round checks the *next* block of every direction that is
    still undecided — the same ``max(1, block_size // n_y)`` rows
    ``compare()`` would check next — packed into slices of at most
@@ -52,7 +53,11 @@ stopping-rule-exit flags are therefore exactly ``compare()``'s;
 :meth:`GroupComparator.settle` turns one pair's two directions into its
 :class:`ComparisonOutcome` with list lookups, and
 :meth:`GroupComparator.compare_batch` does the same for whole arrays of
-pairs.
+pairs.  NL and PAR's two-phase chunks call ``compare_batch``; TR, SI, IN,
+LO and the IN/LO chunk kernel decide their rows ahead through
+:class:`~repro.core.row_batch.RowBatch` and ``settle`` the pairs they
+reach.  ``compare()`` is left for IN/LO window members past a
+candidate's batched prefix, PAR's exchange mode and the probes.
 
 *Exact thresholds.*  A direction holds at threshold ``γ = num/den`` when
 ``p = 1`` or ``count / t > γ`` for ``t = n_x · n_y``.  ``compare()``
@@ -520,7 +525,8 @@ def _setup(
     """Figure-9 setup of every direction "``x[p]`` over ``y[p]``".
 
     The vectorised counterpart of one :class:`_DirectionalCount` setup per
-    direction: the same corner tests and region classification.  Returns
+    direction: the same corner tests, then the region classification of
+    the records of the directions the corner tests leave open only.  Returns
     ``(known, pending, x_first, x_count, y_first, y_count, x_mid, y_mid)``:
     direction ``p``'s pending records of X are ``x_mid[x_first[p] :
     x_first[p] + x_count[p]]`` in record order, those of Y likewise, and
@@ -535,17 +541,17 @@ def _setup(
         known = np.zeros(count, dtype=np.int64)
         return known, n_x * n_y, starts[x], n_x, starts[y], n_y, None, None
     records = columns.records
-    owner_x, offset_x = _ranges(n_x)
-    owner_y, offset_y = _ranges(n_y)
-    rec_x = starts[x][owner_x] + offset_x
-    rec_y = starts[y][owner_y] + offset_y
     # Corner tests first, as in _DirectionalCount._setup: no record of X
     # can dominate unless X's best corner dominates Y's worst, and the
     # domination is total when X's worst corner dominates Y's best.
     possible = _dominates(columns.maxs[:, x], columns.mins[:, y])
     whole = possible & _dominates(columns.mins[:, x], columns.maxs[:, y])
     split = possible & ~whole
-    # Regions of the remaining pairs, record by record.
+    # Regions of the remaining directions' records, record by record.
+    owner_x, offset_x = _ranges(np.where(split, n_x, 0))
+    owner_y, offset_y = _ranges(np.where(split, n_y, 0))
+    rec_x = starts[x][owner_x] + offset_x
+    rec_y = starts[y][owner_y] + offset_y
     x_vals = records[:, rec_x]
     y_of_x = y[owner_x]
     x_all = _dominates(x_vals, columns.maxs[:, y_of_x])
@@ -556,12 +562,6 @@ def _setup(
     y_all = _dominates(columns.mins[:, x_of_y], y_vals)
     y_mid = _dominates(columns.maxs[:, x_of_y], y_vals) & ~y_all
     del y_vals
-    x_in = split[owner_x]
-    y_in = split[owner_y]
-    x_all &= x_in
-    x_mid &= x_in
-    y_all &= y_in
-    y_mid &= y_in
     n_x_all = np.bincount(owner_x[x_all], minlength=count)
     n_x_mid = np.bincount(owner_x[x_mid], minlength=count)
     n_y_all = np.bincount(owner_y[y_all], minlength=count)

@@ -345,12 +345,15 @@ class _PendingQuery:
     ``outstanding`` into ``results`` (worker deliveries, deduplicated by
     span) or ``inline`` (serial-fallback spans the *waiting* thread must
     execute itself — chunk kernels never run on the router).  All fields
-    are guarded by the pool lock; ``cond`` shares it.
+    are guarded by the pool lock; ``cond`` shares it.  ``trace`` holds
+    the submitting thread's trace ids, which the router's fault events
+    for the query carry (the router has no span of its own).
     """
 
     __slots__ = (
         "qid", "prepare", "items", "outstanding", "results", "inline",
         "total", "on_failure", "progress", "inline_fallback", "cond", "error",
+        "trace",
     )
 
     def __init__(
@@ -369,6 +372,12 @@ class _PendingQuery:
         self.inline_fallback = inline_fallback
         self.cond = cond
         self.error: Optional[BaseException] = None
+        context = obs_tracing.current_trace_context()
+        self.trace: Dict[str, str] = {}
+        if context is not None:
+            self.trace["trace_id"] = context.trace_id
+            if context.span_id is not None:
+                self.trace["span_id"] = context.span_id
 
     def task(self, span: Tuple[int, int]) -> tuple:
         item = self.items[span[0]] if self.items is not None else None
@@ -615,9 +624,9 @@ class PersistentPool:
         """Pin a packed FlatRTree's arrays in every worker; returns its key.
 
         Keys are content digests, so the same cached artifact
-        (:func:`repro.core.artifacts.packed_rtree` returns the same array
-        dict across queries) ships exactly once per pool — including
-        when two concurrent queries race to pin it.
+        (:func:`repro.core.artifacts.packed_rtree` returns the same index
+        across queries) ships exactly once per pool — including when two
+        concurrent queries race to pin it.
         """
         arrays = index.arrays()
         digest = hashlib.blake2b(digest_size=12)
@@ -1015,6 +1024,7 @@ class PersistentPool:
                 error=type(exc).__name__,
                 attempt=slot.failures,
                 budget=self.max_respawns,
+                **pending.trace,
             )
             self._backlog.appendleft((pending.qid, span))
             return
@@ -1030,7 +1040,7 @@ class PersistentPool:
         spans = sorted(pending.outstanding) if spans is None else list(spans)
         pending.outstanding.difference_update(spans)
         pending.inline.extend(spans)
-        obs_runlog.emit("pool_fallback", chunks=len(spans))
+        obs_runlog.emit("pool_fallback", chunks=len(spans), **pending.trace)
         _pool_counter(
             "pool_inline_fallbacks_total",
             "Chunk batches finished inline after the pool could not run them",
@@ -1124,6 +1134,16 @@ class PersistentPool:
             "Pool worker processes that died mid-run",
         ).inc(1)
         reclaimed = len(slot.outstanding)
+        # The event joins the trace of the first query the slot held a
+        # task of, if any.
+        trace = next(
+            (
+                self._pending[qid].trace
+                for qid, _ in slot.outstanding
+                if qid in self._pending
+            ),
+            {},
+        )
         self._backlog.extendleft(reversed(slot.outstanding))
         slot.outstanding.clear()
         exitcode = slot.process.exitcode
@@ -1165,6 +1185,7 @@ class PersistentPool:
             respawns=slot.respawns,
             budget=self.max_respawns,
             reclaimed=reclaimed,
+            **trace,
         )
 
     def ensure_healthy(self) -> int:

@@ -85,13 +85,13 @@ class FlatRTree:
     """A read-only packed R-tree whose window query is one array mask.
 
     Built from a point matrix (:meth:`bulk_load_points`), the whole index
-    is three contiguous ndarrays: ``entry_lows`` and ``entry_highs``
-    (``d × n``: row ``k`` holds coordinate ``k`` of every entry, so the
-    window mask reduces across whole rows) and ``entry_items`` (the
-    ``int64`` payloads; the aggregate skyline stores group positions).
-    They ship to pool workers through ``multiprocessing.shared_memory``
-    without pickling, and :meth:`from_arrays` rebuilds a queryable index
-    from the mapped buffers in O(1) (views, never copies).
+    is two contiguous ndarrays: ``entry_points`` (``d × n``: row ``k``
+    holds coordinate ``k`` of every entry, so the window mask reduces
+    across whole rows) and ``entry_items`` (the ``int64`` payloads; the
+    aggregate skyline stores group positions).  They ship to pool workers
+    through ``multiprocessing.shared_memory`` without pickling, and
+    :meth:`from_arrays` rebuilds a queryable index from the mapped
+    buffers in O(1) (views, never copies).
 
     Entry-order contract: the entries are stored in the order a
     depth-first window walk over the :func:`str_levels` nodes reaches
@@ -105,26 +105,11 @@ class FlatRTree:
     determinism contract and of the IN/LO work counters.
     """
 
-    __slots__ = (
-        "entry_lows",
-        "entry_highs",
-        "entry_items",
-        "window_queries",
-        "candidates_returned",
-    )
+    __slots__ = ("entry_points", "entry_items")
 
-    def __init__(
-        self,
-        entry_lows: np.ndarray,
-        entry_highs: np.ndarray,
-        entry_items: np.ndarray,
-    ):
-        self.entry_lows = entry_lows
-        self.entry_highs = entry_highs
+    def __init__(self, entry_points: np.ndarray, entry_items: np.ndarray):
+        self.entry_points = entry_points
         self.entry_items = entry_items
-        # observability counters, flushed by IN/LO
-        self.window_queries = 0
-        self.candidates_returned = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -164,7 +149,7 @@ class FlatRTree:
             if payload.shape != (count,):
                 raise ValueError("items must be 1-d, one per point")
         if count == 0:
-            return cls(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
+            return cls(np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
 
         levels = str_levels(points, max_entries)
         entry_order: List[int] = []
@@ -178,15 +163,13 @@ class FlatRTree:
                 stack.extend((level - 1, child) for child in members)
 
         entry_rows = np.asarray(entry_order, dtype=np.int64)
-        # A point's low and high corners coincide: one array serves both.
-        entry_points = points[entry_rows].T.copy()
-        return cls(entry_points, entry_points, payload[entry_rows])
+        return cls(points[entry_rows].T.copy(), payload[entry_rows])
 
     # ------------------------------------------------------------------
     # (de)serialisation to plain arrays (for shared-memory shipping)
     # ------------------------------------------------------------------
 
-    _ARRAY_FIELDS = ("entry_lows", "entry_highs", "entry_items")
+    _ARRAY_FIELDS = ("entry_points", "entry_items")
 
     def arrays(self) -> Dict[str, np.ndarray]:
         """The flat representation as named arrays (zero-copy)."""
@@ -207,15 +190,13 @@ class FlatRTree:
         ``±inf`` bounds are allowed, enabling the dominance windows of
         Algorithm 5 (``[g.min, +inf)`` in every dimension).
         """
-        self.window_queries += 1
         if not len(self.entry_items):
             return []
         lo = np.asarray(low, dtype=np.float64)[:, None]
         hi = np.asarray(high, dtype=np.float64)[:, None]
-        hit = (self.entry_lows <= hi).all(axis=0) & (self.entry_highs >= lo).all(axis=0)
-        results = self.entry_items[hit].tolist()
-        self.candidates_returned += len(results)
-        return results
+        points = self.entry_points
+        hit = (points <= hi).all(axis=0) & (points >= lo).all(axis=0)
+        return self.entry_items[hit].tolist()
 
     def __len__(self) -> int:
         return int(self.entry_items.shape[0])

@@ -56,7 +56,7 @@ import numpy as np
 from ..core.comparator import GroupComparator, RecordColumns
 from ..core.gamma import GammaThresholds
 from ..core.groups import Group
-from ..core.window_batch import WindowBatch
+from ..core.row_batch import RowBatch, backward_only, windows
 from ..obs import tracing as obs_tracing
 from ..obs.tracing import TraceContext, Tracer
 from .faults import FaultSpec
@@ -386,16 +386,16 @@ def compare_candidate_span(
     across chunks, workers and dispatch orders.
 
     Over the dataset's record ``columns`` (built once per process and
-    dataset, never per chunk) the kernel speculates as the serial loop
-    does (:mod:`repro.core.window_batch`): a candidate that no batch
-    covers yet batches the span's next candidates, deciding each one's
-    leading window members in one batch-kernel call, backward only.  The
-    loop itself is unchanged — one ``search_window`` per candidate, the
-    window in order, the first dominator breaks — and a compare whose
-    member is the candidate's next batched one is settled from the batch,
-    identically to ``compare()``; the rest go through ``compare()``.
-    Speculation moves no counter, so the chunking invariance above holds
-    for it too.
+    dataset, never per chunk) the kernel decides ahead in row batches, as
+    the serial loop does (:mod:`repro.core.row_batch`): a candidate that
+    no batch covers yet batches the span's next candidates, querying each
+    one's window and deciding its first members in one batch-kernel call,
+    backward only.  The loop itself is unchanged — each candidate walks
+    its window in order and the first dominator breaks — and a batched
+    member is settled from the batch, identically to ``compare()``; the
+    members past a candidate's batched prefix go through ``compare()``.
+    Deciding ahead moves no counter, so the chunking invariance above
+    holds for it too.
 
     Returns ``(verdicts, window_queries, index_candidates)`` where the
     verdicts are ``(i, i, D21|D21_STRONG)`` self-marks.
@@ -405,37 +405,26 @@ def compare_candidate_span(
     verdicts: List[Tuple[int, int, int]] = []
     window_queries = 0
     index_candidates = 0
-    batch: Optional[WindowBatch] = None
+    batch: Optional[RowBatch] = None
     for position in range(start, stop):
         i = order[position]
-        g1 = groups[i]
-        if batch is None or i not in batch.members:
-            batch = WindowBatch(
-                comparator,
-                columns,
-                index,
-                islice(order, position, stop),
-                upper,
-                forward=False,
-            )
-        members, slot = batch.members[i]
-        candidates = index.search_window(g1.bbox.min_corner, upper)
+        if batch is None or i not in batch.rows:
+            upcoming = windows(index, groups, islice(order, position, stop), upper)
+            batch = RowBatch(comparator, columns, upcoming, backward_only)
+        window, prepared, _ = batch.rows[i]
         window_queries += 1
-        index_candidates += len(candidates)
-        taken = 0
-        for j in candidates:
+        index_candidates += len(window)
+        for j in window:
             if j == i:
                 continue
-            if taken < len(members) and members[taken] == j:
-                outcome = comparator.settle(
-                    *batch.prepared(slot + taken),
-                    need_forward=False,
-                    need_backward=True,
-                )
-                taken += 1
-            else:
+            settled = prepared.get(j)
+            if settled is None:
                 outcome = comparator.compare(
-                    g1, groups[j], need_forward=False, need_backward=True
+                    groups[i], groups[j], need_forward=False, need_backward=True
+                )
+            else:
+                outcome = comparator.settle(
+                    *settled, need_forward=False, need_backward=True
                 )
             if outcome.d21_strong:
                 verdicts.append((i, i, D21_STRONG))

@@ -514,9 +514,16 @@ class TestObservability:
         self._one_pool(names)
         assert names.count("slot_respawn") == 1
         assert "pool_error" not in names  # the query recovered
-        # events emitted on the query's thread correlate to its trace
+        # events correlate to the query's trace, the fault events the
+        # pool's router thread emits included
         trace_ids = {e["trace_id"] for e in events if "trace_id" in e}
         assert len(trace_ids) == 1
+        faults = [
+            e for e in events
+            if e["event"] in ("slot_respawn", "chunk_retry", "pool_fallback")
+        ]
+        assert faults
+        assert all(e.get("trace_id") in trace_ids for e in faults)
         respawn = next(e for e in events if e["event"] == "slot_respawn")
         assert respawn["respawned"] is True
         assert respawn["signal"] == "SIGKILL"

@@ -452,8 +452,8 @@ class TestStatsRegistryReconciliation:
     @pytest.mark.parametrize("name", ["NL", "TR", "SI", "PAR", "IN", "LO"])
     def test_detailed_metrics_when_enabled(self, name, reconciliation_dataset):
         # Every one of these loops decides its compares on the batch
-        # kernel (NL and PAR's two-phase chunks whole, TR/SI row prefixes,
-        # IN/LO window batches), not through compare(), so this pins the
+        # kernel (NL and PAR's two-phase chunks whole, TR/SI/IN/LO row
+        # batches), not through compare(), so this pins the
         # batched paths' per-compare instruments.  PAR runs its chunks
         # inline, on the instrumented comparator.
         registry = MetricsRegistry()

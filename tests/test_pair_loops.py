@@ -2,8 +2,9 @@
 
 These loops decide their compares on the block-synchronous batch kernel
 (:meth:`~repro.core.comparator.GroupComparator.compare_batch` for NL and
-two-phase chunks; doubling row prefixes replayed through
-``_compare_pair(prepared=...)`` for TR and SI).  This module keeps the
+two-phase chunks; row batches of upcoming candidates, then doubling
+one-candidate tails, replayed through ``_compare_pair(prepared=...)`` for
+TR and SI, see :mod:`repro.core.row_batch`).  This module keeps the
 per-pair loops — one ``compare()`` per pair — as the reference: the
 batched loops must give the same keys, verdicts and every work counter,
 and must not fall back to ``compare()`` at all.
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithms import base as base_module
+from repro.core import row_batch
 from repro.core.algorithms import make_algorithm
 from repro.core.algorithms import nested_loop as nested_loop_module
 from repro.core.algorithms.nested_loop import NestedLoopAlgorithm
@@ -111,8 +112,9 @@ def configurations(draw):
 
     Integer-grid values drawn from a small pool of records give ties and
     duplicate records; sizes mix single-record groups with groups of 12
-    and 40 records.  ``row_batch`` and ``pairs_per_batch`` shrink the
-    batch constants so small datasets cross many batch boundaries.
+    and 40 records.  ``batch_candidates``, ``batch_members`` and
+    ``pairs_per_batch`` shrink the batch constants so small datasets cross
+    many batch boundaries.
     """
     dims = draw(st.integers(1, 4))
     sizes = draw(
@@ -141,7 +143,8 @@ def configurations(draw):
         use_stopping_rule=draw(st.booleans()),
         use_bbox=draw(st.booleans()),
         prune_policy=draw(st.sampled_from(["paper", "safe"])),
-        row_batch=draw(st.sampled_from([1, 2, 8])),
+        batch_candidates=draw(st.sampled_from([1, 3, 128])),
+        batch_members=draw(st.sampled_from([1, 2, 8])),
         pairs_per_batch=draw(st.sampled_from([1, 5, 2048])),
         split=draw(st.floats(0.0, 1.0)),
     )
@@ -159,7 +162,9 @@ def test_batched_loops_match_per_pair_loops(config):
         block_size=config["block_size"],
     )
     with mock.patch.object(
-        base_module, "ROW_BATCH", config["row_batch"]
+        row_batch, "BATCH_CANDIDATES", config["batch_candidates"]
+    ), mock.patch.object(
+        row_batch, "BATCH_MEMBERS", config["batch_members"]
     ), mock.patch.object(
         nested_loop_module, "PAIRS_PER_BATCH", config["pairs_per_batch"]
     ), mock.patch.object(

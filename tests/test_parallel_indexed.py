@@ -410,11 +410,8 @@ class NodeWalk:
         count = len(self.points)
         self.items = list(range(count)) if items is None else list(items)
         self.levels = str_levels(self.points) if count else []
-        self.window_queries = 0
-        self.candidates_returned = 0
 
     def search_window(self, low, high):
-        self.window_queries += 1
         hits = []
         stack = [(len(self.levels) - 1, 0)] if self.levels else []
         while stack:
@@ -435,7 +432,6 @@ class NodeWalk:
                 for child in nodes.members[node]
                 if _intersects(below.lows[child], below.highs[child], low, high)
             )
-        self.candidates_returned += len(hits)
         return hits
 
 
@@ -458,8 +454,6 @@ class TestFlatRTree:
         assert len(flat) == len(points)
         for low, high in self._windows():
             assert flat.search_window(low, high) == walk.search_window(low, high)
-        assert flat.window_queries == walk.window_queries
-        assert flat.candidates_returned == walk.candidates_returned
 
     def test_arrays_round_trip(self):
         points = self._points(seed=5, n=64)
@@ -505,8 +499,6 @@ class TestFlatRTree:
             windows += [(p, upper), (p, p)]
         for low, high in windows:
             assert flat.search_window(low, high) == walk.search_window(low, high)
-        assert flat.window_queries == walk.window_queries
-        assert flat.candidates_returned == walk.candidates_returned
 
     def test_empty_tree_packs(self):
         flat = FlatRTree.bulk_load_points(np.zeros((0, 2)))

@@ -1,11 +1,12 @@
-"""Window-batched IN/LO compares against the per-pair loops they replace.
+"""Row-batched IN/LO compares against the per-pair loops they replace.
 
-The serial IN/LO loop and the chunk kernel every pool runs settle the
-leading window members of upcoming candidates from one batch
-(:mod:`repro.core.window_batch`).  This module keeps the per-pair versions
-of both loops as the reference.  Batching must leave keys, verdicts and
-every work counter bit-identical to them, and the loops must settle every
-batched pair they reach from the batch rather than through ``compare()``.
+The serial IN/LO loop and the chunk kernel every pool runs query each
+upcoming candidate's window once, when its row batch is built, and settle
+the window members the batch decided (:mod:`repro.core.row_batch`).  This
+module keeps the per-pair versions of both loops as the reference.
+Batching must leave keys, verdicts and every work counter bit-identical to
+them, and no pair inside a candidate's batched prefix may reach
+``compare()``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import window_batch
+from repro.core import row_batch
 from repro.core.algorithms.indexed import IndexedAlgorithm
 from repro.core.comparator import GroupComparator, RecordColumns
 from repro.core.gamma import GammaThresholds
@@ -88,11 +89,12 @@ def per_pair_span(groups, comparator, index, order, span):
 @contextmanager
 def record_calls(comparator):
     """Log the ``(g1, g2)`` positions of every ``compare()`` call on
-    ``comparator`` and the ``(candidate, member)`` pairs every window batch
-    built meanwhile decided."""
-    compared, prepared = set(), set()
+    ``comparator`` and the ``(candidate, member)`` pairs inside the batched
+    prefix of every row a batch built meanwhile covered (IN/LO rows are
+    windows, walked from their start)."""
+    compared, prefixes = set(), set()
     compare = comparator.compare
-    init = window_batch.WindowBatch.__init__
+    init = row_batch.RowBatch.__init__
 
     def logged_compare(g1, g2, **directions):
         compared.add((g1.index, g2.index))
@@ -100,15 +102,15 @@ def record_calls(comparator):
 
     def logged_init(batch, *args, **options):
         init(batch, *args, **options)
-        prepared.update(
+        prefixes.update(
             (candidate, member)
-            for candidate, (members, _) in batch.members.items()
-            for member in members
+            for candidate, (row, _, covered) in batch.rows.items()
+            for member in row[:covered]
         )
 
     comparator.compare = logged_compare
-    with mock.patch.object(window_batch.WindowBatch, "__init__", logged_init):
-        yield compared, prepared
+    with mock.patch.object(row_batch.RowBatch, "__init__", logged_init):
+        yield compared, prefixes
 
 
 def counters(comparator):
@@ -121,9 +123,9 @@ def configurations(draw):
 
     Integer-grid values give ties and duplicate records; sizes mix
     single-record groups, small groups and groups of ``isqrt(block) + 1``
-    records, so one window holds pairs on both sides of the one-block
-    member policy ``n_a · n_b <= block_size``.  ``K`` and ``L`` shrink the
-    batch constants so small datasets cross many batch boundaries.
+    records, so one window holds pairs of one kernel block and of several.
+    The batch constants shrink so small datasets cross many batch
+    boundaries, and a small ``held_members`` ends batches early.
     """
     dims = draw(st.integers(1, 5))
     block_size = draw(st.sampled_from([1, 3, 64, 1024]))
@@ -160,6 +162,7 @@ def configurations(draw):
         prune_policy=draw(st.sampled_from(["paper", "safe"])),
         batch_candidates=draw(st.sampled_from([1, 3, 128])),
         batch_members=draw(st.sampled_from([1, 2, 8])),
+        held_members=draw(st.sampled_from([1, 5, 1 << 16])),
         split=draw(st.floats(0.0, 1.0)),
     )
 
@@ -176,11 +179,13 @@ def test_batched_loops_match_per_pair_loops(config):
         block_size=config["block_size"],
     )
     with mock.patch.object(
-        window_batch, "BATCH_CANDIDATES", config["batch_candidates"]
-    ), mock.patch.object(window_batch, "BATCH_MEMBERS", config["batch_members"]):
+        row_batch, "BATCH_CANDIDATES", config["batch_candidates"]
+    ), mock.patch.object(
+        row_batch, "BATCH_MEMBERS", config["batch_members"]
+    ), mock.patch.object(row_batch, "HELD_MEMBERS", config["held_members"]):
         # Serial loop: same keys and every AlgorithmStats counter.
         batched = IndexedAlgorithm(**options)
-        with record_calls(batched.comparator) as (compared, prepared):
+        with record_calls(batched.comparator) as (compared, prefixes):
             result = batched.compute(dataset)
         expected = PerPairIndexed(**options).compute(dataset)
         assert result.keys == expected.keys
@@ -189,7 +194,7 @@ def test_batched_loops_match_per_pair_loops(config):
                 assert getattr(result.stats, field.name) == getattr(
                     expected.stats, field.name
                 ), field.name
-        assert not compared & prepared
+        assert not compared & prefixes
 
         # Chunk kernel over two spans, with worker-built columns.
         groups = dataset.groups
@@ -210,19 +215,18 @@ def test_batched_loops_match_per_pair_loops(config):
                 use_bbox=options["use_bbox"],
                 block_size=options["block_size"],
             )
-            with record_calls(kernel) as (compared, prepared):
+            with record_calls(kernel) as (compared, prefixes):
                 assert compare_candidate_span(
                     groups, kernel, index, order, span, columns=columns
                 ) == per_pair_span(groups, reference, index, order, span)
             assert counters(kernel) == counters(reference)
-            assert not compared & prepared
+            assert not compared & prefixes
 
 
 @settings(max_examples=60, deadline=None)
 @given(configurations())
 def test_settle_matches_compare_for_every_direction_request(config):
-    # Pairs on both sides of the one-block member policy: the kernel
-    # itself takes any group sizes.
+    # Pairs of one kernel block and of several.
     dataset = config["dataset"]
     groups = dataset.groups
     pairs = [

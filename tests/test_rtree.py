@@ -94,17 +94,6 @@ class TestWindowQueries:
         assert set(tree.search_window([6.0, 1.0], [np.inf, np.inf])) == {3}
         assert tree.search_window([-np.inf, -np.inf], [np.inf, np.inf]) != []
 
-    def test_rect_payloads(self):
-        # Entries may be boxes: a window hits every box it intersects.
-        tree = FlatRTree(
-            np.array([[0.0, 5.0], [0.0, 5.0]]),
-            np.array([[2.0, 6.0], [2.0, 6.0]]),
-            np.array([10, 11], dtype=np.int64),
-        )
-        assert tree.search_window([1.0, 1.0], [1.5, 1.5]) == [10]
-        assert set(tree.search_window([0.0, 0.0], [10.0, 10.0])) == {10, 11}
-        assert tree.search_window([2.0, 2.0], [5.0, 5.0]) == [10, 11]
-
     def test_duplicate_points_all_found(self):
         points = np.ones((10, 2))
         tree = FlatRTree.bulk_load_points(points, max_entries=4)
