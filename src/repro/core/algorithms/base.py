@@ -28,9 +28,7 @@ from __future__ import annotations
 import abc
 from functools import partial
 from itertools import islice
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ...obs import metrics as obs_metrics
 from ...obs import runlog as obs_runlog
@@ -121,12 +119,12 @@ class GroupState:
     def is_strong(self, index: int) -> bool:
         return self.strong[index]
 
-    def mark_masks(self, dominated: np.ndarray, strong: np.ndarray) -> None:
-        """Mark every group set in the boolean masks (``strong`` implies
-        dominated, as with :meth:`mark_strong`)."""
-        for index in np.flatnonzero(dominated | strong).tolist():
+    def mark(self, dominated: Iterable[int], strong: Iterable[int]) -> None:
+        """Mark the ``dominated`` groups, and of those the ``strong`` ones
+        strongly dominated (a chunk outcome's lists)."""
+        for index in dominated:
             self.dominated[index] = True
-        for index in np.flatnonzero(strong).tolist():
+        for index in strong:
             self.strong[index] = True
 
     def surviving_keys(self, groups: List[Group]) -> List[Hashable]:

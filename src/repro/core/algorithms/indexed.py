@@ -29,13 +29,7 @@ from ...index.rtree import FlatRTree
 from .. import artifacts
 from ...obs import metrics as obs_metrics
 from ...obs import tracing as obs_tracing
-from ...parallel.executor import (
-    PoolRun,
-    WorkerConfig,
-    apply_verdicts,
-    compare_candidate_span,
-    run_spans,
-)
+from ...parallel.executor import PoolRun, WorkerConfig, run_spans
 from ...parallel.partition import chunk_ranges
 from ...parallel.scheduler import guided_spans
 from ..execution import ExecutionConfig, coerce_execution
@@ -45,8 +39,8 @@ from ..result import AlgorithmStats
 from ..row_batch import RowBatch, windows
 from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
-    absorb_outcomes,
-    flush_pool_metrics,
+    CHUNKS_PER_WORKER,
+    merge_run,
     pool_run_kwargs,
     record_chunk_events,
 )
@@ -88,9 +82,10 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         #: untouched; a config with ``workers`` set runs the parallel
         #: candidate-slab path (see :meth:`_run_parallel`).
         self.execution = coerce_execution(execution)
-        #: Per-chunk worker statistics of the last compute() (pooled runs).
+        #: Per-chunk statistics of the last parallel compute().
         self.worker_stats: List[AlgorithmStats] = []
-        #: Full PoolRun of the last pooled compute(); None otherwise.
+        #: Full PoolRun of the last parallel compute() (inline chunks
+        #: too); None after a serial one.
         self.last_pool_run: Optional[PoolRun] = None
         #: A warm engine's ``(pool, token)`` (see ParallelSkylineAlgorithm);
         #: ``None`` runs on a pool of its own.
@@ -187,7 +182,6 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                     if self.prune_policy == "safe" or outcome.d21_strong:
                         break
         self._flush_index_counts(polled, self._index_candidates, tracer)
-        self._final_sweep(groups, state)
 
     # ------------------------------------------------------------------
     # parallel candidate-slab path
@@ -197,11 +191,13 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         """Parallel Algorithm 5: candidate slabs against a shared index.
 
         The STR-bulk-loaded :class:`~repro.index.rtree.FlatRTree` is
-        built once; workers reconstruct it
-        read-only from shipped flat arrays (shared memory on spawn
-        platforms, inherited pages under fork).  Each worker takes a slab
-        of candidate groups and runs the window-query + γ-comparison
-        inner loop under the *independent-candidate* discipline (see
+        built once; pool workers reconstruct it read-only from shipped
+        flat arrays (shared memory on spawn platforms, inherited pages
+        under fork), and ``workers=1`` runs the slabs on this thread
+        (:func:`repro.parallel.executor.run_spans`).  Each chunk is a
+        slab of candidate groups, run through the window-query +
+        γ-comparison inner loop under the *independent-candidate*
+        discipline (see
         :func:`repro.parallel.executor.compare_candidate_span`): every
         group's verdict is a pure function of its own deterministic
         window loop, so results **and all work counters** are identical
@@ -216,33 +212,10 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
         n = len(groups)
         order = self._sorted_order(groups)
         workers = execution.resolve_workers()
-        scheduler = execution.scheduler
-        span_attrs = dict(workers=workers, candidates=n, scheduler=scheduler)
-
-        if workers == 1:
-            # Inline degenerate case: same kernel and index, no pool.
-            with tracer.span("parallel.chunks", **span_attrs):
-                verdicts, window_queries, index_candidates = compare_candidate_span(
-                    groups,
-                    self.comparator,
-                    index,
-                    order,
-                    (0, n),
-                    columns=self._batch_columns(groups),
-                )
-                apply_verdicts(state, verdicts)
-                self._index_candidates += index_candidates
-            self._flush_index_counts(window_queries, index_candidates, tracer)
-            self._final_sweep(groups, state)
-            return
-
-        min_chunk = execution.chunk_size
-        if min_chunk is None:
-            min_chunk = max(1, n // (workers * 16))
-        if scheduler == "stealing":
-            spans = guided_spans(n, workers, min_chunk=min_chunk)
+        if execution.scheduler == "stealing":
+            spans = guided_spans(n, workers, min_chunk=max(1, n // (workers * 16)))
         else:
-            spans = chunk_ranges(n, workers * 4)
+            spans = chunk_ranges(n, workers * CHUNKS_PER_WORKER)
         config = WorkerConfig(
             gamma=self.thresholds.gamma,
             use_stopping_rule=self.comparator.use_stopping_rule,
@@ -250,7 +223,14 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             block_size=self.comparator.block_size,
             prune_policy=self.prune_policy,
         )
-        with tracer.span("parallel.chunks", **span_attrs) as chunk_span:
+        # The inline kernel compares over this process's cached columns.
+        columns = self._batch_columns(groups) if workers == 1 else None
+        with tracer.span(
+            "parallel.chunks",
+            workers=workers,
+            candidates=n,
+            scheduler=execution.scheduler,
+        ) as chunk_span:
             run = run_spans(
                 groups,
                 config,
@@ -259,21 +239,17 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
                 kind="candidates",
                 index=index,
                 order=order,
+                columns=columns,
                 **pool_run_kwargs(self),
             )
             record_chunk_events(chunk_span, run)
         with tracer.span("parallel.merge", chunks=len(run.outcomes)):
-            self.last_pool_run = run
-            for outcome in run.outcomes:
-                apply_verdicts(state, outcome.verdicts)
-            absorb_outcomes(self, run.outcomes, self.worker_stats)
-            flush_pool_metrics(self.name, scheduler, run)
+            merge_run(self, run, state)
             self._flush_index_counts(
                 sum(outcome.window_queries for outcome in run.outcomes),
                 sum(outcome.index_candidates for outcome in run.outcomes),
                 tracer,
             )
-        self._final_sweep(groups, state)
 
     # ------------------------------------------------------------------
     # observability
@@ -295,6 +271,3 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             "Candidate groups returned by index window queries",
             ("algorithm",),
         ).inc(candidates, algorithm=self.name)
-
-    def _final_sweep(self, groups: List[Group], state: GroupState) -> None:
-        """Hook for subclasses; the plain indexed algorithm needs nothing."""

@@ -7,26 +7,22 @@ comparisons terminate early, but no group comparison is ever skipped — the
 result is therefore always the exact Definition-2 aggregate skyline and
 serves as the correctness oracle for the optimised algorithms.
 
-NL reads no state between compares, so it runs on the batch kernel
-(:meth:`~repro.core.comparator.GroupComparator.compare_batch`): the pairs,
-in their linear order, go through it :data:`PAIRS_PER_BATCH` at a time,
-with the same verdicts and counters as one ``compare()`` per pair.
+NL reads no state between compares, so it is ``PAR``'s two-phase pair
+kernel (:func:`repro.parallel.executor.compare_span`) over one span of all
+pairs, on the batch kernel, with the same verdicts and counters as one
+``compare()`` per pair.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
-from ...parallel.partition import pair_arrays, pair_count
+from ...parallel.executor import compare_span
+from ...parallel.partition import pair_count
 from ..groups import Group
 from .base import AggregateSkylineAlgorithm, GroupState
 
-__all__ = ["NestedLoopAlgorithm", "PAIRS_PER_BATCH"]
-
-#: Group pairs one batch-kernel call decides.
-PAIRS_PER_BATCH = 1 << 11
+__all__ = ["NestedLoopAlgorithm"]
 
 
 class NestedLoopAlgorithm(AggregateSkylineAlgorithm):
@@ -35,20 +31,12 @@ class NestedLoopAlgorithm(AggregateSkylineAlgorithm):
     name = "NL"
 
     def _run(self, groups: List[Group], state: GroupState) -> None:
-        n = len(groups)
-        total = pair_count(n)
-        if not total:
-            return
-        columns = self._batch_columns(groups)
-        dominated = np.zeros(n, dtype=bool)
-        strong = np.zeros(n, dtype=bool)
-        for start in range(0, total, PAIRS_PER_BATCH):
-            i, j = pair_arrays(start, min(total, start + PAIRS_PER_BATCH), n)
-            d12, d12_strong, d21, d21_strong = self.comparator.compare_batch(
-                columns, i, j
+        total = pair_count(len(groups))
+        if total:
+            dominated, strong, _ = compare_span(
+                groups,
+                self.comparator,
+                (0, total),
+                columns=self._batch_columns(groups),
             )
-            dominated[j[d12]] = True
-            strong[j[d12_strong]] = True
-            dominated[i[d21]] = True
-            strong[i[d21_strong]] = True
-        state.mark_masks(dominated, strong)
+            state.mark(dominated, strong)

@@ -7,18 +7,21 @@ skyline work such as *Aggregate Skyline Join Queries* (Bhattacharya & Teja)
 and *Efficient Contour Computation of Group-based Skyline* (Yu et al.)
 exploits.  ``PAR`` partitions the upper-triangular pair space into chunks
 (:mod:`repro.parallel.partition` / :mod:`repro.parallel.scheduler`) and
-runs them on a process pool (:func:`repro.parallel.executor.run_spans`),
-shipping the group ndarrays to the workers exactly once — inherited
-copy-on-write under ``fork``, or through ``multiprocessing.shared_memory``
-on spawn platforms.
+runs them through :func:`repro.parallel.executor.run_spans`: on the
+calling thread for ``workers=1``, else on a process pool, shipping the
+group ndarrays to the workers exactly once — inherited copy-on-write
+under ``fork``, or through ``multiprocessing.shared_memory`` on spawn
+platforms.
 
 Scheduling (``ExecutionConfig.scheduler``)
 ------------------------------------------
-* ``"static"`` — near-equal contiguous chunks.  Lowest overhead for
-  uniform workloads.
-* ``"stealing"`` — guided decreasing chunk sizes, so the small late
-  chunks balance the tail.  This is the remedy for skewed (Zipfian)
-  group sizes, where equal *pair counts* are wildly unequal *work*.
+* ``"static"`` — :data:`~repro.core.algorithms.pooled.CHUNKS_PER_WORKER`
+  near-equal contiguous chunks per worker.  Lowest overhead for uniform
+  workloads.
+* ``"stealing"`` — guided decreasing chunk sizes down to 1/64 of a
+  worker's share, so the small late chunks balance the tail.  This is
+  the remedy for skewed (Zipfian) group sizes, where equal *pair
+  counts* are wildly unequal *work*.
 
 Either way the pool hands the chunks out in order to whichever worker
 frees up, and executes every chunk exactly once with the same kernel, so
@@ -37,8 +40,9 @@ Determinism contract (see ``docs/parallel.md``)
   adversarial inputs, like serial ``TR``), but the work counters become
   schedule-dependent.
 
-Statistics of the pool workers are merged into the parent's comparator, so
-``AlgorithmStats`` — and therefore the observability registry flushed by
+Every chunk's marks and counters are merged into the parent
+(:func:`~repro.core.algorithms.pooled.merge_run`), so ``AlgorithmStats`` —
+and therefore the observability registry flushed by
 :meth:`~repro.core.algorithms.base.AggregateSkylineAlgorithm.compute` —
 reconciles exactly with the work actually performed across all processes;
 the per-chunk breakdown is kept in :attr:`ParallelSkylineAlgorithm.
@@ -51,13 +55,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ...obs import tracing as obs_tracing
-from ...parallel.executor import (
-    PoolRun,
-    WorkerConfig,
-    apply_verdicts,
-    compare_span,
-    run_spans,
-)
+from ...parallel.executor import PoolRun, WorkerConfig, run_spans
 from ...parallel.partition import chunk_ranges, pair_count
 from ...parallel.scheduler import guided_spans
 from ..execution import ExecutionConfig, coerce_execution
@@ -66,8 +64,8 @@ from ..groups import Group
 from ..result import AlgorithmStats
 from .base import AggregateSkylineAlgorithm, GroupState
 from .pooled import (
-    absorb_outcomes,
-    flush_pool_metrics,
+    CHUNKS_PER_WORKER,
+    merge_run,
     pool_run_kwargs,
     record_chunk_events,
 )
@@ -90,7 +88,6 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         use_bbox: bool = False,
         prune_policy: str = "paper",
         block_size: int = 1024,
-        chunks_per_worker: int = 4,
         execution: Optional[ExecutionConfig] = None,
     ):
         super().__init__(
@@ -100,22 +97,16 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
             prune_policy=prune_policy,
             block_size=block_size,
         )
-        if chunks_per_worker < 1:
-            raise ValueError("chunks_per_worker must be >= 1")
         execution = coerce_execution(execution) or ExecutionConfig()
         #: The unified execution configuration driving this instance.
         self.execution = execution
         #: Effective worker count (explicit > $REPRO_WORKERS > cpu-derived).
         self.workers = execution.resolve_workers()
-        self.chunks_per_worker = chunks_per_worker
         self.exchange_interval = execution.exchange_interval
-        self.pool_timeout = execution.pool_timeout
         self.scheduler = execution.scheduler
-        self.shm = execution.shm
-        self.chunk_size = execution.chunk_size
-        #: Per-chunk worker statistics of the last compute() (pooled runs).
+        #: Per-chunk statistics of the last compute().
         self.worker_stats: List[AlgorithmStats] = []
-        #: Full PoolRun of the last pooled compute(); None for inline runs.
+        #: Full PoolRun of the last compute() (inline chunks too).
         self.last_pool_run: Optional[PoolRun] = None
         #: The ``(pool, token)`` a warm :class:`~repro.engine.SkylineEngine`
         #: sets so the spans run on its resident pool; ``None`` runs each
@@ -133,29 +124,16 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
 
     def _spans(self, total: int):
         if self.scheduler == "stealing":
-            return guided_spans(total, self.workers, min_chunk=self.chunk_size)
-        return chunk_ranges(total, self.workers * self.chunks_per_worker)
+            return guided_spans(total, self.workers)
+        return chunk_ranges(total, self.workers * CHUNKS_PER_WORKER)
 
     def _run(self, groups: List[Group], state: GroupState) -> None:
         self.worker_stats = []
         self.last_pool_run = None
-        n = len(groups)
-        total = pair_count(n)
+        total = pair_count(len(groups))
         if total == 0:
             return
         spans = self._spans(total)
-        tracer = obs_tracing.get_tracer()
-        span_attrs = dict(
-            workers=self.workers,
-            chunks=len(spans),
-            pairs=total,
-            mode=self._mode,
-            scheduler=self.scheduler,
-        )
-        if self.workers == 1:
-            with tracer.span("parallel.chunks", **span_attrs):
-                self._run_inline(groups, state, spans, n)
-            return
         config = WorkerConfig(
             gamma=self.thresholds.gamma,
             use_stopping_rule=self.comparator.use_stopping_rule,
@@ -164,44 +142,27 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
             prune_policy=self.prune_policy,
             exchange_interval=self.exchange_interval,
         )
-        with tracer.span("parallel.chunks", **span_attrs) as chunk_span:
+        columns = None
+        if self.workers == 1 and self._mode == "two-phase":
+            # The inline kernel compares over this process's cached columns.
+            columns = self._batch_columns(groups)
+        tracer = obs_tracing.get_tracer()
+        with tracer.span(
+            "parallel.chunks",
+            workers=self.workers,
+            chunks=len(spans),
+            pairs=total,
+            mode=self._mode,
+            scheduler=self.scheduler,
+        ) as chunk_span:
             run = run_spans(
                 groups,
                 config,
                 spans,
                 self.workers,
+                columns=columns,
                 **pool_run_kwargs(self),
             )
             record_chunk_events(chunk_span, run)
         with tracer.span("parallel.merge", chunks=len(run.outcomes)):
-            self._merge(run, state)
-
-    # ------------------------------------------------------------------
-
-    def _run_inline(self, groups, state, spans, n) -> None:
-        """``workers == 1``: same kernel and chunk layout, no pool."""
-        flags = columns = None
-        if self.exchange_interval > 0:
-            flags = bytearray(n)
-        else:
-            columns = self._batch_columns(groups)
-        for span in spans:
-            verdicts, skipped = compare_span(
-                groups,
-                self.comparator,
-                span,
-                prune_policy=self.prune_policy,
-                flags=flags,
-                exchange_interval=self.exchange_interval,
-                columns=columns,
-            )
-            self._groups_skipped += skipped
-            apply_verdicts(state, verdicts)
-
-    def _merge(self, run: PoolRun, state: GroupState) -> None:
-        """Serial phase: fold worker verdicts and counters into this run."""
-        self.last_pool_run = run
-        for outcome in run.outcomes:
-            apply_verdicts(state, outcome.verdicts)
-        absorb_outcomes(self, run.outcomes, self.worker_stats)
-        flush_pool_metrics(self.name, self.scheduler, run)
+            merge_run(self, run, state)

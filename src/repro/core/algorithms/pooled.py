@@ -1,18 +1,19 @@
 """Shared merge and observability plumbing for pooled algorithm runs.
 
 Both ``PAR`` (pair chunks) and the parallel IN/LO path (candidate slabs)
-start a pooled run the same way — on a session's resident pool when an
-engine set one, else on a pool opened for the query — and end it the
-same way: absorb the workers' counters into the parent comparator so
-``AlgorithmStats`` — and therefore the always-on metrics flush —
-reconciles exactly with the work done across all processes, keep the
-per-chunk breakdown for inspection, and record the chunk count and
-latency.
+start a chunked run the same way — :func:`repro.parallel.executor.run_spans`,
+inline for ``workers=1``, on a session's resident pool when an engine set
+one, else on a pool opened for the query — and end it the same way,
+:func:`merge_run`: mark the groups each chunk reported, absorb the
+chunks' counters into the parent comparator so ``AlgorithmStats`` — and
+therefore the always-on metrics flush — reconciles exactly with the work
+done across all processes, keep the per-chunk breakdown for inspection,
+and record the chunk count and latency.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...obs import metrics as obs_metrics
 from ...obs.tracing import Span
@@ -20,12 +21,19 @@ from ...parallel.executor import ChunkOutcome, PoolRun
 from ..result import AlgorithmStats
 
 __all__ = [
+    "CHUNKS_PER_WORKER",
+    "merge_run",
     "absorb_outcomes",
     "flush_pool_metrics",
     "record_chunk_events",
     "pool_progress_callback",
     "pool_run_kwargs",
 ]
+
+
+#: Static chunks per worker, for PAR's pair spans and IN/LO's candidate
+#: slabs alike.
+CHUNKS_PER_WORKER = 4
 
 
 def pool_run_kwargs(algorithm) -> dict:
@@ -51,21 +59,33 @@ def pool_run_kwargs(algorithm) -> dict:
         on_failure=execution.on_failure,
     )
 
+
 #: Chunk latency buckets: 10µs … 100s in decades.
 CHUNK_SECONDS_BUCKETS = obs_metrics.log_buckets(1e-5, 10.0, 8)
+
+
+def merge_run(algorithm, run: PoolRun, state) -> None:
+    """The serial phase of a chunked run: mark what every chunk reported
+    in ``state``, absorb the chunks' counters into ``algorithm`` and its
+    ``worker_stats``, record the chunk metrics, keep ``last_pool_run``."""
+    algorithm.last_pool_run = run
+    for outcome in run.outcomes:
+        state.mark(outcome.dominated, outcome.strong)
+    absorb_outcomes(algorithm, run.outcomes, algorithm.worker_stats)
+    flush_pool_metrics(algorithm.name, algorithm.execution.scheduler, run)
 
 
 def absorb_outcomes(
     algorithm,
     outcomes: List[ChunkOutcome],
-    worker_stats: Optional[List[AlgorithmStats]] = None,
+    worker_stats: List[AlgorithmStats],
 ) -> None:
-    """Fold worker counters into ``algorithm``'s comparator and stats.
+    """Fold chunk counters into ``algorithm``'s comparator and stats.
 
     Updates the parent comparator (so the stats built by ``compute()``
     cover all processes), the index-candidate and skip tallies, the
     opt-in obs event counters, and appends one ``<name>.worker``
-    :class:`AlgorithmStats` per chunk to *worker_stats* when given.
+    :class:`AlgorithmStats` per chunk to *worker_stats*.
     """
     exits = 0
     shortcuts = 0
@@ -80,19 +100,18 @@ def absorb_outcomes(
         algorithm._index_candidates += outcome.index_candidates
         exits += outcome.stopping_rule_exits
         shortcuts += outcome.bbox_shortcuts
-        if worker_stats is not None:
-            worker_stats.append(
-                AlgorithmStats(
-                    algorithm=f"{algorithm.name}.worker",
-                    group_comparisons=outcome.comparisons,
-                    record_pairs_examined=outcome.pairs_examined,
-                    bbox_shortcuts=outcome.bbox_shortcuts,
-                    groups_skipped=outcome.pairs_skipped,
-                    index_candidates=outcome.index_candidates,
-                    stopping_rule_exits=outcome.stopping_rule_exits,
-                    elapsed_seconds=outcome.elapsed_seconds,
-                )
+        worker_stats.append(
+            AlgorithmStats(
+                algorithm=f"{algorithm.name}.worker",
+                group_comparisons=outcome.comparisons,
+                record_pairs_examined=outcome.pairs_examined,
+                bbox_shortcuts=outcome.bbox_shortcuts,
+                groups_skipped=outcome.pairs_skipped,
+                index_candidates=outcome.index_candidates,
+                stopping_rule_exits=outcome.stopping_rule_exits,
+                elapsed_seconds=outcome.elapsed_seconds,
             )
+        )
     # Detailed per-comparison instruments cannot observe remote
     # comparisons one by one, but the event *counters* still reconcile.
     if algorithm.comparator._obs_exit_counter is not None and exits:

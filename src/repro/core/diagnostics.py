@@ -3,9 +3,8 @@
 The evaluation shows the winning algorithm depends on the data's shape:
 group overlap (Figure 11), group-size distribution (Figure 13) and group
 count all matter.  :func:`dataset_statistics` measures those shape
-parameters; :func:`suggest_algorithm` turns them into a recommendation
-(the same regime analysis the `AD` algorithm applies internally, exposed
-for humans).
+parameters; :func:`suggest_algorithm` asks the planner
+(:mod:`repro.plan.optimizer`) which algorithm a serial query would run.
 """
 
 from __future__ import annotations
@@ -95,19 +94,22 @@ def suggest_algorithm(
 ) -> str:
     """Recommend an algorithm name for this dataset's shape.
 
-    Heuristics distilled from the reproduction's own measurements
-    (EXPERIMENTS.md):
-
-    * tiny problems — ``NL`` (overheads dominate);
-    * heavy MBB overlap — ``SI`` (window queries return everything,
-      Figure 11's crossover);
-    * heavy-tailed group sizes — ``SI`` profits from small-groups-first,
-      but the index methods still win — ``LO``;
-    * otherwise — ``LO``.
+    The planner's ``algorithm="auto"`` choice for a serial query at
+    γ = 0.5 (:func:`repro.plan.optimizer.decide`, memoised like every
+    planner decision): ``NL`` on tiny problems, never ``IN``/``LO`` under
+    heavy MBB overlap (Figure 11's crossover), otherwise the cheapest
+    candidate of the planner's cost model.  Raises ``ValueError`` on the
+    inputs :func:`dataset_statistics` rejects, and publishes its gauge.
     """
-    stats = dataset_statistics(dataset, overlap_samples=overlap_samples)
-    if stats.pair_budget <= 50_000:
-        return "NL"
-    if stats.overlap >= 0.65:
-        return "SI"
-    return "LO"
+    dataset_statistics(dataset, overlap_samples=overlap_samples)
+    # The planner imports the algorithms, which import this package.
+    from ..plan.logical import logical_for_dataset
+    from ..plan.optimizer import decide
+
+    return decide(
+        dataset,
+        logical_for_dataset(dataset, gamma=0.5, algorithm="auto"),
+        gamma=0.5,
+        algorithm="auto",
+        sample_pairs=overlap_samples,
+    ).algorithm

@@ -45,7 +45,8 @@ __all__ = [
 #:   chunks balance the tail of skewed workloads.
 SCHEDULERS: Tuple[str, ...] = ("static", "stealing")
 
-#: What a pooled run does when a worker crashes or a chunk raises.
+#: What a pooled run does when a worker crashes or a chunk raises (the one
+#: definition; :func:`repro.parallel.executor.run_spans` checks it too).
 #:
 #: * ``"raise"`` — fail fast: surface ``WorkerCrashError`` (or the worker
 #:   traceback) immediately.
@@ -83,12 +84,14 @@ class ExecutionConfig:
     workers:
         Pool size.  ``None`` keeps the algorithm's serial code path
         untouched (byte-for-byte the pre-parallel behaviour).  ``1``
-        runs the parallel kernel inline — no pool, no pickling — which
-        is the degenerate case of the determinism contract.  ``>= 2``
+        runs the same chunks through the same kernel on the calling
+        thread (:func:`repro.parallel.executor.run_spans`, no pool) —
+        the degenerate case of the determinism contract.  ``>= 2``
         spins up a process pool.
     scheduler:
         ``"static"`` (near-equal contiguous chunks) or ``"stealing"``
-        (guided decreasing chunks).
+        (guided decreasing chunks; see ``docs/parallel.md`` for their
+        sizes).
     shm:
         Ship group payloads via ``multiprocessing.shared_memory``.
         ``None`` auto-selects: shm on spawn platforms (where the
@@ -97,9 +100,6 @@ class ExecutionConfig:
     exchange_interval:
         Pruning-exchange refresh period in pairs for the ``PAR`` pair
         matrix (0 disables — the deterministic two-phase mode).
-    chunk_size:
-        Minimum chunk size (pairs or candidate groups) for the stealing
-        scheduler; ``None`` picks a heuristic from the input size.
     pool_timeout:
         Seconds to wait for pool results before raising
         :class:`repro.parallel.PoolTimeoutError`.
@@ -117,7 +117,6 @@ class ExecutionConfig:
     scheduler: str = "static"
     shm: Optional[bool] = None
     exchange_interval: int = 0
-    chunk_size: Optional[int] = None
     pool_timeout: float = 300.0
     max_retries: int = 2
     on_failure: str = "raise"
@@ -141,11 +140,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"exchange_interval must be >= 0, got {self.exchange_interval}"
             )
-        if self.chunk_size is not None:
-            if not isinstance(self.chunk_size, int) or isinstance(self.chunk_size, bool):
-                raise ValueError(f"chunk_size must be an int or None, got {self.chunk_size!r}")
-            if self.chunk_size < 1:
-                raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not self.pool_timeout > 0:
             raise ValueError(f"pool_timeout must be > 0, got {self.pool_timeout!r}")
         if self.shm is not None and not isinstance(self.shm, bool):
@@ -236,7 +230,7 @@ class ExecutionConfig:
         """Parse a CLI-style ``"key=value,key=value"`` spec.
 
         Values are coerced per-field: ints for ``workers`` /
-        ``exchange_interval`` / ``chunk_size`` / ``max_retries``, a float
+        ``exchange_interval`` / ``max_retries``, a float
         for ``pool_timeout``, bool-ish strings for
         ``shm``; ``on_failure`` stays a string
         (``raise`` / ``retry`` / ``serial``).
@@ -264,7 +258,7 @@ class ExecutionConfig:
 def _coerce_field(key: str, raw: str) -> Any:
     """Coerce a string spec value to the field's type."""
 
-    if key in ("workers", "chunk_size"):
+    if key == "workers":
         if raw.lower() in ("none", ""):
             return None
         return int(raw)

@@ -180,15 +180,6 @@ class _WorkerState:
             fn = job[1]
             return lambda span, item: fn(item)
         _, token, config, kind, index_key, order_key, trace, flags_ref = job
-        groups = self.groups[token]
-        # Candidate slabs and two-phase pair chunks run on the batch
-        # kernel; exchange-mode pair chunks compare pair by pair.
-        columns = None
-        if kind == "candidates" or config.exchange_interval == 0:
-            columns = self.columns.get(token)
-            if columns is None:
-                columns = RecordColumns.of_groups(groups)
-                self.columns[token] = columns
         flags = None
         if flags_ref is not None:
             try:
@@ -199,15 +190,17 @@ class _WorkerState:
                 # are dropped, and private flags would only prune less.
                 flags = None
         kernel = ChunkKernel(
-            groups,
+            self.groups[token],
             config,
             kind,
             index=self.pinned[index_key] if index_key is not None else None,
             order=self.pinned[order_key] if order_key is not None else None,
-            columns=columns,
+            columns=self.columns.get(token),
             flags=flags,
             trace=trace,
         )
+        if kernel.columns is not None:  # kept until the dataset's detach
+            self.columns[token] = kernel.columns
         slot = self.slot
         return lambda span, item: kernel.run(span, slot)
 

@@ -9,8 +9,9 @@ Layers (bottom-up):
   skewed workloads (the ``stealing`` scheduler).
 * :mod:`repro.parallel.executor` — the chunk kernels, the lock-free
   pruning-exchange flags, and :func:`run_spans`, which runs one query's
-  chunks on :class:`repro.engine.pool.PersistentPool` — the one process
-  pool, with its timeout for wedged pools (:class:`PoolTimeoutError`),
+  chunks inline (``workers=1``) or on
+  :class:`repro.engine.pool.PersistentPool` — the one process pool, with
+  its timeout for wedged pools (:class:`PoolTimeoutError`),
   crash detection in a liveness tick (:class:`WorkerCrashError`),
   per-slot respawn and an optional inline fallback (``on_failure``).
 * :mod:`repro.parallel.faults` — opt-in fault injection (``$REPRO_FAULTS``
@@ -32,7 +33,6 @@ from .executor import (
     PoolTimeoutError,
     WorkerConfig,
     WorkerCrashError,
-    apply_verdicts,
     compare_candidate_span,
     compare_span,
     preferred_start_method,
@@ -61,7 +61,6 @@ __all__ = [
     "FAULTS_ENV_VAR",
     "FaultSpec",
     "InjectedFaultError",
-    "apply_verdicts",
     "compare_candidate_span",
     "compare_span",
     "preferred_start_method",

@@ -4,16 +4,17 @@ This is the machinery behind ``PAR``
 (:class:`repro.core.algorithms.parallel.ParallelSkylineAlgorithm`) and the
 parallel IN/LO path: the upper-triangular group-pair matrix (or the
 candidate order) is cut into contiguous chunks
-(:mod:`repro.parallel.partition`), each chunk is compared by a worker with
-its own :class:`~repro.core.comparator.GroupComparator`, and the parent
-merges the compact verdict lists plus the per-chunk work counters.
+(:mod:`repro.parallel.partition`), each chunk is compared by a
+:class:`ChunkKernel` with its own
+:class:`~repro.core.comparator.GroupComparator`, and the parent merges
+the groups each chunk marked plus its work counters.  Serial ``NL`` is
+the two-phase pair kernel over one span.
 
 The workers are the slots of :class:`repro.engine.pool.PersistentPool`,
 the one process pool: a session's resident pool, or a pool that
-:func:`run_spans` opens for one query and closes after it.  Tasks are
-just ``(start, stop)`` span tuples, and results are compact
-``(i, j, verdict-bits)`` triples for the (typically sparse) pairs where
-some dominance verdict fired.
+:func:`run_spans` opens for one query and closes after it; with
+``workers=1`` it runs the spans on the calling thread instead.  Tasks
+are just ``(start, stop)`` span tuples.
 
 Pruning exchange
 ----------------
@@ -54,6 +55,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.comparator import GroupComparator, RecordColumns
+from ..core.execution import ON_FAILURE_POLICIES
 from ..core.gamma import GammaThresholds
 from ..core.groups import Group
 from ..core.row_batch import RowBatch, backward_only, windows
@@ -64,28 +66,19 @@ from .partition import iter_pairs, pair_arrays
 from .shm import ShmArena, shm_available
 
 __all__ = [
-    "D12",
-    "D12_STRONG",
-    "D21",
-    "D21_STRONG",
     "WorkerConfig",
     "ChunkOutcome",
     "ChunkKernel",
     "PoolRun",
     "resolve_workers",
     "preferred_start_method",
-    "comparator_for",
     "compare_span",
     "compare_candidate_span",
-    "apply_verdicts",
     "run_spans",
     "PoolTimeoutError",
     "WorkerCrashError",
     "ON_FAILURE_POLICIES",
 ]
-
-#: Verdict bit flags packed into one int per pair (forward = g_i over g_j).
-D12, D12_STRONG, D21, D21_STRONG = 1, 2, 4, 8
 
 #: Flag-byte bits of the shared pruning-exchange array.
 _FLAG_DOMINATED, _FLAG_STRONG = 1, 2
@@ -97,13 +90,6 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 #: ``spawn`` / ``forkserver``).  CI uses ``REPRO_START_METHOD=spawn`` to
 #: exercise the shared-memory shipping path on Linux.
 START_METHOD_ENV_VAR = "REPRO_START_METHOD"
-
-
-#: What to do when a pool worker crashes or a chunk raises (see
-#: :class:`repro.core.execution.ExecutionConfig`): fail fast, re-run the
-#: lost chunks on respawned slots, or finish them inline once every slot
-#: is gone.
-ON_FAILURE_POLICIES: Tuple[str, ...] = ("raise", "retry", "serial")
 
 
 class PoolTimeoutError(RuntimeError):
@@ -207,25 +193,17 @@ class WorkerConfig:
     exchange_interval: int = 0
 
 
-def comparator_for(config: WorkerConfig) -> GroupComparator:
-    """A fresh comparator matching *config* — the one every execution site
-    (pool workers, the inline fallback) must build so that chunk counters
-    stay bit-identical regardless of where a chunk runs."""
-    return GroupComparator(
-        GammaThresholds(config.gamma),
-        use_stopping_rule=config.use_stopping_rule,
-        use_bbox=config.use_bbox,
-        block_size=config.block_size,
-    )
-
-
 @dataclass
 class ChunkOutcome:
-    """What one chunk sent back: verdicts + the worker's work counters."""
+    """What one chunk sent back: the groups it marked + its work counters.
+
+    ``dominated`` (strongly dominated included) and ``strong`` are
+    ascending, duplicate-free group indices."""
 
     start: int
     stop: int
-    verdicts: List[Tuple[int, int, int]] = field(default_factory=list)
+    dominated: List[int] = field(default_factory=list)
+    strong: List[int] = field(default_factory=list)
     comparisons: int = 0
     pairs_examined: int = 0
     bbox_shortcuts: int = 0
@@ -243,33 +221,7 @@ class ChunkOutcome:
     spans: List[dict] = field(default_factory=list)
 
 
-def _encode(outcome) -> int:
-    code = 0
-    if outcome.d12:
-        code |= D12
-    if outcome.d12_strong:
-        code |= D12_STRONG
-    if outcome.d21:
-        code |= D21
-    if outcome.d21_strong:
-        code |= D21_STRONG
-    return code
-
-
-def apply_verdicts(state, verdicts: Sequence[Tuple[int, int, int]]) -> None:
-    """Apply packed pair verdicts to a group-state (NL merge semantics)."""
-    for i, j, code in verdicts:
-        if code & D12_STRONG:
-            state.mark_strong(j)
-        elif code & D12:
-            state.mark_dominated(j)
-        if code & D21_STRONG:
-            state.mark_strong(i)
-        elif code & D21:
-            state.mark_dominated(i)
-
-
-#: Group pairs one batch-kernel call of a two-phase chunk decides.
+#: Group pairs one batch-kernel call of a two-phase span decides.
 SPAN_PAIRS = 1 << 11
 
 
@@ -282,28 +234,32 @@ def compare_span(
     flags=None,
     exchange_interval: int = 0,
     columns: Optional[RecordColumns] = None,
-) -> Tuple[List[Tuple[int, int, int]], int]:
-    """Compare every pair in ``span`` (linear indices); the chunk kernel.
+) -> Tuple[List[int], List[int], int]:
+    """Compare every pair in ``span`` (linear indices); the pair kernel.
 
-    Returns ``(verdicts, pairs_skipped)`` where ``verdicts`` holds only the
-    pairs for which some dominance predicate fired, in pair order.
+    Returns ``(dominated, strong, pairs_skipped)``: the groups some pair
+    of the span marked dominated (the strongly dominated ones included)
+    and strongly dominated, each ascending and duplicate-free.
 
-    Two-phase chunks (no exchange) compare every pair, both directions,
+    Two-phase spans (no exchange) compare every pair, both directions,
     and read no state, so they run on the batch kernel
     (:meth:`~repro.core.comparator.GroupComparator.compare_batch`,
     :data:`SPAN_PAIRS` pairs per call) over the dataset's record
     ``columns``, which every caller builds once per process and dataset.
-    ``flags`` (any byte-indexable, byte-assignable buffer — the pool's
-    shared array in a worker, a plain ``bytearray`` otherwise) with
-    ``exchange_interval > 0`` enables the pruning exchange instead: the
-    kernel refreshes its snapshot of the flags every ``exchange_interval``
-    pairs and compares pair by pair with ``compare()``, because which
-    directions a pair still needs depends on marks published meanwhile.
+    Serial ``NL`` is this kernel over all pairs.  ``flags`` (any
+    byte-indexable, byte-assignable buffer — the pool's shared array in a
+    worker, a plain ``bytearray`` otherwise) with ``exchange_interval >
+    0`` enables the pruning exchange instead: the kernel refreshes its
+    snapshot of the flags every ``exchange_interval`` pairs and compares
+    pair by pair with ``compare()``, because which directions a pair
+    still needs depends on marks published meanwhile.
     """
     start, stop = span
     n = len(groups)
-    verdicts: List[Tuple[int, int, int]] = []
-    if not (flags is not None and exchange_interval > 0):
+    dominated = np.zeros(n, dtype=bool)
+    strong = np.zeros(n, dtype=bool)
+    skipped = 0
+    if flags is None or exchange_interval <= 0:
         if columns is None:
             raise ValueError("two-phase chunks need the dataset's record columns")
         for low in range(start, stop, SPAN_PAIRS):
@@ -311,53 +267,53 @@ def compare_span(
             d12, d12_strong, d21, d21_strong = comparator.compare_batch(
                 columns, i, j
             )
-            codes = d12 * D12 | d12_strong * D12_STRONG
-            codes |= d21 * D21 | d21_strong * D21_STRONG
-            fired = np.flatnonzero(codes)
-            verdicts.extend(
-                zip(i[fired].tolist(), j[fired].tolist(), codes[fired].tolist())
+            dominated[j[d12]] = True
+            strong[j[d12_strong]] = True
+            dominated[i[d21]] = True
+            strong[i[d21_strong]] = True
+    else:
+        local = bytes(flags)
+        since_refresh = 0
+        for i, j in iter_pairs(start, stop, n):
+            if since_refresh >= exchange_interval:
+                local = bytes(flags)
+                since_refresh = 0
+            since_refresh += 1
+            if prune_policy == "paper":
+                if (local[i] | local[j]) & _FLAG_STRONG:
+                    skipped += 1
+                    continue
+                need_forward = need_backward = True
+            else:
+                need_forward = not local[j] & _FLAG_DOMINATED
+                need_backward = not local[i] & _FLAG_DOMINATED
+                if not (need_forward or need_backward):
+                    skipped += 1
+                    continue
+            outcome = comparator.compare(
+                groups[i],
+                groups[j],
+                need_forward=need_forward,
+                need_backward=need_backward,
             )
-        return verdicts, 0
-    skipped = 0
-    local = bytes(flags)
-    since_refresh = 0
-    for i, j in iter_pairs(start, stop, n):
-        if since_refresh >= exchange_interval:
-            local = bytes(flags)
-            since_refresh = 0
-        since_refresh += 1
-        if prune_policy == "paper":
-            if (local[i] | local[j]) & _FLAG_STRONG:
-                skipped += 1
-                continue
-            need_forward = need_backward = True
-        else:
-            need_forward = not local[j] & _FLAG_DOMINATED
-            need_backward = not local[i] & _FLAG_DOMINATED
-            if not (need_forward or need_backward):
-                skipped += 1
-                continue
-        outcome = comparator.compare(
-            groups[i],
-            groups[j],
-            need_forward=need_forward,
-            need_backward=need_backward,
-        )
-        code = _encode(outcome)
-        if not code:
-            continue
-        verdicts.append((i, j, code))
-        # Publish monotonic marks (benign unlocked read-modify-write: a
-        # lost bit only costs pruning, never correctness).
-        if code & D12_STRONG:
-            flags[j] |= _FLAG_DOMINATED | _FLAG_STRONG
-        elif code & D12:
-            flags[j] |= _FLAG_DOMINATED
-        if code & D21_STRONG:
-            flags[i] |= _FLAG_DOMINATED | _FLAG_STRONG
-        elif code & D21:
-            flags[i] |= _FLAG_DOMINATED
-    return verdicts, skipped
+            # Mark, and publish the monotonic mark (benign unlocked
+            # read-modify-write: a lost bit only costs pruning, never
+            # correctness).
+            for loser, marked, firm in (
+                (j, outcome.d12, outcome.d12_strong),
+                (i, outcome.d21, outcome.d21_strong),
+            ):
+                if firm:
+                    strong[loser] = True
+                    flags[loser] |= _FLAG_DOMINATED | _FLAG_STRONG
+                elif marked:
+                    dominated[loser] = True
+                    flags[loser] |= _FLAG_DOMINATED
+    return (
+        np.flatnonzero(dominated | strong).tolist(),
+        np.flatnonzero(strong).tolist(),
+        skipped,
+    )
 
 
 def compare_candidate_span(
@@ -368,7 +324,7 @@ def compare_candidate_span(
     span: Tuple[int, int],
     *,
     columns: RecordColumns,
-) -> Tuple[List[Tuple[int, int, int]], int, int]:
+) -> Tuple[List[int], List[int], int, int]:
     """The parallel IN/LO chunk kernel: one slab of candidate groups.
 
     For every candidate position in ``span`` (indices into ``order``), run
@@ -397,12 +353,14 @@ def compare_candidate_span(
     Deciding ahead moves no counter, so the chunking invariance above
     holds for it too.
 
-    Returns ``(verdicts, window_queries, index_candidates)`` where the
-    verdicts are ``(i, i, D21|D21_STRONG)`` self-marks.
+    Returns ``(dominated, strong, window_queries, index_candidates)``:
+    the span's candidates found dominated (the strongly dominated ones
+    included) and strongly dominated, each ascending.
     """
     start, stop = span
     upper = np.full(groups[0].dimensions, np.inf)
-    verdicts: List[Tuple[int, int, int]] = []
+    dominated: List[int] = []
+    strong: List[int] = []
     window_queries = 0
     index_candidates = 0
     batch: Optional[RowBatch] = None
@@ -426,25 +384,25 @@ def compare_candidate_span(
                 outcome = comparator.settle(
                     *settled, need_forward=False, need_backward=True
                 )
-            if outcome.d21_strong:
-                verdicts.append((i, i, D21_STRONG))
+            if outcome.d21 or outcome.d21_strong:
+                dominated.append(i)
+                if outcome.d21_strong:
+                    strong.append(i)
                 break
-            if outcome.d21:
-                verdicts.append((i, i, D21))
-                break
-    return verdicts, window_queries, index_candidates
+    return sorted(dominated), sorted(strong), window_queries, index_candidates
 
 
 class ChunkKernel:
     """One query's chunk inputs, and the one way a chunk runs.
 
-    A pool worker builds one per query at its ``prepare`` message; the
-    inline fallback builds one on the calling thread.  Either way
-    :meth:`run` resets the comparator per chunk and runs the same kernel
-    over the same deterministic span, so a chunk's outcome — verdicts
-    *and* work counters — does not depend on where it ran.  ``columns``
-    (built here when missing) feed the batch kernel; exchange-mode pair
-    chunks without shared ``flags`` keep private ones.
+    A pool worker builds one per query at its ``prepare`` message;
+    :func:`run_spans` builds one on the calling thread for ``workers=1``
+    and for the inline fallback.  Either way :meth:`run` resets the
+    comparator per chunk and runs the same kernel over the same
+    deterministic span, so a chunk's outcome — marks *and* work
+    counters — does not depend on where it ran.  ``columns`` (built here
+    when missing) feed the batch kernel; exchange-mode pair chunks
+    without shared ``flags`` keep private ones.
     """
 
     def __init__(
@@ -471,7 +429,12 @@ class ChunkKernel:
         self.order = order
         self.columns = columns
         self.flags = flags
-        self.comparator = comparator_for(config)
+        self.comparator = GroupComparator(
+            GammaThresholds(config.gamma),
+            use_stopping_rule=config.use_stopping_rule,
+            use_bbox=config.use_bbox,
+            block_size=config.block_size,
+        )
         self.tracer = (
             Tracer(context=trace) if trace is not None else obs_tracing.NOOP_TRACER
         )
@@ -501,7 +464,7 @@ class ChunkKernel:
         index_candidates = 0
         with chunk_span:
             if self.kind == "candidates":
-                verdicts, window_queries, index_candidates = compare_candidate_span(
+                found = compare_candidate_span(
                     self.groups,
                     comparator,
                     self.index,
@@ -509,8 +472,9 @@ class ChunkKernel:
                     span,
                     columns=self.columns,
                 )
+                dominated, strong, window_queries, index_candidates = found
             else:
-                verdicts, skipped = compare_span(
+                dominated, strong, skipped = compare_span(
                     self.groups,
                     comparator,
                     span,
@@ -520,7 +484,7 @@ class ChunkKernel:
                     columns=self.columns,
                 )
             if chunk_span.is_recording:
-                chunk_span.set_attribute("verdicts", len(verdicts))
+                chunk_span.set_attribute("dominated", len(dominated))
                 chunk_span.set_attribute("comparisons", comparator.comparisons)
                 chunk_span.set_attribute("pairs_examined", comparator.pairs_examined)
                 if skipped:
@@ -531,7 +495,8 @@ class ChunkKernel:
         outcome = ChunkOutcome(
             start=span[0],
             stop=span[1],
-            verdicts=verdicts,
+            dominated=dominated,
+            strong=strong,
             comparisons=comparator.comparisons,
             pairs_examined=comparator.pairs_examined,
             bbox_shortcuts=comparator.bbox_shortcuts,
@@ -575,6 +540,7 @@ def run_spans(
     kind: str = "pairs",
     index=None,
     order: Optional[Sequence[int]] = None,
+    columns: Optional[RecordColumns] = None,
     resident=None,
     progress: Optional[Callable[[int, int], None]] = None,
     pool_timeout: float = 300.0,
@@ -583,13 +549,19 @@ def run_spans(
     on_failure: str = "raise",
     faults: Optional[FaultSpec] = None,
 ) -> PoolRun:
-    """Run one query's ``spans`` on a process pool; outcomes in span order.
+    """Run one query's ``spans``; the chunk outcomes in span order.
 
-    The entry point behind both ``PAR`` and the parallel IN/LO path.
-    ``kind="pairs"`` interprets spans as linear pair-index ranges
+    The one way ``PAR`` and the parallel IN/LO path run, for every worker
+    count.  ``kind="pairs"`` interprets spans as linear pair-index ranges
     (:func:`compare_span`); ``kind="candidates"`` as slabs of positions
     into ``order`` (:func:`compare_candidate_span`, requires ``index`` —
     a :class:`~repro.index.rtree.FlatRTree` — and ``order``).
+
+    ``workers=1`` (without ``resident``) runs every span through one
+    :class:`ChunkKernel` on the calling thread: no pool, no shared
+    memory, no ``pool_*`` event, slot -1.  That kernel, also the inline
+    fallback's, compares over ``columns`` (the caller's cached record
+    columns; built from ``groups`` when missing).
 
     ``resident`` is a session's ``(pool, token)``: its slots hold the
     groups under ``token`` already, and the index and order are pinned
@@ -636,8 +608,6 @@ def run_spans(
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if not spans:
         return PoolRun()
-    # The pool module imports this one, so it is imported at call time.
-    from ..engine.pool import PersistentPool
 
     kernel: Optional[ChunkKernel] = None
 
@@ -645,13 +615,26 @@ def run_spans(
         # Built at the first chunk that has to run here, if any.
         nonlocal kernel
         if kernel is None:
-            kernel = ChunkKernel(groups, config, kind, index=index, order=order)
+            kernel = ChunkKernel(
+                groups, config, kind, index=index, order=order, columns=columns
+            )
         return kernel.run(span)
+
+    if workers == 1 and resident is None:
+        outcomes = []
+        for span in spans:
+            outcomes.append(inline(span))
+            if progress is not None:
+                progress(len(outcomes), len(spans))
+        return PoolRun(outcomes=outcomes)
 
     with ExitStack() as stack:
         if resident is not None:
             pool, token = resident
         else:
+            # The pool module imports this one, so it is imported here.
+            from ..engine.pool import PersistentPool
+
             start_method = preferred_start_method()
             pool = stack.enter_context(
                 PersistentPool(

@@ -6,10 +6,10 @@ overlap heavily (Figure 11 — window queries return nearly everything while
 the index still costs its build), the index methods ``LO``/``IN``
 otherwise, ``PAR`` when a worker pool is available.  This module turns
 that regime analysis into an explicit cost model over
-:class:`~repro.plan.stats.PlanStatistics` and picks the cheapest *kept*
-candidate; the guardrails that reject candidates mirror
-:func:`repro.core.diagnostics.suggest_algorithm` exactly, so ``EXPLAIN``
-and ``aggskyline stats`` never disagree.
+:class:`~repro.plan.stats.PlanStatistics`, rejects candidates by two
+guardrails (tiny pair budget, heavy overlap) and picks the cheapest *kept*
+candidate.  :func:`repro.core.diagnostics.suggest_algorithm` (``aggskyline
+stats``) returns this module's choice for a serial query at γ = 0.5.
 
 Cost model (unit: comparator work ~ one record pair).  With ``P`` the pair
 budget, ``G`` the group count, ``ω`` the sampled MBB overlap, ``γ`` the
@@ -69,12 +69,11 @@ __all__ = [
 #: The ``algorithm=`` value that delegates the choice to this module.
 AUTO_ALGORITHM = "AUTO"
 
-#: Below this pair budget every overhead dominates — NL wins outright
-#: (same threshold as :func:`repro.core.diagnostics.suggest_algorithm`).
+#: Below this pair budget every overhead dominates — NL wins outright.
 TINY_PAIR_BUDGET = 50_000
 
 #: At this sampled MBB overlap the window-query methods degenerate
-#: (Figure 11's crossover; same threshold as ``AD`` and the diagnostics).
+#: (Figure 11's crossover; same threshold as ``AD``).
 HIGH_OVERLAP = 0.65
 
 #: Candidate order is fixed so EXPLAIN output is deterministic.

@@ -44,7 +44,6 @@ class TestExecutionConfig:
         assert config.scheduler == "static"
         assert config.shm is None
         assert config.exchange_interval == 0
-        assert config.chunk_size is None
         assert config.pool_timeout == 300.0
         assert not config.parallel
 
@@ -66,8 +65,8 @@ class TestExecutionConfig:
             {"workers": 2.0},
             {"exchange_interval": -1},
             {"exchange_interval": 1.5},
-            {"chunk_size": 0},
-            {"chunk_size": False},
+            {"workers": "2"},
+            {"exchange_interval": True},
             {"pool_timeout": 0.0},
             {"pool_timeout": -3},
             {"shm": "yes"},
@@ -124,13 +123,13 @@ class TestExecutionConfig:
         assert ExecutionConfig().to_dict() == {}
         assert ExecutionConfig(workers=2).to_dict() == {"workers": 2}
         full = ExecutionConfig(
-            workers=3, scheduler="stealing", shm=True, chunk_size=7
+            workers=3, scheduler="stealing", shm=True, exchange_interval=7
         )
         assert full.to_dict() == {
             "workers": 3,
             "scheduler": "stealing",
             "shm": True,
-            "chunk_size": 7,
+            "exchange_interval": 7,
         }
 
     def test_dict_round_trip(self):
@@ -153,12 +152,21 @@ class TestExecutionConfig:
             ("shm=auto", ExecutionConfig(shm=None)),
             ("shm=true", ExecutionConfig(shm=True)),
             ("shm=off", ExecutionConfig(shm=False)),
-            ("chunk_size=16,pool_timeout=5.5",
-             ExecutionConfig(chunk_size=16, pool_timeout=5.5)),
+            ("exchange_interval=16,pool_timeout=5.5",
+             ExecutionConfig(exchange_interval=16, pool_timeout=5.5)),
         ],
     )
     def test_from_spec(self, spec, expected):
         assert ExecutionConfig.from_spec(spec) == expected
+
+    def test_removed_chunk_size_is_an_unknown_option(self):
+        # The stealing scheduler's minimum chunk is fixed (docs/parallel.md).
+        with pytest.raises(TypeError, match="chunk_size"):
+            ExecutionConfig(chunk_size=16)  # type: ignore[call-arg]
+        with pytest.raises(ValueError, match="unknown execution option 'chunk_size'"):
+            ExecutionConfig.from_dict({"chunk_size": 16})
+        with pytest.raises(ValueError, match="unknown execution option 'chunk_size'"):
+            ExecutionConfig.from_spec("workers=2,chunk_size=16")
 
     def test_from_spec_rejects_malformed_items(self):
         with pytest.raises(ValueError):
@@ -190,7 +198,6 @@ REMOVED_EXECUTION_OPTIONS = {
     "scheduler": "stealing",
     "shm": False,
     "exchange_interval": 4,
-    "chunk_size": 8,
     "pool_timeout": 60.0,
 }
 
@@ -205,6 +212,14 @@ class TestNormalizeOptions:
             )
         with pytest.raises(TypeError, match="execution="):
             make_algorithm("PAR", 0.5, **{key: value})
+
+    @pytest.mark.parametrize("key", ["chunk_size", "chunks_per_worker"])
+    def test_removed_chunk_knobs_are_unknown_options(self, key):
+        # Neither is an execution setting, so nothing points at
+        # execution=: the unknown-option message, as for any typo.
+        with pytest.raises(TypeError, match=f"unknown option '{key}' for algorithm 'PAR'") as raised:
+            make_algorithm("PAR", 0.5, **{key: 4})
+        assert "execution=" not in str(raised.value)
 
     def test_serial_algorithms_name_the_pooled_ones(self):
         # NL has no execution= to point at.

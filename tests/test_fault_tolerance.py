@@ -109,7 +109,8 @@ def outcome_key(outcome):
     return (
         outcome.start,
         outcome.stop,
-        tuple(outcome.verdicts),
+        tuple(outcome.dominated),
+        tuple(outcome.strong),
         outcome.comparisons,
         outcome.pairs_examined,
         outcome.pairs_skipped,

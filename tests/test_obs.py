@@ -449,19 +449,19 @@ class TestStatsRegistryReconciliation:
             == stats.stopping_rule_exits
         )
 
-    @pytest.mark.parametrize("name", ["NL", "TR", "SI", "PAR", "IN", "LO"])
+    @pytest.mark.parametrize("name", ["NL", "TR", "SI", "IN", "LO"])
     def test_detailed_metrics_when_enabled(self, name, reconciliation_dataset):
         # Every one of these loops decides its compares on the batch
-        # kernel (NL and PAR's two-phase chunks whole, TR/SI/IN/LO row
-        # batches), not through compare(), so this pins the
-        # batched paths' per-compare instruments.  PAR runs its chunks
-        # inline, on the instrumented comparator.
+        # kernel (NL whole — PAR's two-phase pair kernel over one span —
+        # TR/SI/IN/LO row batches), not through compare(), so this pins
+        # the batched paths' per-compare instruments.  PAR's chunks run on
+        # the kernel's own comparator, even inline, so NL is where that
+        # kernel's instruments are read.
         registry = MetricsRegistry()
-        options = {"execution": "workers=1"} if name == "PAR" else {}
         with use_registry(registry):
             obs_metrics.enable()
             try:
-                result = make_algorithm(name, 0.75, **options).compute(
+                result = make_algorithm(name, 0.75).compute(
                     reconciliation_dataset
                 )
             finally:

@@ -2,7 +2,8 @@
 
 These loops decide their compares on the block-synchronous batch kernel
 (:meth:`~repro.core.comparator.GroupComparator.compare_batch` for NL and
-two-phase chunks; row batches of upcoming candidates, then doubling
+two-phase chunks, which are one kernel: NL is ``compare_span`` over all
+pairs; row batches of upcoming candidates, then doubling
 one-candidate tails, replayed through ``_compare_pair(prepared=...)`` for
 TR and SI, see :mod:`repro.core.row_batch`).  This module keeps the
 per-pair loops — one ``compare()`` per pair — as the reference: the
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core import row_batch
 from repro.core.algorithms import make_algorithm
-from repro.core.algorithms import nested_loop as nested_loop_module
 from repro.core.algorithms.nested_loop import NestedLoopAlgorithm
 from repro.core.algorithms.sorted_access import SortedAlgorithm
 from repro.core.algorithms.transitive import TransitiveAlgorithm
@@ -30,7 +30,7 @@ from repro.core.comparator import GroupComparator, RecordColumns
 from repro.core.gamma import GammaThresholds
 from repro.core.groups import GroupedDataset
 from repro.parallel import executor as executor_module
-from repro.parallel.executor import _encode, compare_span
+from repro.parallel.executor import compare_span
 from repro.parallel.partition import iter_pairs, pair_count
 
 COMPARATOR_COUNTERS = (
@@ -83,13 +83,19 @@ class PerPairSI(PerPairRows, SortedAlgorithm):
 
 
 def per_pair_span(groups, comparator, span):
-    """A two-phase chunk with one ``compare()`` per pair."""
-    verdicts = []
+    """A two-phase chunk with one ``compare()`` per pair; its marks."""
+    dominated, strong = set(), set()
     for i, j in iter_pairs(*span, len(groups)):
-        code = _encode(comparator.compare(groups[i], groups[j]))
-        if code:
-            verdicts.append((i, j, code))
-    return verdicts, 0
+        outcome = comparator.compare(groups[i], groups[j])
+        for loser, marked, firm in (
+            (j, outcome.d12, outcome.d12_strong),
+            (i, outcome.d21, outcome.d21_strong),
+        ):
+            if marked or firm:
+                dominated.add(loser)
+            if firm:
+                strong.add(loser)
+    return sorted(dominated), sorted(strong), 0
 
 
 def counters(comparator):
@@ -113,8 +119,8 @@ def configurations(draw):
     Integer-grid values drawn from a small pool of records give ties and
     duplicate records; sizes mix single-record groups with groups of 12
     and 40 records.  ``batch_candidates``, ``batch_members`` and
-    ``pairs_per_batch`` shrink the batch constants so small datasets cross
-    many batch boundaries.
+    ``pairs_per_batch`` (``SPAN_PAIRS``, NL's batch too) shrink the batch
+    constants so small datasets cross many batch boundaries.
     """
     dims = draw(st.integers(1, 4))
     sizes = draw(
@@ -165,8 +171,6 @@ def test_batched_loops_match_per_pair_loops(config):
         row_batch, "BATCH_CANDIDATES", config["batch_candidates"]
     ), mock.patch.object(
         row_batch, "BATCH_MEMBERS", config["batch_members"]
-    ), mock.patch.object(
-        nested_loop_module, "PAIRS_PER_BATCH", config["pairs_per_batch"]
     ), mock.patch.object(
         executor_module, "SPAN_PAIRS", config["pairs_per_batch"]
     ):

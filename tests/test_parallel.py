@@ -11,8 +11,10 @@ superset (the serial TR guarantee).
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +23,14 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms import make_algorithm
 from repro.core.algorithms.parallel import ParallelSkylineAlgorithm
+from repro.core.comparator import RecordColumns
 from repro.core.execution import ExecutionConfig
 from repro.core.groups import GroupedDataset
 from repro.data.synthetic import SyntheticSpec, generate_grouped
 from repro.harness.persistence import results_from_json, results_to_json
 from repro.harness.runner import RunResult, run_algorithms
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.runlog import RunLog, read_events, use_runlog
 from repro.parallel import (
     PoolTimeoutError,
     WorkerConfig,
@@ -419,8 +423,9 @@ class TestExecutor:
             )
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            ParallelSkylineAlgorithm(0.5, chunks_per_worker=0)
+        # PAR takes no chunk-count option: static chunks per worker are fixed.
+        with pytest.raises(TypeError):
+            ParallelSkylineAlgorithm(0.5, chunks_per_worker=4)
         with pytest.raises(ValueError):
             ParallelSkylineAlgorithm(0.5, execution={"exchange_interval": -1})
         with pytest.raises(ValueError):
@@ -431,6 +436,133 @@ class TestExecutor:
             make_algorithm("PAR", execution="workers=1"),
             ParallelSkylineAlgorithm,
         )
+
+
+# ---------------------------------------------------------------------------
+# One chunk path: workers=1 runs run_spans on the calling thread
+# ---------------------------------------------------------------------------
+
+#: (algorithm, execution options) of every chunked run shape.
+CHUNKED_RUNS = (
+    ("PAR", {}),
+    ("PAR", {"exchange_interval": 1}),
+    ("IN", {}),
+    ("LO", {}),
+)
+
+
+def _shm_segments() -> set:
+    root = Path("/dev/shm")
+    return {path.name for path in root.glob("psm_*")} if root.is_dir() else set()
+
+
+class _ChunkObserver:
+    """A progress reporter noting, at every delivered chunk, the live child
+    processes and shared-memory segments."""
+
+    def __init__(self):
+        self.children = []
+        self.segments = []
+
+    def update(self, **fields):
+        self.children.append(multiprocessing.active_children())
+        self.segments.append(_shm_segments())
+
+
+def _counters(result):
+    stats = dataclasses.asdict(result.stats)
+    del stats["elapsed_seconds"], stats["algorithm"]
+    return stats
+
+
+class TestOneChunkPath:
+    @pytest.mark.parametrize("name, options", CHUNKED_RUNS)
+    def test_workers_1_starts_nothing(self, name, options, datasets, tmp_path):
+        dataset = datasets["anticorrelated"]
+        execution = dict(options, shm=True)  # a pool would ship through shm
+        before = _shm_segments()
+        algorithm = make_algorithm(
+            name,
+            0.5,
+            prune_policy="safe",
+            execution=ExecutionConfig(workers=1, **execution),
+        )
+        observer = _ChunkObserver()
+        algorithm.progress_reporter = observer
+        log_path = tmp_path / "run.jsonl"
+        with RunLog(log_path) as log, use_runlog(log):
+            result = algorithm.compute(dataset)
+
+        run = algorithm.last_pool_run
+        assert observer.children and len(observer.children) == len(run.outcomes)
+        assert all(children == [] for children in observer.children)
+        assert all(segments <= before for segments in observer.segments)
+        events = [event["event"] for event in read_events(log_path)]
+        assert "run_end" in events
+        assert not [event for event in events if event.startswith("pool_")]
+
+        total = pair_count(len(dataset)) if name == "PAR" else len(dataset)
+        position = 0
+        for outcome in run.outcomes:
+            assert outcome.start == position < outcome.stop
+            assert outcome.slot == -1 and outcome.worker_pid == os.getpid()
+            position = outcome.stop
+        assert position == total
+        assert len(algorithm.worker_stats) == len(run.outcomes)
+
+        pooled = make_algorithm(
+            name,
+            0.5,
+            prune_policy="safe",
+            execution=ExecutionConfig(workers=2, **options),
+        ).compute(dataset)
+        assert result.keys == pooled.keys
+        if options.get("exchange_interval"):
+            # Exchange counters depend on which marks a pool's workers see
+            # in time; inline, every span sees the marks of the spans
+            # before it, so it prunes and reconciles.
+            assert result.stats.groups_skipped > 0
+            assert result.stats.group_comparisons == sum(
+                outcome.comparisons for outcome in run.outcomes
+            )
+        else:
+            assert _counters(result) == _counters(pooled)
+
+    @pytest.mark.parametrize("name", ["PAR", "IN"])
+    def test_pooled_runs_build_no_columns_in_the_parent(self, name, monkeypatch):
+        parent = os.getpid()
+        build = RecordColumns._of_matrix.__func__
+
+        def guarded(cls, *args):
+            assert os.getpid() != parent, "the parent built record columns"
+            return build(cls, *args)
+
+        monkeypatch.setattr(RecordColumns, "_of_matrix", classmethod(guarded))
+        dataset = workload("anticorrelated", seed=11)  # no cache holds it yet
+        result = make_algorithm(
+            name, 0.5, execution=ExecutionConfig(workers=2)
+        ).compute(dataset)
+        assert len(result) > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, options", CHUNKED_RUNS)
+    def test_outcomes_list_each_marked_group_once_ascending(
+        self, name, options, workers, datasets
+    ):
+        algorithm = make_algorithm(
+            name, 0.5, execution=ExecutionConfig(workers=workers, **options)
+        )
+        result = algorithm.compute(datasets["anticorrelated"])
+        marked = set()
+        for outcome in algorithm.last_pool_run.outcomes:
+            assert outcome.dominated == sorted(set(outcome.dominated))
+            assert outcome.strong == sorted(set(outcome.strong))
+            assert set(outcome.strong) <= set(outcome.dominated)
+            marked.update(outcome.dominated)
+        keys = [group.key for group in datasets["anticorrelated"]]
+        assert marked and sorted(result.keys, key=keys.index) == [
+            key for position, key in enumerate(keys) if position not in marked
+        ]
 
 
 # ---------------------------------------------------------------------------

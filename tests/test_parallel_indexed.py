@@ -192,9 +192,7 @@ class TestParallelIndexed:
         and the outcomes tile the candidate range in span order."""
         engine = make_algorithm(
             "IN",
-            execution=ExecutionConfig(
-                workers=2, scheduler="stealing", chunk_size=1
-            ),
+            execution=ExecutionConfig(workers=2, scheduler="stealing"),
         )
         engine.compute(zipfian)
         run = engine.last_pool_run

@@ -25,7 +25,7 @@ from repro.core.algorithms.indexed import IndexedAlgorithm
 from repro.core.comparator import GroupComparator, RecordColumns
 from repro.core.gamma import GammaThresholds
 from repro.core.groups import GroupedDataset
-from repro.parallel.executor import D21, D21_STRONG, compare_candidate_span
+from repro.parallel.executor import compare_candidate_span
 
 COMPARATOR_COUNTERS = (
     "comparisons",
@@ -59,10 +59,10 @@ class PerPairIndexed(IndexedAlgorithm):
 
 
 def per_pair_span(groups, comparator, index, order, span):
-    """The chunk kernel with one ``compare()`` per window pair."""
+    """The chunk kernel with one ``compare()`` per window pair; its marks."""
     start, stop = span
     upper = np.full(groups[0].dimensions, np.inf)
-    verdicts = []
+    dominated, strong = [], []
     window_queries = 0
     index_candidates = 0
     for position in range(start, stop):
@@ -78,12 +78,11 @@ def per_pair_span(groups, comparator, index, order, span):
                 g1, groups[j], need_forward=False, need_backward=True
             )
             if outcome.d21_strong:
-                verdicts.append((i, i, D21_STRONG))
+                strong.append(i)
+            if outcome.d21 or outcome.d21_strong:
+                dominated.append(i)
                 break
-            if outcome.d21:
-                verdicts.append((i, i, D21))
-                break
-    return verdicts, window_queries, index_candidates
+    return sorted(dominated), sorted(strong), window_queries, index_candidates
 
 
 @contextmanager
