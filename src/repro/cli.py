@@ -1012,15 +1012,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .core.diagnostics import dataset_statistics, suggest_algorithm
+    from .core.diagnostics import serial_plan
+    from .plan.stats import describe_statistics
 
     table = load_csv(args.csv)
     keys = [c.strip() for c in args.group_by.split(",") if c.strip()]
     measures, directions = _parse_measures(args.of)
     dataset = grouped_dataset_from_table(table, keys, measures, directions)
-    stats = dataset_statistics(dataset)
-    print(stats.describe())
-    print(f"suggested algorithm: {suggest_algorithm(dataset)}")
+    decision = serial_plan(dataset)
+    print(describe_statistics(decision.statistics))
+    print(f"suggested algorithm: {decision.algorithm}")
     return 0
 
 

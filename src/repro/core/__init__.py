@@ -15,11 +15,7 @@ from .sampling import (
     approximate_dominance_probability,
     hoeffding_epsilon,
 )
-from .diagnostics import (
-    DatasetStatistics,
-    dataset_statistics,
-    suggest_algorithm,
-)
+from .diagnostics import dataset_statistics, suggest_algorithm
 from .dominance import Direction, dominance_sign, dominates
 from .gamma import (
     DominanceMatrix,
@@ -88,7 +84,6 @@ __all__ = [
     "skyline_cube",
     "SkylineCube",
     "dataset_statistics",
-    "DatasetStatistics",
     "suggest_algorithm",
     "record_contributions",
     "removal_impact",

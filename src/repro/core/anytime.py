@@ -19,6 +19,10 @@ follows monotonically:
 incremental refinement plus the sound partial answers
 ``confirmed()``/``excluded()``/``candidates()`` at any time.  Once
 ``done``, ``confirmed()`` is exactly the Definition-2 skyline.
+
+Construction takes every ordered pair's Figure-9 bounds in bulk
+(:func:`~repro.core.comparator.pair_counts`), and only the pairs they
+leave undecided get a per-pair counter for ``step`` to advance.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import enum
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from ..obs.progress import ProgressEvent, ProgressReporter
-from .comparator import _DirectionalCount
+from . import artifacts
+from .comparator import _bars, _DirectionalCount, _holds, ordered_pairs, pair_counts
 from .gamma import GammaLike, GammaThresholds
 from .groups import GroupedDataset
 
@@ -75,25 +80,29 @@ class AnytimeAggregateSkyline:
         self._status = [GroupStatus.UNDECIDED] * n
         self.pairs_examined = 0
 
-        # One probe per ordered pair (i dominating j), created lazily so
-        # bbox-decided pairs never allocate more than the counter.
+        # One probe per ordered pair (i dominating j) the bulk bounds leave
+        # undecided, created lazily so bbox-decided pairs never allocate
+        # more than the counter; a pair they decide for i excludes j.
         self._probes: Dict[Tuple[int, int], _DirectionalCount] = {}
         self._undecided_pairs: List[Tuple[int, int]] = []
-        for j in range(n):
-            for i in range(n):
-                if i == j:
-                    continue
-                probe = _DirectionalCount(
-                    self._groups[i], self._groups[j], use_bbox
-                )
-                self._probes[(i, j)] = probe
-                if probe.decide(self._gamma) is None:
-                    self._undecided_pairs.append((i, j))
+        self._by_target: List[List[_DirectionalCount]] = [[] for _ in range(n)]
         #: Upper bound on record-pair checks still possible after the MBB
         #: pre-classification — the denominator for progress ETAs.
-        self.pair_budget = sum(
-            probe.pending for probe in self._probes.values()
-        )
+        self.pair_budget = 0
+        columns = artifacts.record_columns(dataset)
+        for _, x, y in ordered_pairs(n, range(n)):
+            known, pending = pair_counts(columns, x, y, use_bbox, bounds_only=True)
+            totals = columns.sizes[x] * columns.sizes[y]
+            bars = _bars(totals, [self._gamma])[0]
+            holds, decided = _holds(known, pending, totals, bars)
+            for j in y[holds].tolist():
+                self._status[j] = GroupStatus.EXCLUDED
+            self.pair_budget += int(pending[~decided].sum())
+            for i, j in zip(x[~decided].tolist(), y[~decided].tolist()):
+                probe = _DirectionalCount(self._groups[i], self._groups[j], use_bbox)
+                self._probes[(i, j)] = probe
+                self._by_target[j].append(probe)
+                self._undecided_pairs.append((i, j))
         self._refresh_statuses()
 
     # ------------------------------------------------------------------
@@ -198,23 +207,15 @@ class AnytimeAggregateSkyline:
     # ------------------------------------------------------------------
 
     def _refresh_statuses(self) -> None:
-        gamma = self._gamma
-        n = len(self._groups)
-        for j in range(n):
+        # A group is excluded once a verdict γ-dominates it (the bulk bounds
+        # excluded theirs in __init__), and confirmed once none is open.
+        for j, probes in enumerate(self._by_target):
             if self._status[j] is not GroupStatus.UNDECIDED:
                 continue
-            all_false = True
-            for i in range(n):
-                if i == j:
-                    continue
-                verdict = self._probes[(i, j)].decide(gamma)
-                if verdict is True:
-                    self._status[j] = GroupStatus.EXCLUDED
-                    all_false = False
-                    break
-                if verdict is None:
-                    all_false = False
-            if all_false:
+            found = {probe.decide(self._gamma) for probe in probes}
+            if True in found:
+                self._status[j] = GroupStatus.EXCLUDED
+            elif None not in found:
                 self._status[j] = GroupStatus.CONFIRMED
 
     # ------------------------------------------------------------------

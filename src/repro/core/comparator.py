@@ -56,8 +56,13 @@ stopping-rule-exit flags are therefore exactly ``compare()``'s;
 pairs.  NL and PAR's two-phase chunks call ``compare_batch``; TR, SI, IN,
 LO and the IN/LO chunk kernel decide their rows ahead through
 :class:`~repro.core.row_batch.RowBatch` and ``settle`` the pairs they
-reach.  ``compare()`` is left for IN/LO window members past a
-candidate's batched prefix, PAR's exchange mode and the probes.
+reach.  The γ-profile, domination counts, the partitioned merge and
+anytime seeding know every ordered pair up front and take the bulk count
+(:func:`pair_counts`: the setup, then one round over every pending
+pair).  ``compare()`` is left for pairs decided one at a time, where a
+kernel call's fixed cost (about ten times a small ``compare()``'s) was
+measured not to pay: IN/LO window members past a candidate's batched
+prefix, PAR's exchange mode and the anytime refiner's steps.
 
 *Exact thresholds.*  A direction holds at threshold ``γ = num/den`` when
 ``p = 1`` or ``count / t > γ`` for ``t = n_x · n_y``.  ``compare()``
@@ -80,15 +85,18 @@ distinct-row id test for strictness: given ``p >= q`` everywhere, ``p``
 beats ``q`` somewhere exactly when the two rows differ (when no two
 records are equal the test is skipped).  A NaN fails both ``>=`` and
 ``>``, so as a dominator it ranks ``-1`` and as a dominated record
-``top``, and no test involving it passes.  Pairs a slice pads in are
+``top``, and no test involving it passes.  Both Figure-9 setups read
+corners that skip NaN, and draw no "every pair" conclusion (total
+domination, regions A and C) for a group holding a NaN record (see
+:class:`~repro.core.groups.BoundingBox`).  Pairs a slice pads in are
 masked out of its counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,8 +107,9 @@ __all__ = [
     "ComparisonOutcome",
     "DirectionOutcomes",
     "GroupComparator",
-    "DirectionalProbe",
     "RecordColumns",
+    "ordered_pairs",
+    "pair_counts",
 ]
 
 #: Padded record pairs one slice of a batch-kernel round checks at most; a
@@ -120,6 +129,9 @@ _PAD_SLACK = 1 << 13
 #: A broadcast inner loop shorter than this costs more than laying the
 #: pairs out flat (see :func:`_count_slice`).
 _FLAT_WIDTH = 32
+#: Directions one block of :func:`ordered_pairs` holds at most: 20,000
+#: groups have 4 × 10⁸ ordered pairs, which no caller holds at once.
+BULK_DIRECTIONS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -165,7 +177,6 @@ class _DirectionalCount:
         self.total = a.size * b.size
         self.known = 0          # pairs known to dominate
         self.pending = 0        # pairs not yet resolved
-        self.examined = 0       # pairs resolved via explicit checks
         self._a_mid: Optional[np.ndarray] = None   # d × pending records of A
         self._b_mid: Optional[np.ndarray] = None   # d × pending records of B
         self._cursor = 0
@@ -187,19 +198,20 @@ class _DirectionalCount:
             self.pending = 0
             return
         # Total domination: A's worst corner dominates B's best corner.
-        if _dominates(a_box.min_corner, b_box.max_corner):
+        nan = a_box.holds_nan or b_box.holds_nan  # corners skip NaN records
+        if not nan and _dominates(a_box.min_corner, b_box.max_corner):
             self.known = self.total
             self.pending = 0
             return
 
         # Region C: records of A dominating B's best corner dominate all B.
-        a_all = _dominates(a_t, b_box.max_corner[:, None])
+        a_all = _dominates(a_t, b_box.max_corner[:, None]) & (not b_box.holds_nan)
         # Records of A that do not dominate B's worst corner dominate nothing.
         a_some = _dominates(a_t, b_box.min_corner[:, None])
         a_mid_mask = a_some & ~a_all
         # Region A: records of B dominated by A's worst corner are dominated
         # by every record of A.
-        b_all = _dominates(a_box.min_corner[:, None], b_t)
+        b_all = _dominates(a_box.min_corner[:, None], b_t) & (not a_box.holds_nan)
         # Records of B not dominated by A's best corner are dominated by none.
         b_some = _dominates(a_box.max_corner[:, None], b_t)
         b_mid_mask = b_some & ~b_all
@@ -221,10 +233,6 @@ class _DirectionalCount:
 
     # ------------------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pending == 0
-
     def advance(self, block_size: int) -> int:
         """Resolve up to ``block_size`` pending pairs; return pairs checked."""
         if self.pending == 0 or self._a_mid is None or self._b_mid is None:
@@ -240,7 +248,6 @@ class _DirectionalCount:
         checked = chunk.shape[1] * n_b
         self.known += dominated
         self.pending -= checked
-        self.examined += checked
         self._cursor += chunk.shape[1]
         return checked
 
@@ -259,36 +266,6 @@ class _DirectionalCount:
     def decide(self, threshold: Tuple[int, int]) -> Optional[bool]:
         """Tri-state verdict of the current bounds (see :func:`_decide`)."""
         return _decide(self.known, self.pending, self.total, threshold)
-
-    def probability_bounds(self) -> Tuple[Fraction, Fraction]:
-        return (
-            Fraction(self.known, self.total),
-            Fraction(self.known + self.pending, self.total),
-        )
-
-
-class DirectionalProbe:
-    """Public one-directional probability prober (used by the γ-profile).
-
-    Wraps the incremental counter for ``p(A > B)``: ``bounds()`` returns the
-    cheap interval implied by the MBB pre-classification alone, ``exact()``
-    resolves the remaining pairs and returns the exact probability.
-    """
-
-    def __init__(self, a: Group, b: Group, use_bbox: bool = True):
-        self._count = _DirectionalCount(a, b, use_bbox)
-        self.pairs_examined = 0
-
-    def bounds(self) -> Tuple[Fraction, Fraction]:
-        """Current (lower, upper) bounds on ``p(A > B)``."""
-        return self._count.probability_bounds()
-
-    def exact(self) -> Fraction:
-        """Resolve all pending pairs and return the exact probability."""
-        self.pairs_examined += self._count.finish()
-        lower, upper = self._count.probability_bounds()
-        assert lower == upper
-        return lower
 
 
 def _dominates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -381,7 +358,8 @@ class RecordColumns:
 
     ``records`` is ``d × N`` (all groups' records, group after group),
     group ``g`` owning columns ``starts[g] : starts[g] + sizes[g]``;
-    ``mins`` / ``maxs`` are the ``d × G`` corner columns.  ``ranks``,
+    ``mins`` / ``maxs`` are the ``d × G`` corner columns (skipping NaN;
+    ``nan_groups`` flags the groups holding one, or is ``None``).  ``ranks``,
     ``dominated_ranks`` and ``row_ids`` are what the batch kernel compares
     (see the module docstring and :func:`_rank_columns`), with as many
     spare columns as the largest group has records.  Built on the query
@@ -398,6 +376,7 @@ class RecordColumns:
     ranks: np.ndarray
     dominated_ranks: np.ndarray
     row_ids: Optional[np.ndarray]
+    nan_groups: Optional[np.ndarray]
 
     @property
     def spare(self) -> int:
@@ -408,6 +387,9 @@ class RecordColumns:
     def _of_matrix(cls, matrix, starts, sizes, mins, maxs) -> "RecordColumns":
         spare = int(sizes.max()) if sizes.shape[0] else 0
         ranks, dominated_ranks, row_ids = _rank_columns(matrix, spare)
+        nan_groups = None
+        if dominated_ranks is not ranks:  # some record holds a NaN
+            nan_groups = np.logical_or.reduceat(np.isnan(matrix).any(axis=1), starts)
         return cls(
             records=np.ascontiguousarray(matrix.T),
             starts=starts,
@@ -417,6 +399,7 @@ class RecordColumns:
             ranks=ranks,
             dominated_ranks=dominated_ranks,
             row_ids=row_ids,
+            nan_groups=nan_groups,
         )
 
     @classmethod
@@ -441,8 +424,8 @@ class RecordColumns:
             matrix,
             starts,
             sizes,
-            np.minimum.reduceat(matrix, starts, axis=0),
-            np.maximum.reduceat(matrix, starts, axis=0),
+            np.fmin.reduceat(matrix, starts, axis=0),
+            np.fmax.reduceat(matrix, starts, axis=0),
         )
 
 
@@ -541,11 +524,14 @@ def _setup(
         known = np.zeros(count, dtype=np.int64)
         return known, n_x * n_y, starts[x], n_x, starts[y], n_y, None, None
     records = columns.records
+    nan = columns.nan_groups
     # Corner tests first, as in _DirectionalCount._setup: no record of X
     # can dominate unless X's best corner dominates Y's worst, and the
     # domination is total when X's worst corner dominates Y's best.
     possible = _dominates(columns.maxs[:, x], columns.mins[:, y])
     whole = possible & _dominates(columns.mins[:, x], columns.maxs[:, y])
+    if nan is not None:  # the corners skip NaN records
+        whole &= ~(nan[x] | nan[y])
     split = possible & ~whole
     # Regions of the remaining directions' records, record by record.
     owner_x, offset_x = _ranges(np.where(split, n_x, 0))
@@ -555,11 +541,15 @@ def _setup(
     x_vals = records[:, rec_x]
     y_of_x = y[owner_x]
     x_all = _dominates(x_vals, columns.maxs[:, y_of_x])
+    if nan is not None:
+        x_all &= ~nan[y_of_x]
     x_mid = _dominates(x_vals, columns.mins[:, y_of_x]) & ~x_all
     del x_vals
     y_vals = records[:, rec_y]
     x_of_y = x[owner_y]
     y_all = _dominates(columns.mins[:, x_of_y], y_vals)
+    if nan is not None:
+        y_all &= ~nan[x_of_y]
     y_mid = _dominates(columns.maxs[:, x_of_y], y_vals) & ~y_all
     del y_vals
     n_x_all = np.bincount(owner_x[x_all], minlength=count)
@@ -770,20 +760,19 @@ def _decide_chunk(
     so a round updates whole rows and dropping the directions it decided
     is one column selection.
     """
+    totals = columns.sizes[x] * columns.sizes[y]
+    bars = _bars(totals, thresholds)
+    if not use_stopping_rule:
+        # One round: every pending pair.
+        count, pending = pair_counts(columns, x, y, use_bbox)
+        gamma, strong = _holds(count, 0, totals, bars)[0]
+        return gamma, strong, pending, pending == 0, np.zeros(x.shape[0], dtype=bool)
     known, pending, x_first, x_count, y_first, y_count, x_mid, y_mid = _setup(
         columns, x, y, use_bbox
     )
-    sources = _sources(columns, x_mid, y_mid)
-    totals = columns.sizes[x] * columns.sizes[y]
-    bars = _bars(totals, thresholds)
     shortcut = pending == 0
+    sources = _sources(columns, x_mid, y_mid)
     examined = np.zeros(x.shape[0], dtype=np.int64)
-    if use_stopping_rule:
-        block_rows = np.maximum(1, block_size // np.maximum(1, y_count))
-        active = np.flatnonzero(_undecided(known, pending, totals, bars))
-    else:
-        block_rows = x_count
-        active = np.flatnonzero(pending)
     live = np.stack(
         [
             known,
@@ -791,14 +780,14 @@ def _decide_chunk(
             examined,
             np.arange(x.shape[0]),
             totals,
-            block_rows,
+            np.maximum(1, block_size // np.maximum(1, y_count)),  # block rows
             x_count,  # rows of X still unchecked
             x_first,  # the next unchecked row's column in the X sources
             y_first,
             y_count,
             *bars,
         ]
-    )[:, active]
+    )[:, np.flatnonzero(_undecided(known, pending, totals, bars))]
     while live.shape[1]:
         known_, pending_, examined_, _, totals_, block_, left, first_row = live[:8]
         first_col, width = live[8:10]
@@ -809,16 +798,88 @@ def _decide_chunk(
         examined_ += checked
         left -= rows
         first_row += rows
-        if use_stopping_rule:
-            still = _undecided(known_, pending_, totals_, live[10:])
-        else:
-            still = np.zeros(live.shape[1], dtype=bool)
+        still = _undecided(known_, pending_, totals_, live[10:])
         if not still.all():
             done = live[:, ~still]
             known[done[3]], pending[done[3]], examined[done[3]] = done[:3]
             live = live[:, still]
     gamma, strong = _holds(known, pending, totals, bars)[0]
     return gamma, strong, examined, shortcut, pending > 0
+
+
+def _chunked(
+    columns: RecordColumns,
+    x: Sequence[int],
+    y: Sequence[int],
+    use_bbox: bool,
+    kernel: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
+    dtypes: Sequence[type],
+) -> Tuple[np.ndarray, ...]:
+    """``kernel(x, y)`` over every direction "``x[p]`` over ``y[p]``", in
+    chunks bounded by directions (or records, with bounding boxes)."""
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if np.any(x == y):
+        raise ValueError("a direction needs two different groups")
+    fields = tuple(np.zeros(x.shape[0], dtype=dtype) for dtype in dtypes)
+    if use_bbox:
+        weights, budget = columns.sizes[x] + columns.sizes[y], _CHUNK_RECORDS
+    else:
+        weights, budget = np.ones(x.shape[0], dtype=np.int64), _CHUNK_DIRECTIONS
+    for start, stop in _cuts(weights, budget):
+        for field, part in zip(fields, kernel(x[start:stop], y[start:stop])):
+            field[start:stop] = part
+    return fields
+
+
+def pair_counts(
+    columns: RecordColumns,
+    x: Sequence[int],
+    y: Sequence[int],
+    use_bbox: bool = True,
+    bounds_only: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(count, pending)`` of every direction "``x[p]`` over ``y[p]``":
+    the Figure-9 setup, then one round over the ``pending[p]`` pairs it
+    leaves open (region B, or every pair without bounding boxes), so that
+    ``count[p]`` is the exact number of dominating record pairs.  With
+    ``bounds_only`` there is no round, and the count lies in ``[count,
+    count + pending]``.  Reads no threshold and touches no counter.
+    """
+
+    def count(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        known, pending, x_first, x_count, y_first, y_count, x_mid, y_mid = _setup(
+            columns, x, y, use_bbox
+        )
+        open_ = np.flatnonzero(pending)
+        if open_.shape[0] and not bounds_only:
+            known[open_] += _count_blocks(
+                _sources(columns, x_mid, y_mid),
+                x_first[open_],
+                x_count[open_],
+                y_first[open_],
+                y_count[open_],
+            )
+        return known, pending
+
+    return _chunked(columns, x, y, use_bbox, count, (np.int64, np.int64))
+
+
+def ordered_pairs(
+    groups: int, targets: Sequence[int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every direction "``g`` over ``t``" (``g != t``, ``t`` in ``targets``)
+    as ``(block, x, y)``: blocks of whole targets holding at most
+    :data:`BULK_DIRECTIONS` directions (or one target), target by target
+    and ``g`` ascending, so ``x`` reshapes to ``(len(block), groups - 1)``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    step = max(1, BULK_DIRECTIONS // max(1, groups - 1))
+    for start in range(0, targets.shape[0], step):
+        block = targets[start : start + step]
+        x = np.tile(np.arange(groups), block.shape[0])
+        y = np.repeat(block, groups)
+        keep = x != y
+        yield block, x[keep], y[keep]
 
 
 class GroupComparator:
@@ -949,7 +1010,7 @@ class GroupComparator:
         forward = _DirectionalCount(g1, g2, self.use_bbox) if need_forward else None
         backward = _DirectionalCount(g2, g1, self.use_bbox) if need_backward else None
         shortcut = all(
-            direction is None or direction.exhausted
+            direction is None or direction.pending == 0
             for direction in (forward, backward)
         )
 
@@ -1014,33 +1075,17 @@ class GroupComparator:
     def _decide_arrays(
         self, columns: RecordColumns, x: Sequence[int], y: Sequence[int]
     ) -> Tuple[np.ndarray, ...]:
-        """The batch kernel over every direction "``x[p]`` over ``y[p]``",
-        in chunks bounded by directions (or records, with bounding boxes)."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        if np.any(x == y):
-            raise ValueError("a direction needs two different groups")
-        fields = tuple(
-            np.zeros(x.shape[0], dtype=dtype)
-            for dtype in (bool, bool, np.int64, bool, bool)
+        """The batch kernel over every direction "``x[p]`` over ``y[p]``"."""
+        decide = partial(
+            _decide_chunk,
+            columns,
+            use_bbox=self.use_bbox,
+            use_stopping_rule=self.use_stopping_rule,
+            block_size=self.block_size,
+            thresholds=(self._gamma, self._strong),
         )
-        if self.use_bbox:
-            weights, budget = columns.sizes[x] + columns.sizes[y], _CHUNK_RECORDS
-        else:
-            weights, budget = np.ones(x.shape[0], dtype=np.int64), _CHUNK_DIRECTIONS
-        for start, stop in _cuts(weights, budget):
-            parts = _decide_chunk(
-                columns,
-                x[start:stop],
-                y[start:stop],
-                self.use_bbox,
-                self.use_stopping_rule,
-                self.block_size,
-                (self._gamma, self._strong),
-            )
-            for field, part in zip(fields, parts):
-                field[start:stop] = part
-        return fields
+        dtypes = (bool, bool, np.int64, bool, bool)
+        return _chunked(columns, x, y, self.use_bbox, decide, dtypes)
 
     def decide(
         self, columns: RecordColumns, x: Sequence[int], y: Sequence[int]

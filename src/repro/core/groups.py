@@ -54,14 +54,17 @@ class BoundingBox:
 
     ``min_corner`` / ``max_corner`` follow the paper's Figure 9: with the
     *higher is better* convention the max corner is the (virtual) best record
-    of the group and the min corner the worst.
+    of the group and the min corner the worst.  The corners skip NaN, and
+    ``holds_nan`` flags a group with a record holding one: the corners do
+    not bound that record, so they prove nothing about *every* record.
     """
 
-    __slots__ = ("min_corner", "max_corner")
+    __slots__ = ("min_corner", "max_corner", "holds_nan")
 
     def __init__(self, min_corner: np.ndarray, max_corner: np.ndarray):
         self.min_corner = np.asarray(min_corner, dtype=np.float64)
         self.max_corner = np.asarray(max_corner, dtype=np.float64)
+        self.holds_nan = False
         if self.min_corner.shape != self.max_corner.shape:
             raise ValueError("corner shapes differ")
         if np.any(self.min_corner > self.max_corner):
@@ -72,21 +75,26 @@ class BoundingBox:
         array = np.asarray(values, dtype=np.float64)
         if array.ndim != 2 or array.shape[0] == 0:
             raise ValueError("bounding box needs a non-empty 2-d array")
-        return cls(array.min(axis=0), array.max(axis=0))
+        low = array.min(axis=0)
+        if np.isnan(low).any():  # min() propagates NaN
+            low, high = np.fmin.reduce(array, axis=0), np.fmax.reduce(array, axis=0)
+            return cls._trusted(low, high, True)
+        return cls._trusted(low, array.max(axis=0))
 
     @classmethod
     def _trusted(
-        cls, min_corner: np.ndarray, max_corner: np.ndarray
+        cls, min_corner: np.ndarray, max_corner: np.ndarray, holds_nan: bool = False
     ) -> "BoundingBox":
         """Wrap pre-validated corner views without copies or checks.
 
         Used by :class:`GroupedDataset` to hand out boxes whose corners are
         rows of the dataset's corner matrices (already float64, already
-        consistent by construction).
+        consistent by construction), and by :meth:`of`.
         """
         box = cls.__new__(cls)
         box.min_corner = min_corner
         box.max_corner = max_corner
+        box.holds_nan = holds_nan
         return box
 
     @property
@@ -298,15 +306,17 @@ class GroupedDataset:
         self._key_index = key_index
         self._matrix = _readonly_view(matrix)
         self._offsets = _readonly_view(offsets)
+        starts = offsets[:-1]
+        low, high = np.minimum, np.maximum
+        self._nan_groups: Sequence[bool] = (False,) * len(keys)
         if not allow_non_finite:
             self._check_finite()
-        starts = offsets[:-1]
-        self._min_corners = _readonly_view(
-            np.minimum.reduceat(matrix, starts, axis=0)
-        )
-        self._max_corners = _readonly_view(
-            np.maximum.reduceat(matrix, starts, axis=0)
-        )
+        elif np.isnan(matrix).any():
+            low, high = np.fmin, np.fmax
+            nan_records = np.isnan(matrix).any(axis=1)
+            self._nan_groups = np.logical_or.reduceat(nan_records, starts).tolist()
+        self._min_corners = _readonly_view(low.reduceat(matrix, starts, axis=0))
+        self._max_corners = _readonly_view(high.reduceat(matrix, starts, axis=0))
         # Zero-copy Group views are materialised lazily: large archive
         # loads and column-level consumers never pay for G python objects.
         self._group_views: Optional[List[Group]] = None
@@ -446,12 +456,13 @@ class GroupedDataset:
             offsets = self._offsets
             min_corners = self._min_corners
             max_corners = self._max_corners
+            nan_groups = self._nan_groups
             views: List[Group] = []
             for position, key in enumerate(self._keys):
                 start = int(offsets[position])
                 stop = int(offsets[position + 1])
                 bbox = BoundingBox._trusted(
-                    min_corners[position], max_corners[position]
+                    min_corners[position], max_corners[position], nan_groups[position]
                 )
                 views.append(
                     Group(

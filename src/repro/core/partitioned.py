@@ -12,7 +12,8 @@ is sound for *groups* despite the loss of transitivity:
    dominators may live in other partitions, and — because dominated groups
    still dominate (no transitivity!) — may even be groups excluded
    locally.  Each candidate is therefore verified against **all** original
-   groups with one-directional probes.
+   groups, every direction "group over candidate" in one bulk count
+   (:func:`~repro.core.comparator.pair_counts`).
 
 With ``execution=ExecutionConfig(workers=n)`` (``n > 1``) the local
 phase fans out over a :class:`~repro.engine.pool.PersistentPool` opened
@@ -31,11 +32,12 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple, Uni
 
 import numpy as np
 
+from . import artifacts
 from .api import _coerce_dataset
-from .comparator import DirectionalProbe
+from .comparator import _bars, _holds, ordered_pairs, pair_counts
 from .dominance import Direction
 from .execution import ExecutionConfig, coerce_execution, reject_kwargs
-from .gamma import GammaLike, GammaThresholds, dominance_holds
+from .gamma import GammaLike, GammaThresholds
 from .groups import GroupedDataset
 from .result import AggregateSkylineResult, AlgorithmStats, Timer
 
@@ -57,45 +59,36 @@ def partition_keys(
 
 
 def _local_skyline(
-    payload: Tuple[Dict[Hashable, np.ndarray], object]
+    payload: Tuple[Dict[Hashable, np.ndarray], object, bool]
 ) -> List[Hashable]:
     """Worker: the aggregate skyline of one partition (normalised data)."""
-    groups, gamma = payload
+    groups, gamma, allow_non_finite = payload
     from .algorithms.nested_loop import NestedLoopAlgorithm
 
-    dataset = GroupedDataset(groups)  # values already normalised
+    dataset = GroupedDataset(groups, allow_non_finite=allow_non_finite)  # normalised
     return NestedLoopAlgorithm(gamma).compute(dataset).keys
 
 
-def _verify_candidate(
-    dataset: GroupedDataset,
-    candidate_key: Hashable,
-    thresholds: GammaThresholds,
-) -> Tuple[bool, int]:
-    """Is the candidate dominated by *any* group?  Returns (survives, pairs)."""
-    target = dataset[candidate_key]
+def _survivors(
+    dataset: GroupedDataset, candidates: List[Hashable], thresholds: GammaThresholds
+) -> Tuple[List[Hashable], int]:
+    """The candidates no group γ-dominates, in dataset order, and the
+    region-B record pairs counted to find them."""
+    keys = dataset.keys()
+    position = {key: i for i, key in enumerate(keys)}
+    columns = artifacts.record_columns(dataset)
+    gamma = [thresholds.gamma.as_integer_ratio()]
+    targets = sorted(position[key] for key in candidates)
+    dominated = set()
     pairs = 0
-    for other in dataset:
-        if other.key == candidate_key:
-            continue
-        probe = DirectionalProbe(other, target, use_bbox=True)
-        lower, upper = probe.bounds()
-        if lower == upper:
-            p = lower
-        elif dominance_holds(
-            lower.numerator, lower.denominator, thresholds.gamma
-        ):
-            return False, pairs
-        elif not dominance_holds(
-            upper.numerator, upper.denominator, thresholds.gamma
-        ):
-            continue
-        else:
-            p = probe.exact()
-            pairs += probe.pairs_examined
-        if dominance_holds(p.numerator, p.denominator, thresholds.gamma):
-            return False, pairs
-    return True, pairs
+    for block, x, y in ordered_pairs(len(keys), targets):
+        count, pending = pair_counts(columns, x, y)
+        totals = columns.sizes[x] * columns.sizes[y]
+        holds = _holds(count, 0, totals, _bars(totals, gamma)[0])[0]
+        pairs += int(pending.sum())
+        beaten = holds.reshape(block.shape[0], len(keys) - 1).any(axis=1)
+        dominated.update(block[beaten].tolist())
+    return [keys[i] for i in targets if i not in dominated], pairs
 
 
 def partitioned_aggregate_skyline(
@@ -117,6 +110,9 @@ def partitioned_aggregate_skyline(
     :class:`repro.parallel.PoolTimeoutError` after
     ``execution.pool_timeout`` seconds instead of hanging on a wedged
     one.
+
+    ``stats.record_pairs_examined`` counts the region-B record pairs of
+    the merge phase's directions, which its bulk count checks.
     """
     reject_kwargs("partitioned_aggregate_skyline", removed)
     execution = coerce_execution(execution)
@@ -140,6 +136,7 @@ def partitioned_aggregate_skyline(
             (
                 {key: dataset[key].values for key in bucket},
                 thresholds.gamma,
+                dataset.allow_non_finite,
             )
             for bucket in buckets
         ]
@@ -154,17 +151,11 @@ def partitioned_aggregate_skyline(
         else:
             local_survivors = [_local_skyline(p) for p in payloads]
 
-        candidates = [key for bucket in local_survivors for key in bucket]
-        pairs = 0
-        surviving = []
-        for key in candidates:
-            keep, examined = _verify_candidate(dataset, key, thresholds)
-            pairs += examined
-            if keep:
-                surviving.append(key)
-        # Preserve the dataset's group order in the result.
-        order = {key: i for i, key in enumerate(dataset.keys())}
-        surviving.sort(key=lambda key: order[key])
+        surviving, pairs = _survivors(
+            dataset,
+            [key for bucket in local_survivors for key in bucket],
+            thresholds,
+        )
 
     stats = AlgorithmStats(
         algorithm=f"PART({partitions})",

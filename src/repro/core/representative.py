@@ -13,18 +13,19 @@ literature the paper cites:
   γ-dominate as many non-skyline groups as possible (greedy max-coverage,
   the standard (1 − 1/e) approximation).
 
-Both build on exact pairwise probabilities and reuse the Figure-9 corner
-shortcuts through :class:`~repro.core.comparator.DirectionalProbe`.
+Both decide every ordered pair on the batch kernel's exact integer
+thresholds, from its bulk count (:func:`~repro.core.comparator.pair_counts`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple, Union
 
+from . import artifacts
 from .api import _coerce_dataset
-from .comparator import DirectionalProbe
+from .comparator import _bars, _holds, ordered_pairs, pair_counts
 from .dominance import Direction
-from .gamma import GammaLike, GammaThresholds, dominance_holds
+from .gamma import GammaLike, GammaThresholds
 from .groups import GroupedDataset
 
 __all__ = [
@@ -37,34 +38,23 @@ GroupsLike = Union[GroupedDataset, Mapping[Hashable, Iterable]]
 
 
 def _dominates_map(
-    dataset: GroupedDataset, thresholds: GammaThresholds
+    groups: GroupsLike,
+    gamma: GammaLike,
+    directions: Union[None, str, Direction, list, tuple],
 ) -> Dict[Hashable, Set[Hashable]]:
-    """``{S: set of groups S γ-dominates}`` with corner pruning."""
-    dominated: Dict[Hashable, Set[Hashable]] = {
-        group.key: set() for group in dataset
-    }
-    groups = dataset.groups
-    for s in groups:
-        for r in groups:
-            if s.key == r.key:
-                continue
-            probe = DirectionalProbe(s, r, use_bbox=True)
-            lower, upper = probe.bounds()
-            if lower == upper:
-                p = lower
-            elif dominance_holds(
-                lower.numerator, lower.denominator, thresholds.gamma
-            ):
-                dominated[s.key].add(r.key)
-                continue
-            elif not dominance_holds(
-                upper.numerator, upper.denominator, thresholds.gamma
-            ):
-                continue
-            else:
-                p = probe.exact()
-            if dominance_holds(p.numerator, p.denominator, thresholds.gamma):
-                dominated[s.key].add(r.key)
+    """``{S: set of groups S γ-dominates}`` over every ordered pair, in
+    group order."""
+    dataset = _coerce_dataset(groups, directions)
+    keys = dataset.keys()
+    dominated: Dict[Hashable, Set[Hashable]] = {key: set() for key in keys}
+    columns = artifacts.record_columns(dataset)
+    threshold = [GammaThresholds(gamma).gamma.as_integer_ratio()]
+    for _, x, y in ordered_pairs(len(keys), range(len(keys))):
+        count, _ = pair_counts(columns, x, y)
+        totals = columns.sizes[x] * columns.sizes[y]
+        holds = _holds(count, 0, totals, _bars(totals, threshold)[0])[0]
+        for s, r in zip(x[holds].tolist(), y[holds].tolist()):
+            dominated[keys[s]].add(keys[r])
     return dominated
 
 
@@ -74,11 +64,9 @@ def domination_counts(
     directions: Union[None, str, Direction, list, tuple] = None,
 ) -> Dict[Hashable, int]:
     """How many other groups each group γ-dominates."""
-    dataset = _coerce_dataset(groups, directions)
-    thresholds = GammaThresholds(gamma)
     return {
         key: len(victims)
-        for key, victims in _dominates_map(dataset, thresholds).items()
+        for key, victims in _dominates_map(groups, gamma, directions).items()
     }
 
 
@@ -116,17 +104,9 @@ def representative_skyline(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    dataset = _coerce_dataset(groups, directions)
-    thresholds = GammaThresholds(gamma)
-    dominates = _dominates_map(dataset, thresholds)
-
-    every_key = [group.key for group in dataset]
-    dominated_by_someone = {
-        key
-        for key in every_key
-        if any(key in victims for victims in dominates.values())
-    }
-    skyline = [key for key in every_key if key not in dominated_by_someone]
+    dominates = _dominates_map(groups, gamma, directions)
+    dominated_by_someone = set().union(*dominates.values())
+    skyline = [key for key in dominates if key not in dominated_by_someone]
     if len(skyline) <= k:
         return skyline
 

@@ -6,6 +6,7 @@ from typing import Dict, Hashable, List
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.gamma import GammaThresholds, dominance_holds, dominance_probability
 from repro.core.groups import GroupedDataset
@@ -55,3 +56,34 @@ def random_grouped_dataset(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@st.composite
+def kernel_datasets(draw):
+    """2-5 groups of 1-40 records on a small integer grid — ties, duplicate
+    records, single-record groups and, at 20-40 records, pairs spanning
+    many blocks — with NaN and ±inf sprinkled in."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    top = draw(st.integers(min_value=1, max_value=4))
+    record = st.lists(
+        st.integers(min_value=0, max_value=top), min_size=d, max_size=d
+    )
+    values = {}
+    for g in range(draw(st.integers(min_value=2, max_value=5))):
+        size = draw(st.sampled_from([1, 2, 3, 7, 20, 40]))
+        rows = draw(st.lists(record, min_size=size, max_size=size))
+        values[f"g{g}"] = np.array(rows, dtype=float)
+    special = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(sorted(values)),
+                st.integers(min_value=0, max_value=39),
+                st.integers(min_value=0, max_value=d - 1),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ),
+            max_size=3,
+        )
+    )
+    for key, row, column, value in special:
+        values[key][row % len(values[key]), column] = value
+    return GroupedDataset(values, allow_non_finite=bool(special))

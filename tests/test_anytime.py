@@ -1,11 +1,15 @@
 """Tests for the anytime aggregate skyline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import anytime as anytime_module
 from repro.core.anytime import AnytimeAggregateSkyline, GroupStatus
+from repro.core.comparator import RecordColumns, pair_counts
 from repro.core.groups import GroupedDataset
 from repro.data.synthetic import SyntheticSpec, generate_grouped
 from tests.conftest import exact_aggregate_skyline, random_grouped_dataset
@@ -154,3 +158,48 @@ class TestProgressIntegration:
         engine = AnytimeAggregateSkyline(chain, gamma=1.0)
         assert engine.pair_budget >= 0
         assert engine.pairs_examined <= engine.pair_budget
+
+
+class TestBulkSeeding:
+    def test_only_undecided_pairs_get_a_probe(self):
+        # The end-to-end benchmark's oneshot-tiny input 0: 500 groups,
+        # 249,500 ordered pairs, nearly all decided by their bounds.
+        dataset = generate_grouped(
+            SyntheticSpec(
+                n_records=1000,
+                avg_group_size=2,
+                dimensions=3,
+                distribution="anticorrelated",
+                seed=41,
+            )
+        )
+        made = []
+
+        class Counting(anytime_module._DirectionalCount):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        with mock.patch.object(anytime_module, "_DirectionalCount", Counting):
+            anytime = AnytimeAggregateSkyline(dataset, 0.5)
+        assert len(made) == 396
+        probes = anytime._probes.values()
+        assert anytime.pair_budget == sum(probe.pending for probe in probes) == 1102
+
+    def test_pair_budget_counts_undecided_pairs_only(self):
+        # "a" over "b": 5 of the 6 pairs are known to dominate from the
+        # corners and regions, one is pending, and 5/6 > .5 decides it.
+        dataset = GroupedDataset(
+            {
+                "a": [[5.0, 5.0], [4.0, 4.0]],
+                "b": [[1.0, 1.0], [2.0, 2.0], [4.5, 0.0]],
+            }
+        )
+        columns = RecordColumns.of_dataset(dataset)
+        known, pending = pair_counts(columns, [0, 1], [1, 0], bounds_only=True)
+        assert known.tolist() == [5, 0]
+        assert pending.tolist() == [1, 0]
+        anytime = AnytimeAggregateSkyline(dataset, 0.5)
+        assert anytime.done
+        assert anytime.confirmed() == ["a"]
+        assert anytime.pair_budget == 0

@@ -6,21 +6,28 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import anytime as anytime_module
 from repro.core import comparator as comparator_module
 from repro.core.anytime import AnytimeAggregateSkyline
-from repro.core.comparator import DirectionalProbe, GroupComparator, RecordColumns
+from repro.core.comparator import (
+    GroupComparator,
+    RecordColumns,
+    ordered_pairs,
+    pair_counts,
+)
 from repro.core.dominance import dominated_mask
 from repro.core.gamma import (
     DEFAULT_BLOCK_SIZE,
     GammaThresholds,
+    count_dominating_pairs,
     dominance_holds,
     dominance_probability,
 )
 from repro.core.groups import Group, GroupedDataset
+from tests.conftest import kernel_datasets
 
 GAMMAS = [0.5, 0.55, 0.7, 0.75, 0.9, 1.0]
 BLOCK_SIZES = [1, 2, 7, 64, 1024]
@@ -222,19 +229,29 @@ def counters(comparator):
 
 
 @st.composite
-def grid_groups(draw, max_size=40):
+def grid_groups(draw, max_size=40, non_finite=False):
     """A group of 1..max_size records on a small integer grid, so ties on
     single dimensions, whole duplicate records and single-record groups
-    are all common."""
+    are all common; with ``non_finite``, some cells are NaN or ±inf."""
     d = draw(st.integers(min_value=1, max_value=6))
     top = draw(st.integers(min_value=1, max_value=4))
     record = st.lists(
         st.integers(min_value=0, max_value=top), min_size=d, max_size=d
     )
+    special = st.tuples(
+        st.integers(min_value=0, max_value=max_size - 1),
+        st.integers(min_value=0, max_value=d - 1),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
 
     def group(key):
         size = draw(st.sampled_from(range(1, max_size + 1)))
-        rows = draw(st.lists(record, min_size=size, max_size=size))
+        rows = np.array(
+            draw(st.lists(record, min_size=size, max_size=size)), dtype=float
+        )
+        if non_finite:
+            for row, column, value in draw(st.lists(special, max_size=3)):
+                rows[row % size, column] = value
         return make_group(key, rows)
 
     return group("a"), group("b")
@@ -314,17 +331,18 @@ class TestCorrectness:
             GroupComparator(GammaThresholds(0.5), block_size=0)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=3),
-        st.sampled_from(GAMMAS),
-        st.integers(min_value=0, max_value=100_000),
+    @given(grid_groups(max_size=6, non_finite=True), st.sampled_from(GAMMAS))
+    @example(
+        (
+            make_group("a", [[np.nan, 5.0], [10.0, 10.0], [11.0, 11.0]]),
+            make_group("b", [[1.0, 1.0]]),
+        ),
+        0.5,
     )
-    def test_all_variants_match_oracle(self, n1, n2, d, gamma, seed):
-        rng = np.random.default_rng(seed)
-        g1 = make_group("a", rng.integers(0, 4, size=(n1, d)).astype(float))
-        g2 = make_group("b", rng.integers(0, 4, size=(n2, d)).astype(float))
+    def test_all_variants_match_oracle(self, groups, gamma):
+        # A NaN record dominates nothing and is dominated by nothing, so
+        # no corner test may conclude anything about every record.
+        g1, g2 = groups
         thresholds = GammaThresholds(gamma)
         expected = oracle_flags(g1, g2, thresholds)
         for comparator in comparator_variants(thresholds, block_size=2):
@@ -468,14 +486,22 @@ class TestReferenceKernel:
     @settings(max_examples=60, deadline=None)
     @given(grid_groups())
     def test_probe_exact_is_the_dominance_probability(self, groups):
+        # The bulk count probes both directions of a pair: its exact count
+        # is Definition 3's, and its bounds bracket it.
         g1, g2 = groups
-        for s, r in ((g1, g2), (g2, g1)):
-            expected = dominance_probability(s, r)
-            for use_bbox in (True, False):
-                probe = DirectionalProbe(s, r, use_bbox=use_bbox)
-                lower, upper = probe.bounds()
-                assert lower <= expected <= upper
-                assert probe.exact() == expected
+        columns = RecordColumns.of_groups([g1, g2])
+        for use_bbox in (True, False):
+            exact, pending = pair_counts(columns, [0, 1], [1, 0], use_bbox)
+            known, open_ = pair_counts(
+                columns, [0, 1], [1, 0], use_bbox, bounds_only=True
+            )
+            assert pending.tolist() == open_.tolist()
+            for p, (s, r) in enumerate(((g1, g2), (g2, g1))):
+                expected = dominance_probability(s, r)
+                total = s.size * r.size
+                assert Fraction(int(known[p]), total) <= expected
+                assert expected <= Fraction(int(known[p] + open_[p]), total)
+                assert Fraction(int(exact[p]), total) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -620,37 +646,6 @@ def widened(columns):
     return dataclasses.replace(columns, ranks=ranks, dominated_ranks=dominated)
 
 
-@st.composite
-def kernel_datasets(draw):
-    """2-5 groups of 1-40 records on a small integer grid — ties, duplicate
-    records, single-record groups and, at 20-40 records, pairs spanning
-    many blocks — with NaN and ±inf sprinkled in."""
-    d = draw(st.integers(min_value=1, max_value=5))
-    top = draw(st.integers(min_value=1, max_value=4))
-    record = st.lists(
-        st.integers(min_value=0, max_value=top), min_size=d, max_size=d
-    )
-    values = {}
-    for g in range(draw(st.integers(min_value=2, max_value=5))):
-        size = draw(st.sampled_from([1, 2, 3, 7, 20, 40]))
-        rows = draw(st.lists(record, min_size=size, max_size=size))
-        values[f"g{g}"] = np.array(rows, dtype=float)
-    special = draw(
-        st.lists(
-            st.tuples(
-                st.sampled_from(sorted(values)),
-                st.integers(min_value=0, max_value=39),
-                st.integers(min_value=0, max_value=d - 1),
-                st.sampled_from([np.nan, np.inf, -np.inf]),
-            ),
-            max_size=3,
-        )
-    )
-    for key, row, column, value in special:
-        values[key][row % len(values[key]), column] = value
-    return GroupedDataset(values, allow_non_finite=bool(special))
-
-
 class TestBatchKernel:
     """:meth:`GroupComparator.decide` + :meth:`~GroupComparator.settle`, and
     :meth:`~GroupComparator.compare_batch`, reproduce per-pair
@@ -739,6 +734,46 @@ class TestBatchKernel:
         outcomes = comparator.decide(RecordColumns.of_dataset(dataset), [], [])
         assert outcomes.examined == []
         assert comparator.comparisons == 0
+
+
+class TestBulkCount:
+    """:func:`pair_counts` over :func:`ordered_pairs` — every ordered group
+    pair, in blocks of whole targets — is the row-major count exactly, and
+    its Figure-9 bounds alone bracket it, on the adversarial shapes and
+    however the directions are blocked and chunked."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel_datasets(),
+        st.booleans(),
+        st.sampled_from([1, 7, comparator_module.BULK_DIRECTIONS]),
+        st.sampled_from([1, 3, 1 << 12]),
+    )
+    def test_counts_match_the_row_major_count(self, dataset, use_bbox, block, chunk):
+        columns = RecordColumns.of_dataset(dataset)
+        groups = dataset.groups
+        n = len(groups)
+        seen = []
+        with mock.patch.object(
+            comparator_module, "BULK_DIRECTIONS", block
+        ), mock.patch.object(
+            comparator_module, "_CHUNK_DIRECTIONS", chunk
+        ), mock.patch.object(comparator_module, "_CHUNK_RECORDS", chunk * 20):
+            for targets, x, y in ordered_pairs(n, range(n)):
+                assert x.shape[0] == targets.shape[0] * (n - 1) <= max(block, n - 1)
+                assert (y.reshape(-1, n - 1) == targets[:, None]).all()
+                exact, pending = pair_counts(columns, x, y, use_bbox)
+                known, open_ = pair_counts(columns, x, y, use_bbox, bounds_only=True)
+                assert pending.tolist() == open_.tolist()
+                for p, (i, j) in enumerate(zip(x.tolist(), y.tolist())):
+                    s, r = groups[i], groups[j]
+                    expected = count_dominating_pairs(s.values, r.values)
+                    assert exact[p] == expected
+                    assert known[p] <= expected <= known[p] + open_[p]
+                    if not use_bbox:
+                        assert known[p] == 0 and open_[p] == s.size * r.size
+                    seen.append((i, j))
+        assert seen == [(i, j) for j in range(n) for i in range(n) if i != j]
 
 
 class TestRankColumns:

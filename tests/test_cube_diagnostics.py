@@ -1,7 +1,12 @@
 """Tests for the skyline cube and dataset diagnostics."""
 
+from unittest import mock
+
 import pytest
 
+from repro.cli import main
+from repro.core import artifacts
+from repro.core.algorithms import adaptive
 from repro.core.cube import skyline_cube
 from repro.core.diagnostics import dataset_statistics, suggest_algorithm
 from repro.core.groups import GroupedDataset
@@ -206,3 +211,38 @@ class TestDiagnosticsGuards:
             gauge = registry.get("skyline_dataset_pair_budget")
             assert gauge is not None
             assert gauge.value() == stats.pair_budget == 6
+
+
+def test_one_overlap_probe_per_call_with_the_cache_off(tmp_path, capsys):
+    csv_path = tmp_path / "groups.csv"
+    assert main(
+        ["generate", "--records", "200", "--dims", "2", "--group-size", "4",
+         "--seed", "7", "--out", str(csv_path)]
+    ) == 0
+    dataset = generate_grouped(
+        SyntheticSpec(n_records=200, avg_group_size=4, dimensions=2, seed=7)
+    )
+    probes = []
+    real = adaptive.estimate_overlap
+
+    def counting(*args, **kwargs):
+        probes.append(args)
+        return real(*args, **kwargs)
+
+    enabled = artifacts.cache_enabled()
+    artifacts.configure(False)
+    try:
+        with mock.patch.object(adaptive, "estimate_overlap", counting):
+            suggest_algorithm(dataset)
+            assert len(probes) == 1
+            dataset_statistics(dataset)
+            assert len(probes) == 2
+            assert main(
+                ["stats", "--csv", str(csv_path), "--group-by", "group",
+                 "--of", "a0:max,a1:max"]
+            ) == 0
+            assert len(probes) == 3
+    finally:
+        artifacts.configure(enabled)
+    out = capsys.readouterr().out
+    assert "pair budget" in out and "suggested algorithm" in out

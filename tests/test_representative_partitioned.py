@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from repro.core import comparator as comparator_module
+from repro.core.algorithms import make_algorithm
 from repro.core.gamma import gamma_dominates
 from repro.core.groups import GroupedDataset
 from repro.core.partitioned import partition_keys, partitioned_aggregate_skyline
@@ -14,7 +18,13 @@ from repro.core.representative import (
     top_k_dominating_groups,
 )
 from repro.data.movies import figure1_directors_dataset
-from tests.conftest import exact_aggregate_skyline, random_grouped_dataset
+from tests.conftest import (
+    exact_aggregate_skyline,
+    kernel_datasets,
+    random_grouped_dataset,
+)
+
+BLOCKS = [1, 7, comparator_module.BULK_DIRECTIONS]
 
 
 @pytest.fixture
@@ -54,6 +64,34 @@ class TestDominationCounts:
             {"cheap": [[1.0]], "pricey": [[9.0]]}, directions=["min"]
         )
         assert counts == {"cheap": 1, "pricey": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel_datasets(),
+        st.sampled_from([0.5, 0.55, 0.75, 1.0]),
+        st.sampled_from(BLOCKS),
+    )
+    def test_counts_match_bruteforce_on_adversarial_shapes(
+        self, dataset, gamma, block
+    ):
+        with mock.patch.object(comparator_module, "BULK_DIRECTIONS", block):
+            counts = domination_counts(dataset, gamma)
+        for s in dataset:
+            expected = sum(
+                1
+                for r in dataset
+                if r.key != s.key and gamma_dominates(s, r, gamma)
+            )
+            assert counts[s.key] == expected, s.key
+
+    def test_gamma_exactly_a_pair_fraction(self):
+        # "a" beats 3 of the 4 records of "b": p = 3/4 exactly, which is
+        # no γ-dominance at γ = .75 and is just above .7.
+        dataset = GroupedDataset(
+            {"a": [[5.0, 5.0]], "b": [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [6.0, 6.0]]}
+        )
+        assert domination_counts(dataset, 0.75)["a"] == 0
+        assert domination_counts(dataset, 0.7)["a"] == 1
 
 
 class TestTopK:
@@ -179,3 +217,35 @@ class TestPartitionedSkyline:
             directions=["min"],
         )
         assert result.as_set() == {"cheap"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel_datasets(),
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([0.5, 0.75, 1.0]),
+        st.sampled_from(BLOCKS),
+    )
+    def test_matches_nl_on_adversarial_shapes(
+        self, dataset, partitions, gamma, block
+    ):
+        with mock.patch.object(comparator_module, "BULK_DIRECTIONS", block):
+            result = partitioned_aggregate_skyline(
+                dataset, gamma=gamma, partitions=partitions
+            )
+        nl = make_algorithm("NL", gamma, prune_policy="safe").compute(dataset)
+        assert result.keys == nl.keys
+
+    def test_pairs_examined_are_the_region_b_pairs(self):
+        # Of "b" over "a", only (3, 3) against (1, 1) is left open by the
+        # Figure-9 corners and regions: every other pair of the two
+        # candidates, and of "c" against them, is decided without a count.
+        dataset = GroupedDataset(
+            {
+                "a": [[1.0, 1.0], [4.0, 2.0]],
+                "b": [[3.0, 3.0], [0.0, 5.0]],
+                "c": [[0.0, 0.0]],
+            }
+        )
+        result = partitioned_aggregate_skyline(dataset, partitions=1)
+        assert result.keys == ["a", "b"]
+        assert result.stats.record_pairs_examined == 1
