@@ -221,7 +221,6 @@ class IndexedAlgorithm(AggregateSkylineAlgorithm):
             use_stopping_rule=self.comparator.use_stopping_rule,
             use_bbox=self.comparator.use_bbox,
             block_size=self.comparator.block_size,
-            prune_policy=self.prune_policy,
         )
         # The inline kernel compares over this process's cached columns.
         columns = self._batch_columns(groups) if workers == 1 else None

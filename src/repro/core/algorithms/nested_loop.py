@@ -33,7 +33,7 @@ class NestedLoopAlgorithm(AggregateSkylineAlgorithm):
     def _run(self, groups: List[Group], state: GroupState) -> None:
         total = pair_count(len(groups))
         if total:
-            dominated, strong, _ = compare_span(
+            dominated, strong = compare_span(
                 groups,
                 self.comparator,
                 (0, total),

@@ -29,16 +29,11 @@ the determinism contract below is scheduler-independent.
 
 Determinism contract (see ``docs/parallel.md``)
 -----------------------------------------------
-* ``exchange_interval == 0`` (default) — the *two-phase* scheme: a parallel
-  compare-everything pass followed by a serial verdict merge.  Every pair is
-  compared exactly once in full, so the result **and every work counter**
-  are bit-identical to serial ``NL`` for any worker count, under either
-  pruning policy and either scheduler.
-* ``exchange_interval > 0`` — the *pruning exchange*: workers share group
-  verdict flags and skip redundant probes.  The skyline keeps the serial
-  policy's guarantee (``safe`` stays exact, ``paper`` may be a superset on
-  adversarial inputs, like serial ``TR``), but the work counters become
-  schedule-dependent.
+``PAR`` is a *two-phase* scheme: a parallel compare-everything pass
+followed by a serial verdict merge.  Every pair is compared exactly once
+in full, so the result **and every work counter** are bit-identical to
+serial ``NL`` for any worker count, under either pruning policy and
+either scheduler.
 
 Every chunk's marks and counters are merged into the parent
 (:func:`~repro.core.algorithms.pooled.merge_run`), so ``AlgorithmStats`` —
@@ -102,7 +97,6 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         self.execution = execution
         #: Effective worker count (explicit > $REPRO_WORKERS > cpu-derived).
         self.workers = execution.resolve_workers()
-        self.exchange_interval = execution.exchange_interval
         self.scheduler = execution.scheduler
         #: Per-chunk statistics of the last compute().
         self.worker_stats: List[AlgorithmStats] = []
@@ -117,10 +111,6 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
         self._resident = None
 
     # ------------------------------------------------------------------
-
-    @property
-    def _mode(self) -> str:
-        return "exchange" if self.exchange_interval > 0 else "two-phase"
 
     def _spans(self, total: int):
         if self.scheduler == "stealing":
@@ -139,20 +129,15 @@ class ParallelSkylineAlgorithm(AggregateSkylineAlgorithm):
             use_stopping_rule=self.comparator.use_stopping_rule,
             use_bbox=self.comparator.use_bbox,
             block_size=self.comparator.block_size,
-            prune_policy=self.prune_policy,
-            exchange_interval=self.exchange_interval,
         )
-        columns = None
-        if self.workers == 1 and self._mode == "two-phase":
-            # The inline kernel compares over this process's cached columns.
-            columns = self._batch_columns(groups)
+        # The inline kernel compares over this process's cached columns.
+        columns = self._batch_columns(groups) if self.workers == 1 else None
         tracer = obs_tracing.get_tracer()
         with tracer.span(
             "parallel.chunks",
             workers=self.workers,
             chunks=len(spans),
             pairs=total,
-            mode=self._mode,
             scheduler=self.scheduler,
         ) as chunk_span:
             run = run_spans(

@@ -83,7 +83,7 @@ def absorb_outcomes(
     """Fold chunk counters into ``algorithm``'s comparator and stats.
 
     Updates the parent comparator (so the stats built by ``compute()``
-    cover all processes), the index-candidate and skip tallies, the
+    cover all processes), the index-candidate tally, the
     opt-in obs event counters, and appends one ``<name>.worker``
     :class:`AlgorithmStats` per chunk to *worker_stats*.
     """
@@ -96,7 +96,6 @@ def absorb_outcomes(
             bbox_shortcuts=outcome.bbox_shortcuts,
             stopping_rule_exits=outcome.stopping_rule_exits,
         )
-        algorithm._groups_skipped += outcome.pairs_skipped
         algorithm._index_candidates += outcome.index_candidates
         exits += outcome.stopping_rule_exits
         shortcuts += outcome.bbox_shortcuts
@@ -106,7 +105,6 @@ def absorb_outcomes(
                 group_comparisons=outcome.comparisons,
                 record_pairs_examined=outcome.pairs_examined,
                 bbox_shortcuts=outcome.bbox_shortcuts,
-                groups_skipped=outcome.pairs_skipped,
                 index_candidates=outcome.index_candidates,
                 stopping_rule_exits=outcome.stopping_rule_exits,
                 elapsed_seconds=outcome.elapsed_seconds,

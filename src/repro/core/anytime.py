@@ -21,18 +21,29 @@ incremental refinement plus the sound partial answers
 ``done``, ``confirmed()`` is exactly the Definition-2 skyline.
 
 Construction takes every ordered pair's Figure-9 bounds in bulk
-(:func:`~repro.core.comparator.pair_counts`), and only the pairs they
-leave undecided get a per-pair counter for ``step`` to advance.
+(:func:`~repro.core.comparator.pair_counts`), and ``step`` advances the
+pairs they leave undecided in rounds of the batch kernel
+(:func:`~repro.core.comparator._round`), one block per pair and pass.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Union
+
+import numpy as np
 
 from ..obs.progress import ProgressEvent, ProgressReporter
 from . import artifacts
-from .comparator import _bars, _DirectionalCount, _holds, ordered_pairs, pair_counts
+from .comparator import (
+    _bars,
+    _holds,
+    _next_blocks,
+    _open_state,
+    _round,
+    ordered_pairs,
+    pair_counts,
+)
 from .gamma import GammaLike, GammaThresholds
 from .groups import GroupedDataset
 
@@ -45,6 +56,11 @@ class GroupStatus(enum.Enum):
     UNDECIDED = "undecided"
 
 
+#: A group's status is held as its position in this tuple.
+_STATUSES = tuple(GroupStatus)
+_CONFIRMED, _EXCLUDED, _UNDECIDED = range(3)
+
+
 class AnytimeAggregateSkyline:
     """Progressively refined aggregate skyline.
 
@@ -55,10 +71,10 @@ class AnytimeAggregateSkyline:
     gamma:
         Definition-3 threshold (``>= .5``).
     block_size:
-        Record pairs resolved per probe advance — the refinement
+        Record pairs resolved per pair advance — the refinement
         granularity (smaller = smoother progress, more overhead).
     use_bbox:
-        Seed every probe with the Figure-9 MBB pre-classification, which
+        Seed every pair with the Figure-9 MBB pre-classification, which
         often decides pairs with zero record comparisons.
     """
 
@@ -72,37 +88,35 @@ class AnytimeAggregateSkyline:
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.thresholds = GammaThresholds(gamma)
-        self._gamma = self.thresholds.gamma.as_integer_ratio()
+        threshold = [self.thresholds.gamma.as_integer_ratio()]
         self.block_size = block_size
-        self._groups = dataset.groups
-        self._keys = [group.key for group in self._groups]
-        n = len(self._groups)
-        self._status = [GroupStatus.UNDECIDED] * n
+        self._keys = dataset.keys()
+        n = len(self._keys)
+        self._status = np.full(n, _UNDECIDED, dtype=np.int8)
         self.pairs_examined = 0
-
-        # One probe per ordered pair (i dominating j) the bulk bounds leave
-        # undecided, created lazily so bbox-decided pairs never allocate
-        # more than the counter; a pair they decide for i excludes j.
-        self._probes: Dict[Tuple[int, int], _DirectionalCount] = {}
-        self._undecided_pairs: List[Tuple[int, int]] = []
-        self._by_target: List[List[_DirectionalCount]] = [[] for _ in range(n)]
         #: Upper bound on record-pair checks still possible after the MBB
         #: pre-classification — the denominator for progress ETAs.
         self.pair_budget = 0
         columns = artifacts.record_columns(dataset)
+        open_x, open_y = [], []
         for _, x, y in ordered_pairs(n, range(n)):
             known, pending = pair_counts(columns, x, y, use_bbox, bounds_only=True)
             totals = columns.sizes[x] * columns.sizes[y]
-            bars = _bars(totals, [self._gamma])[0]
-            holds, decided = _holds(known, pending, totals, bars)
-            for j in y[holds].tolist():
-                self._status[j] = GroupStatus.EXCLUDED
+            holds, decided = _holds(known, pending, totals, _bars(totals, threshold)[0])
+            self._status[y[holds]] = _EXCLUDED  # x over y holds: y is out
             self.pair_budget += int(pending[~decided].sum())
-            for i, j in zip(x[~decided].tolist(), y[~decided].tolist()):
-                probe = _DirectionalCount(self._groups[i], self._groups[j], use_bbox)
-                self._probes[(i, j)] = probe
-                self._by_target[j].append(probe)
-                self._undecided_pairs.append((i, j))
+            open_x.append(x[~decided])
+            open_y.append(y[~decided])
+        # The pairs the bounds leave open, as the kernel's stacked state
+        # (one column per pair "x over y", in step()'s order); the open
+        # list is ``_open[:, _first:]``.
+        self._targets = np.concatenate(open_y)
+        self._open, self._sources = _open_state(
+            columns, np.concatenate(open_x), self._targets, use_bbox, block_size, threshold
+        )
+        self._first = 0
+        #: Per group, the open pairs onto it (kept exact while it is undecided).
+        self._onto = np.bincount(self._targets, minlength=n)
         self._refresh_statuses()
 
     # ------------------------------------------------------------------
@@ -111,46 +125,53 @@ class AnytimeAggregateSkyline:
 
     @property
     def done(self) -> bool:
-        return all(s is not GroupStatus.UNDECIDED for s in self._status)
+        return not np.any(self._status == _UNDECIDED)
 
     @property
     def progress(self) -> float:
         """Fraction of groups whose status is final."""
-        decided = sum(
-            1 for s in self._status if s is not GroupStatus.UNDECIDED
-        )
-        return decided / len(self._status) if self._status else 1.0
+        if not self._keys:
+            return 1.0
+        return np.count_nonzero(self._status != _UNDECIDED) / len(self._keys)
 
     def step(self, pair_budget: int = 4096) -> bool:
         """Spend up to ``pair_budget`` record-pair checks; True when done.
 
-        Work is spread round-robin over the pairs that can still influence
-        an undecided group, so no group's verdict starves.
+        Each pass walks the open pairs in order and advances each by one
+        block while the spend before it is below the budget, so no group's
+        verdict starves; a pair onto a decided group costs nothing and
+        leaves, and one the pass did not reach stays, in order.
         """
         if pair_budget <= 0:
             raise ValueError("pair_budget must be positive")
         spent = 0
         while spent < pair_budget and not self.done:
-            progressed = False
-            still_open: List[Tuple[int, int]] = []
-            for i, j in self._undecided_pairs:
-                if spent >= pair_budget:
-                    still_open.append((i, j))
-                    continue
-                if self._status[j] is not GroupStatus.UNDECIDED:
-                    continue  # j's fate is sealed; pair is irrelevant
-                probe = self._probes[(i, j)]
-                if probe.decide(self._gamma) is not None:
-                    continue
-                advanced = probe.advance(self.block_size)
-                spent += advanced
-                progressed = progressed or advanced > 0
-                if probe.decide(self._gamma) is None:
-                    still_open.append((i, j))
-            self._undecided_pairs = still_open
-            self._refresh_statuses()
-            if not progressed:
+            left = pair_budget - spent
+            live = self._open[:, self._first :]
+            # The pass reaches the pairs whose running spend before them is
+            # below ``left``: widen the head until it holds them all.
+            width = left
+            while True:
+                head = live[:, :width]
+                wanted = self._status[self._targets[head[3]]] == _UNDECIDED
+                cost = np.where(wanted, _next_blocks(head)[1], 0)
+                if cost.sum() >= left or width >= live.shape[1]:
+                    break
+                width *= 2
+            reach = int(np.searchsorted(np.cumsum(cost) - cost, left))
+            moved = head[:, :reach][:, wanted[:reach]]
+            if not moved.shape[1]:
                 break
+            _round(self._sources, moved)
+            spent += int(cost[:reach].sum())
+            holds, decided = _holds(moved[0], moved[1], moved[4], moved[10])
+            self._status[self._targets[moved[3, holds]]] = _EXCLUDED
+            np.subtract.at(self._onto, self._targets[moved[3, decided]], 1)
+            # Still-open pairs keep their place in front of the rest.
+            kept = moved[:, ~decided]
+            self._first += reach - kept.shape[1]
+            self._open[:, self._first : self._first + kept.shape[1]] = kept
+            self._refresh_statuses()
         self.pairs_examined += spent
         return self.done
 
@@ -173,12 +194,9 @@ class AnytimeAggregateSkyline:
         def heartbeat() -> None:
             if reporter is None:
                 return
-            decided = sum(
-                1 for s in self._status if s is not GroupStatus.UNDECIDED
-            )
             reporter.update(
-                done=decided,
-                total=len(self._status),
+                done=int(np.count_nonzero(self._status != _UNDECIDED)),
+                total=len(self._keys),
                 pairs_examined=self.pairs_examined,
                 pair_budget=self.pair_budget,
                 phase="anytime-skyline",
@@ -207,47 +225,34 @@ class AnytimeAggregateSkyline:
     # ------------------------------------------------------------------
 
     def _refresh_statuses(self) -> None:
-        # A group is excluded once a verdict γ-dominates it (the bulk bounds
-        # excluded theirs in __init__), and confirmed once none is open.
-        for j, probes in enumerate(self._by_target):
-            if self._status[j] is not GroupStatus.UNDECIDED:
-                continue
-            found = {probe.decide(self._gamma) for probe in probes}
-            if True in found:
-                self._status[j] = GroupStatus.EXCLUDED
-            elif None not in found:
-                self._status[j] = GroupStatus.CONFIRMED
+        # A pair that held excluded its target at once; a group is
+        # confirmed once no open pair points at it.
+        self._status[(self._status == _UNDECIDED) & (self._onto == 0)] = _CONFIRMED
 
     # ------------------------------------------------------------------
     # partial answers (always sound)
     # ------------------------------------------------------------------
 
+    def _with(self, *codes: int) -> List[Hashable]:
+        return [self._keys[g] for g in np.flatnonzero(np.isin(self._status, codes))]
+
     def status(self, key: Hashable) -> GroupStatus:
-        return self._status[self._keys.index(key)]
+        try:
+            return _STATUSES[self._status[self._keys.index(key)]]
+        except ValueError:
+            raise KeyError(f"unknown group {key!r}") from None
 
     def confirmed(self) -> List[Hashable]:
         """Groups guaranteed to be in the skyline."""
-        return [
-            key
-            for key, status in zip(self._keys, self._status)
-            if status is GroupStatus.CONFIRMED
-        ]
+        return self._with(_CONFIRMED)
 
     def excluded(self) -> List[Hashable]:
         """Groups guaranteed to be out."""
-        return [
-            key
-            for key, status in zip(self._keys, self._status)
-            if status is GroupStatus.EXCLUDED
-        ]
+        return self._with(_EXCLUDED)
 
     def candidates(self) -> List[Hashable]:
         """Upper bound on the skyline: confirmed plus undecided groups."""
-        return [
-            key
-            for key, status in zip(self._keys, self._status)
-            if status is not GroupStatus.EXCLUDED
-        ]
+        return self._with(_CONFIRMED, _UNDECIDED)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

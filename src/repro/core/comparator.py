@@ -17,59 +17,53 @@ single group-vs-group comparison:
 reports how many record pairs were actually examined so the benchmark
 harness can count dominance checks exactly like the paper does.
 
-**Per-pair kernel.**  :meth:`GroupComparator.compare` is *dimension-major*:
-a comparison transposes the records it still has to check into ``d × n``
-arrays, and every dominance test reduces ``p >= q`` / ``p > q`` over the
-leading dimension axis (:func:`_dominates`).  One direction ("A over B")
-advances block by block, ``max(1, block_size // n_b)`` rows of A's pending
-records against all of B's, and the stopping rule is checked after every
-block.
-
-**Batch kernel.**  A block costs ``compare()`` one numpy call however few
-pairs it holds, so comparisons of small groups pay per-call overhead and
-comparisons of large ones pay it once per block.
-:meth:`GroupComparator.decide` therefore takes whole arrays of
+**Batch kernel.**  :meth:`GroupComparator.decide` takes whole arrays of
 *directions* — "``x[p]`` over ``y[p]``", any group sizes — over a
 dataset's :class:`RecordColumns`, and runs them *block-synchronously*:
 
 1. The Figure-9 setup of every direction in one vectorised pass (corner
    tests, then regions A and C record by record for the directions the
    corners leave open), which leaves each direction its known and pending
-   pair counts and its pending records.
-2. Rounds.  Each round checks the *next* block of every direction that is
-   still undecided — the same ``max(1, block_size // n_y)`` rows
-   ``compare()`` would check next — packed into slices of at most
-   :data:`_SLICE_PAIRS` padded record pairs (a block wider than that is
-   split by rows; blocks of similar width share a slice, see
+   pair counts and its pending records (:func:`_open_state`).
+2. Rounds (:func:`_round`).  Each round checks the *next* block of every
+   direction that is still undecided — ``max(1, block_size // n_y)``
+   rows of X's pending records against all of Y's — packed into slices
+   of at most :data:`_SLICE_PAIRS` padded record pairs (a block wider
+   than that is split by rows; blocks of similar width share a slice, see
    :func:`_count_blocks`), then decides every direction it touched.  A
-   decided
-   direction leaves the round set, so no pair past a direction's
+   decided direction leaves the round set, so no pair past a direction's
    stopping point is ever checked, and ``pairs_examined`` keeps its
    Equation-4 meaning.  Without the stopping rule the one round is every
    pending pair.
 
-The verdicts, ``pairs_examined`` and the bbox-shortcut and
-stopping-rule-exit flags are therefore exactly ``compare()``'s;
-:meth:`GroupComparator.settle` turns one pair's two directions into its
-:class:`ComparisonOutcome` with list lookups, and
-:meth:`GroupComparator.compare_batch` does the same for whole arrays of
-pairs.  NL and PAR's two-phase chunks call ``compare_batch``; TR, SI, IN,
-LO and the IN/LO chunk kernel decide their rows ahead through
-:class:`~repro.core.row_batch.RowBatch` and ``settle`` the pairs they
-reach.  The γ-profile, domination counts, the partitioned merge and
-anytime seeding know every ordered pair up front and take the bulk count
-(:func:`pair_counts`: the setup, then one round over every pending
-pair).  ``compare()`` is left for pairs decided one at a time, where a
-kernel call's fixed cost (about ten times a small ``compare()``'s) was
-measured not to pay: IN/LO window members past a candidate's batched
-prefix, PAR's exchange mode and the anytime refiner's steps.
+Which traffic takes which path:
+
+* NL and PAR's chunks decide whole arrays of pairs
+  (:meth:`GroupComparator.compare_batch`); TR, SI, IN, LO and the IN/LO
+  chunk kernel decide their rows ahead through
+  :class:`~repro.core.row_batch.RowBatch` and
+  :meth:`GroupComparator.settle` the pairs they reach.
+* The γ-profile, domination counts, the partitioned merge and anytime
+  seeding know every ordered pair up front and take the bulk count
+  (:func:`pair_counts`: the setup, then one round over every pending
+  pair); the anytime refiner's steps are rounds over the pairs its
+  bounds leave open, under a pair budget.
+* :meth:`GroupComparator.compare` decides one pair at a time: a
+  :class:`_DirectionalCount` per direction transposes the records it
+  still has to check into ``d × n`` arrays and advances by the same
+  blocks, checking the stopping rule after each.  Only IN/LO window
+  members past a candidate's batched prefix take it, where a kernel
+  call's fixed cost (about ten times a small ``compare()``'s) was
+  measured not to pay.
+
+Either way a pair gets the same verdicts, ``pairs_examined`` and
+bbox-shortcut and stopping-rule-exit flags.
 
 *Exact thresholds.*  A direction holds at threshold ``γ = num/den`` when
-``p = 1`` or ``count / t > γ`` for ``t = n_x · n_y``.  ``compare()``
-cross-multiplies in Python ints (:func:`_decide`); the batch kernel
-precomputes ``T(t) = (num · t) // den`` — in Python ints, once per
-distinct total, so the 51–54-bit denominators of float γ values never
-meet a 64-bit product.  For an integer ``count``, ``count > T(t)`` holds exactly
+``p = 1`` or ``count / t > γ`` for ``t = n_x · n_y``.  Both kernels
+decide on ``T(t) = (num · t) // den``, computed in Python ints (the batch
+kernel once per distinct total), so the 51–54-bit denominators of float
+γ values never meet a 64-bit product.  For an integer ``count``, ``count > T(t)`` holds exactly
 when ``count · den > num · t`` (``count > x`` iff ``count > floor(x)``),
 and ``upper <= T(t)`` exactly when ``upper · den <= num · t``; with
 ``γ <= 1`` both sides are at most ``t`` and fit int64.  So the stopping
@@ -158,19 +152,13 @@ class ComparisonOutcome:
 
 
 class _DirectionalCount:
-    """Incremental dominance-pair counting for one direction (A over B).
+    """Incremental dominance-pair counting for one direction (A over B), the
+    per-pair kernel of :meth:`GroupComparator.compare`.
 
-    Maintains exact lower/upper bounds on the final pair count: every pair is
-    either *known dominated*, *known not dominated* or *pending*.  The bbox
-    pre-classification seeds the known sets; the nested loop then resolves
-    pending pairs block by block.
-
-    The pending records of both sides are held dimension-major, as ``d × n``
-    arrays transposed from the groups' ``n × d`` rows once per comparison,
-    so a block's dominance test reduces over the leading axis (see the
-    module docstring).  A block takes whole rows of A against all pending
-    records of B, ``max(1, block_size // n_b)`` rows at a time, and checks
-    exactly the pairs it counts.
+    Every pair is *known dominated*, *known not dominated* or *pending*:
+    the bbox pre-classification seeds the known sets, and a block resolves
+    ``max(1, block_size // n_b)`` rows of A's pending records against all
+    of B's, both held as contiguous ``d × n`` arrays.
     """
 
     def __init__(self, a: Group, b: Group, use_bbox: bool):
@@ -187,7 +175,8 @@ class _DirectionalCount:
         a_t = a.values.T
         b_t = b.values.T
         if not use_bbox:
-            self._keep(a_t, b_t)
+            self._a_mid = np.ascontiguousarray(a_t)
+            self._b_mid = np.ascontiguousarray(b_t)
             self.pending = self.total
             return
 
@@ -224,12 +213,8 @@ class _DirectionalCount:
         self.known = n_a_all * b.size + n_a_mid * n_b_all
         self.pending = n_a_mid * n_b_mid
         if self.pending:
-            self._keep(a_t[:, a_mid_mask], b_t[:, b_mid_mask])
-
-    def _keep(self, a_t: np.ndarray, b_t: np.ndarray) -> None:
-        """Store the pending ``d × n`` records, contiguous for the kernel."""
-        self._a_mid = np.ascontiguousarray(a_t)
-        self._b_mid = np.ascontiguousarray(b_t)
+            self._a_mid = np.ascontiguousarray(a_t[:, a_mid_mask])
+            self._b_mid = np.ascontiguousarray(b_t[:, b_mid_mask])
 
     # ------------------------------------------------------------------
 
@@ -264,8 +249,15 @@ class _DirectionalCount:
     # ------------------------------------------------------------------
 
     def decide(self, threshold: Tuple[int, int]) -> Optional[bool]:
-        """Tri-state verdict of the current bounds (see :func:`_decide`)."""
-        return _decide(self.known, self.pending, self.total, threshold)
+        """Tri-state verdict of the current bounds at a ``(numerator,
+        denominator)`` threshold: ``True``/``False`` once they settle ``p =
+        1 or p > threshold``, ``None`` while it is open.  Decided on the
+        bar ``T(t)``, as the batch kernel does (:func:`_holds`)."""
+        numerator, denominator = threshold
+        holds, decided = _holds(
+            self.known, self.pending, self.total, numerator * self.total // denominator
+        )
+        return holds if decided else None
 
 
 def _dominates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -277,36 +269,6 @@ def _dominates(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``rows × n`` pair matrix of a kernel block.
     """
     return np.logical_and.reduce(p >= q, axis=0) & np.logical_or.reduce(p > q, axis=0)
-
-
-def _decide(
-    known: int, pending: int, total: int, threshold: Tuple[int, int]
-) -> Optional[bool]:
-    """Tri-state verdict for ``p = 1 or p > numerator/denominator``.
-
-    ``known`` pairs are known to dominate and ``pending`` are unresolved,
-    out of ``total``.  ``threshold`` is a ``(numerator, denominator)`` pair
-    of Python ints (``Fraction.as_integer_ratio()``), computed once per
-    comparator.  They must stay Python ints: most float γ values convert
-    to fractions with 51–54-bit denominators, so ``count * denominator``
-    can pass 2**63 within a few thousand pairs (two 100-record groups have
-    10,000).  Returns ``True``/``False`` once the bounds settle the
-    predicate and ``None`` while it is still open.
-    """
-    numerator, denominator = threshold
-    upper = known + pending
-    bar = numerator * total
-    # Already above the threshold (final p only grows from `known`), or
-    # every pair is known to dominate.
-    if known * denominator > bar or known == total:
-        return True
-    # Cannot reach the threshold any more, and p = 1 is impossible.
-    if upper * denominator <= bar and upper < total:
-        return False
-    if pending == 0:
-        # Exact: either p == 1 (upper == total == known) or p <= threshold.
-        return known == total
-    return None
 
 
 def _rank_columns(
@@ -485,12 +447,16 @@ def _bars(totals: np.ndarray, thresholds: Sequence[Tuple[int, int]]) -> np.ndarr
 def _holds(
     known: np.ndarray, pending: np.ndarray, totals: np.ndarray, bars: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(holds, decided)``: :func:`_decide` over arrays, on bars ``T(t)``.
+    """``(holds, decided)`` of ``p = 1 or p > γ`` for ``known`` pairs known
+    to dominate and ``pending`` unresolved of ``totals``, on the bars
+    ``T(t)`` of γ (see the module docstring); arrays or Python ints.
 
     ``bars`` may stack several thresholds' bars on a leading axis; the
     results then stack the same way.
     """
     upper = known + pending
+    # Already above the bar (p only grows from `known`), or p = 1 for sure;
+    # decided, too, once the bar cannot be passed and p = 1 is impossible.
     holds = (known > bars) | (known == totals)
     return holds, holds | ((upper <= bars) & (upper < totals))
 
@@ -582,9 +548,13 @@ def _windows(source: np.ndarray, width: int) -> np.ndarray:
     )
 
 
+#: What :func:`_sources` returns.
+_Sources = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+
 def _sources(
     columns: RecordColumns, x_mid: Optional[np.ndarray], y_mid: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+) -> _Sources:
     """The rank (and row-id) columns a chunk's blocks are cut from.
 
     ``(x ranks, y ranks, x row ids, y row ids)``, in which each
@@ -613,7 +583,7 @@ def _sources(
 
 
 def _count_slice(
-    sources: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
+    sources: _Sources,
     first_row: np.ndarray,
     rows: np.ndarray,
     first_col: np.ndarray,
@@ -678,7 +648,7 @@ def _count_slice(
 
 
 def _count_blocks(
-    sources: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]],
+    sources: _Sources,
     first_row: np.ndarray,
     rows: np.ndarray,
     first_col: np.ndarray,
@@ -743,6 +713,64 @@ def _count_blocks(
     return np.bincount(owner, weights=found, minlength=blocks).astype(np.int64)
 
 
+def _open_state(
+    columns: RecordColumns,
+    x: np.ndarray,
+    y: np.ndarray,
+    use_bbox: bool,
+    block_size: int,
+    thresholds: Sequence[Tuple[int, int]],
+) -> Tuple[np.ndarray, _Sources]:
+    """The Figure-9 setup of every direction "``x[p]`` over ``y[p]``" as
+    the stacked state :func:`_round` advances, and the sources its blocks
+    are cut from.  One ``int64`` column per direction, so a round updates
+    whole rows; its rows are pairs known to dominate, pending and
+    examined, the slot ``p``, the total ``n_x · n_y``, the rows of a block,
+    the rows of X left, the next row's column in the X sources, the first
+    column and count of Y's pending records, then one bar per threshold.
+    """
+    known, pending, x_first, x_count, y_first, y_count, x_mid, y_mid = _setup(
+        columns, x, y, use_bbox
+    )
+    totals = columns.sizes[x] * columns.sizes[y]
+    state = np.stack(
+        [
+            known,
+            pending,
+            np.zeros_like(known),
+            np.arange(x.shape[0]),
+            totals,
+            np.maximum(1, block_size // np.maximum(1, y_count)),
+            x_count,
+            x_first,
+            y_first,
+            y_count,
+            *_bars(totals, thresholds),
+        ]
+    )
+    return state, _sources(columns, x_mid, y_mid)
+
+
+def _next_blocks(live: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows and record pairs of the next block of every column of the
+    stacked state ``live`` (:func:`_open_state`)."""
+    rows = np.minimum(live[5], live[6])
+    return rows, rows * live[9]
+
+
+def _round(sources: _Sources, live: np.ndarray) -> None:
+    """One kernel round, in place: every column of the stacked state
+    ``live`` (:func:`_open_state`) checks its next block, ``min(block
+    rows, rows left)`` rows of X against its pending records of Y."""
+    rows, checked = _next_blocks(live)
+    known, pending, examined = live[:3]
+    known += _count_blocks(sources, live[7], rows, live[8], live[9])
+    pending -= checked
+    examined += checked
+    live[6] -= rows
+    live[7] += rows
+
+
 def _decide_chunk(
     columns: RecordColumns,
     x: np.ndarray,
@@ -754,54 +782,22 @@ def _decide_chunk(
 ) -> Tuple[np.ndarray, ...]:
     """The batch kernel over one chunk of directions (see the module
     docstring): Figure-9 setup, then rounds of next blocks.  Returns the
-    :class:`DirectionOutcomes` fields as arrays.
-
-    The open directions' state lives in the rows of one ``int64`` array,
-    so a round updates whole rows and dropping the directions it decided
-    is one column selection.
-    """
-    totals = columns.sizes[x] * columns.sizes[y]
-    bars = _bars(totals, thresholds)
-    if not use_stopping_rule:
-        # One round: every pending pair.
-        count, pending = pair_counts(columns, x, y, use_bbox)
-        gamma, strong = _holds(count, 0, totals, bars)[0]
-        return gamma, strong, pending, pending == 0, np.zeros(x.shape[0], dtype=bool)
-    known, pending, x_first, x_count, y_first, y_count, x_mid, y_mid = _setup(
-        columns, x, y, use_bbox
-    )
+    :class:`DirectionOutcomes` fields as arrays."""
+    state, sources = _open_state(columns, x, y, use_bbox, block_size, thresholds)
+    known, pending, examined, _, totals = state[:5]
+    bars = state[10:]
     shortcut = pending == 0
-    sources = _sources(columns, x_mid, y_mid)
-    examined = np.zeros(x.shape[0], dtype=np.int64)
-    live = np.stack(
-        [
-            known,
-            pending,
-            examined,
-            np.arange(x.shape[0]),
-            totals,
-            np.maximum(1, block_size // np.maximum(1, y_count)),  # block rows
-            x_count,  # rows of X still unchecked
-            x_first,  # the next unchecked row's column in the X sources
-            y_first,
-            y_count,
-            *bars,
-        ]
-    )[:, np.flatnonzero(_undecided(known, pending, totals, bars))]
+    if use_stopping_rule:
+        live = state[:, np.flatnonzero(_undecided(known, pending, totals, bars))]
+    else:  # one round: every pending pair
+        live = state[:, np.flatnonzero(pending)]
+        live[5] = live[6]
     while live.shape[1]:
-        known_, pending_, examined_, _, totals_, block_, left, first_row = live[:8]
-        first_col, width = live[8:10]
-        rows = np.minimum(block_, left)
-        checked = rows * width
-        known_ += _count_blocks(sources, first_row, rows, first_col, width)
-        pending_ -= checked
-        examined_ += checked
-        left -= rows
-        first_row += rows
-        still = _undecided(known_, pending_, totals_, live[10:])
+        _round(sources, live)
+        still = _undecided(live[0], live[1], live[4], live[10:])
         if not still.all():
             done = live[:, ~still]
-            known[done[3]], pending[done[3]], examined[done[3]] = done[:3]
+            state[:3, done[3]] = done[:3]
             live = live[:, still]
     gamma, strong = _holds(known, pending, totals, bars)[0]
     return gamma, strong, examined, shortcut, pending > 0

@@ -2,9 +2,8 @@
 
 This module is the single validation point for everything that controls
 *how* an algorithm runs (as opposed to *what* it computes): pool size,
-chunk scheduling policy, shared-memory shipping, the pruning-exchange
-interval and the pool timeout.  ``execution=`` is the only way to set
-them.
+chunk scheduling policy, shared-memory shipping, the pool timeout and
+the crash policy.  ``execution=`` is the only way to set them.
 
 The public surface:
 
@@ -97,9 +96,6 @@ class ExecutionConfig:
         ``None`` auto-selects: shm on spawn platforms (where the
         alternative is pickling the payload per worker), plain
         inheritance under fork.  ``True`` / ``False`` force it.
-    exchange_interval:
-        Pruning-exchange refresh period in pairs for the ``PAR`` pair
-        matrix (0 disables — the deterministic two-phase mode).
     pool_timeout:
         Seconds to wait for pool results before raising
         :class:`repro.parallel.PoolTimeoutError`.
@@ -116,7 +112,6 @@ class ExecutionConfig:
     workers: Optional[int] = None
     scheduler: str = "static"
     shm: Optional[bool] = None
-    exchange_interval: int = 0
     pool_timeout: float = 300.0
     max_retries: int = 2
     on_failure: str = "raise"
@@ -132,14 +127,6 @@ class ExecutionConfig:
                 raise ValueError(f"workers must be an int or None, got {self.workers!r}")
             if self.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not isinstance(self.exchange_interval, int) or isinstance(self.exchange_interval, bool):
-            raise ValueError(
-                f"exchange_interval must be an int, got {self.exchange_interval!r}"
-            )
-        if self.exchange_interval < 0:
-            raise ValueError(
-                f"exchange_interval must be >= 0, got {self.exchange_interval}"
-            )
         if not self.pool_timeout > 0:
             raise ValueError(f"pool_timeout must be > 0, got {self.pool_timeout!r}")
         if self.shm is not None and not isinstance(self.shm, bool):
@@ -230,10 +217,9 @@ class ExecutionConfig:
         """Parse a CLI-style ``"key=value,key=value"`` spec.
 
         Values are coerced per-field: ints for ``workers`` /
-        ``exchange_interval`` / ``max_retries``, a float
-        for ``pool_timeout``, bool-ish strings for
-        ``shm``; ``on_failure`` stays a string
-        (``raise`` / ``retry`` / ``serial``).
+        ``max_retries``, a float for ``pool_timeout``, bool-ish strings
+        for ``shm``; ``on_failure`` stays a string (``raise`` / ``retry``
+        / ``serial``).
         """
 
         data: dict = {}
@@ -262,7 +248,7 @@ def _coerce_field(key: str, raw: str) -> Any:
         if raw.lower() in ("none", ""):
             return None
         return int(raw)
-    if key in ("exchange_interval", "max_retries"):
+    if key == "max_retries":
         return int(raw)
     if key == "pool_timeout":
         return float(raw)

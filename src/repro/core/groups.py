@@ -576,6 +576,31 @@ class GroupedDataset:
             allow_non_finite=self.allow_non_finite,
         )
 
+    def project(self, dims: Iterable[int]) -> "GroupedDataset":
+        """A new dataset over the dimensions ``dims`` only, in that order.
+
+        Each entry must index a dimension (``0 <= d < dimensions``) and
+        appear once.  The projection keeps the keys, the normalised values
+        (so every direction is *higher is better*) and
+        ``allow_non_finite``.
+        """
+        columns = [int(d) for d in dims]
+        for d in columns:
+            if not 0 <= d < self.dimensions:
+                raise ValueError(
+                    f"dims entry {d} out of range for a"
+                    f" {self.dimensions}-dimensional dataset"
+                )
+        if len(set(columns)) != len(columns):
+            raise ValueError(f"dims must not repeat, got {tuple(columns)}")
+        return GroupedDataset.from_columns(
+            self._matrix[:, columns],
+            self._offsets,
+            self._keys,
+            normalized=True,
+            allow_non_finite=self.allow_non_finite,
+        )
+
     def merge(self, other: "GroupedDataset") -> "GroupedDataset":
         """Union of two datasets over the same dimensions and directions.
 

@@ -94,7 +94,6 @@ from ..parallel.shm import (
     ArrayRef,
     ShmArena,
     attach_array,
-    detach,
     detach_all,
     load_arrays,
     load_groups,
@@ -139,8 +138,6 @@ class _WorkerState:
         self.pinned: Dict[str, Any] = {}  # digest key -> index / order
         #: qid -> the query's task body, ``(span, item) -> result``
         self.queries: Dict[int, Callable] = {}
-        #: qid -> name of the query's shared exchange-flags segment
-        self.flags: Dict[int, str] = {}
 
     def apply(self, msg: tuple) -> None:
         """Apply one control message (replayed at start, or received)."""
@@ -160,13 +157,10 @@ class _WorkerState:
                 self.pinned[key] = payload
         elif kind == "prepare":
             _, qid, job = msg
-            self.queries[qid] = self._prepare(qid, job)
+            self.queries[qid] = self._prepare(job)
         elif kind == "finish":
             _, qid = msg
             self.queries.pop(qid, None)
-            name = self.flags.pop(qid, None)
-            if name is not None:
-                detach(name)
         elif kind == "detach":
             _, token, keys = msg
             self.groups.pop(token, None)
@@ -174,21 +168,12 @@ class _WorkerState:
             for key in keys:
                 self.pinned.pop(key, None)
 
-    def _prepare(self, qid: int, job: tuple) -> Callable:
+    def _prepare(self, job: tuple) -> Callable:
         """The task body of one query: a mapped function, or a chunk kernel."""
         if job[0] == "map":
             fn = job[1]
             return lambda span, item: fn(item)
-        _, token, config, kind, index_key, order_key, trace, flags_ref = job
-        flags = None
-        if flags_ref is not None:
-            try:
-                flags = attach_array(flags_ref, writable=True)
-                self.flags[qid] = flags_ref.name
-            except FileNotFoundError:
-                # The query ended before this slot prepared it; its tasks
-                # are dropped, and private flags would only prune less.
-                flags = None
+        _, token, config, kind, index_key, order_key, trace = job
         kernel = ChunkKernel(
             self.groups[token],
             config,
@@ -196,11 +181,9 @@ class _WorkerState:
             index=self.pinned[index_key] if index_key is not None else None,
             order=self.pinned[order_key] if order_key is not None else None,
             columns=self.columns.get(token),
-            flags=flags,
             trace=trace,
         )
-        if kernel.columns is not None:  # kept until the dataset's detach
-            self.columns[token] = kernel.columns
+        self.columns[token] = kernel.columns  # kept until the dataset's detach
         slot = self.slot
         return lambda span, item: kernel.run(span, slot)
 
@@ -746,7 +729,6 @@ class PersistentPool:
         kind: str = "pairs",
         index_key: Optional[str] = None,
         order_key: Optional[str] = None,
-        flags: Optional[ArrayRef] = None,
         pool_timeout: float = 300.0,
         on_failure: str = "raise",
         progress: Optional[Callable[[int, int], None]] = None,
@@ -759,13 +741,11 @@ class PersistentPool:
         backlog to the slots as they deliver, deliveries are routed back
         to this query's pending record (deduplicating by span within the
         query), and the calling thread blocks on the record until it
-        completes, fails, or ``pool_timeout`` expires.  ``flags`` names
-        the query's shared exchange-flags array (exchange-mode pair
-        chunks).  On a crash the router respawns only the dead slot and
-        re-dispatches exactly the tasks it held (``on_failure !=
-        "raise"``).  ``inline_fallback`` finishes remaining chunks on the
-        *calling* thread when no slot survives and the policy is
-        ``"serial"``.
+        completes, fails, or ``pool_timeout`` expires.  On a crash the
+        router respawns only the dead slot and re-dispatches exactly the
+        tasks it held (``on_failure != "raise"``).  ``inline_fallback``
+        finishes remaining chunks on the *calling* thread when no slot
+        survives and the policy is ``"serial"``.
         """
         job = (
             "chunks",
@@ -775,7 +755,6 @@ class PersistentPool:
             index_key,
             order_key,
             obs_tracing.current_trace_context(),
-            flags,
         )
         return self._run(
             job, spans, None, pool_timeout, on_failure, progress, inline_fallback

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core import artifacts
@@ -114,24 +114,9 @@ class DatasetHandle:
         engine; repeat queries over the same ``dims`` reuse it.
         """
         key = tuple(int(d) for d in dims)
-        dimensions = self.dataset.dimensions
-        for d in key:
-            if not 0 <= d < dimensions:
-                raise ValueError(
-                    f"dims entry {d} out of range for a"
-                    f" {dimensions}-dimensional dataset"
-                )
-        if len(set(key)) != len(key):
-            raise ValueError(f"dims must not repeat, got {key}")
         handle = self._projections.get(key)
         if handle is None:
-            projected = GroupedDataset(
-                {
-                    group.key: group.values[:, key]
-                    for group in self.dataset.groups
-                }
-            )
-            handle = self.engine.attach(projected)
+            handle = self.engine.attach(self.dataset.project(key))
             self._projections[key] = handle
         return handle
 
@@ -439,12 +424,7 @@ class SkylineEngine:
                 else GroupedDataset(data)
             )
             if dims is not None:
-                dataset = GroupedDataset(
-                    {
-                        group.key: group.values[:, tuple(int(d) for d in dims)]
-                        for group in dataset.groups
-                    }
-                )
+                dataset = dataset.project(dims)
         logical = logical_for_dataset(
             dataset, gamma=gamma, algorithm=name, dims=dims
         )
@@ -555,13 +535,7 @@ class SkylineEngine:
         else:
             dataset = GroupedDataset(data)
         if dims is not None:
-            columns = tuple(int(d) for d in dims)
-            dataset = GroupedDataset(
-                {
-                    group.key: group.values[:, columns]
-                    for group in dataset.groups
-                }
-            )
+            dataset = dataset.project(dims)
         if execution is None and not self._ephemeral and name in WARM_ALGORITHMS:
             execution = self.execution
         logical = logical_for_dataset(

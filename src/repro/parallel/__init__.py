@@ -7,11 +7,10 @@ Layers (bottom-up):
   backs the adaptive dispatcher's duplicate-free overlap sampling).
 * :mod:`repro.parallel.scheduler` — guided decreasing chunk sizes for
   skewed workloads (the ``stealing`` scheduler).
-* :mod:`repro.parallel.executor` — the chunk kernels, the lock-free
-  pruning-exchange flags, and :func:`run_spans`, which runs one query's
-  chunks inline (``workers=1``) or on
-  :class:`repro.engine.pool.PersistentPool` — the one process pool, with
-  its timeout for wedged pools (:class:`PoolTimeoutError`),
+* :mod:`repro.parallel.executor` — the chunk kernels and
+  :func:`run_spans`, which runs one query's chunks inline (``workers=1``)
+  or on :class:`repro.engine.pool.PersistentPool` — the one process
+  pool, with its timeout for wedged pools (:class:`PoolTimeoutError`),
   crash detection in a liveness tick (:class:`WorkerCrashError`),
   per-slot respawn and an optional inline fallback (``on_failure``).
 * :mod:`repro.parallel.faults` — opt-in fault injection (``$REPRO_FAULTS``
@@ -42,7 +41,6 @@ from .executor import (
 from .partition import (
     chunk_ranges,
     index_of_pair,
-    iter_pairs,
     pair_count,
     pair_from_index,
     sample_pair_indices,
@@ -68,7 +66,6 @@ __all__ = [
     "run_spans",
     "chunk_ranges",
     "index_of_pair",
-    "iter_pairs",
     "pair_count",
     "pair_from_index",
     "sample_pair_indices",

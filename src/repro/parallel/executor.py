@@ -16,29 +16,9 @@ the one process pool: a session's resident pool, or a pool that
 ``workers=1`` it runs the spans on the calling thread instead.  Tasks
 are just ``(start, stop)`` span tuples.
 
-Pruning exchange
-----------------
-With ``exchange_interval > 0`` the workers additionally share a byte per
-group (bit 0 = dominated, bit 1 = strongly dominated) in a writable
-shared-memory array the pool creates per query.  Every
-``exchange_interval`` pairs a worker refreshes its local snapshot and
-skips work the rest of the pool has already made redundant:
-
-* ``prune_policy="paper"`` — pairs with a *strongly* dominated endpoint are
-  skipped entirely (the serial Algorithm-3 rule; the result carries the same
-  superset-of-Definition-2 guarantee as serial ``TR``);
-* ``prune_policy="safe"`` — only comparison *directions* that can no longer
-  change any verdict are dropped, so the result stays exactly the
-  Definition-2 skyline regardless of scheduling.
-
-Flag writes are monotonic 0->1, so the unlocked read-modify-write races are
-benign: a lost update can only cost a pruning opportunity, never
-correctness — the authoritative verdicts always travel back to the parent
-in the chunk results.  For the same reason a worker that cannot map the
-shared array keeps private flags.  With ``exchange_interval == 0`` (the
-default) every pair is compared exactly once in full, which makes the
-run — results *and* work counters — bit-identical to serial ``NL`` for
-any worker count.
+A ``PAR`` run compares every pair exactly once in full, so its results
+*and* work counters are bit-identical to serial ``NL`` for any worker
+count.
 """
 
 from __future__ import annotations
@@ -62,8 +42,8 @@ from ..core.row_batch import RowBatch, backward_only, windows
 from ..obs import tracing as obs_tracing
 from ..obs.tracing import TraceContext, Tracer
 from .faults import FaultSpec
-from .partition import iter_pairs, pair_arrays
-from .shm import ShmArena, shm_available
+from .partition import pair_arrays
+from .shm import shm_available
 
 __all__ = [
     "WorkerConfig",
@@ -79,9 +59,6 @@ __all__ = [
     "WorkerCrashError",
     "ON_FAILURE_POLICIES",
 ]
-
-#: Flag-byte bits of the shared pruning-exchange array.
-_FLAG_DOMINATED, _FLAG_STRONG = 1, 2
 
 #: Environment variable consulted when ``workers`` is not given explicitly.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -183,14 +160,12 @@ def preferred_start_method() -> str:
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Comparator + policy configuration shipped to each worker once."""
+    """Comparator configuration shipped to each worker once."""
 
     gamma: object  # GammaLike; Fractions/floats pickle fine
     use_stopping_rule: bool = True
     use_bbox: bool = False
     block_size: int = 1024
-    prune_policy: str = "paper"
-    exchange_interval: int = 0
 
 
 @dataclass
@@ -208,7 +183,6 @@ class ChunkOutcome:
     pairs_examined: int = 0
     bbox_shortcuts: int = 0
     stopping_rule_exits: int = 0
-    pairs_skipped: int = 0
     elapsed_seconds: float = 0.0
     worker_pid: int = 0
     # candidate-slab runs (parallel IN/LO) additionally report the index
@@ -230,90 +204,33 @@ def compare_span(
     comparator: GroupComparator,
     span: Tuple[int, int],
     *,
-    prune_policy: str = "paper",
-    flags=None,
-    exchange_interval: int = 0,
-    columns: Optional[RecordColumns] = None,
-) -> Tuple[List[int], List[int], int]:
+    columns: RecordColumns,
+) -> Tuple[List[int], List[int]]:
     """Compare every pair in ``span`` (linear indices); the pair kernel.
 
-    Returns ``(dominated, strong, pairs_skipped)``: the groups some pair
-    of the span marked dominated (the strongly dominated ones included)
-    and strongly dominated, each ascending and duplicate-free.
+    Returns ``(dominated, strong)``: the groups some pair of the span
+    marked dominated (the strongly dominated ones included) and strongly
+    dominated, each ascending and duplicate-free.
 
-    Two-phase spans (no exchange) compare every pair, both directions,
-    and read no state, so they run on the batch kernel
+    A span compares every pair, both directions, and reads no state, so it
+    runs on the batch kernel
     (:meth:`~repro.core.comparator.GroupComparator.compare_batch`,
     :data:`SPAN_PAIRS` pairs per call) over the dataset's record
     ``columns``, which every caller builds once per process and dataset.
-    Serial ``NL`` is this kernel over all pairs.  ``flags`` (any
-    byte-indexable, byte-assignable buffer — the pool's shared array in a
-    worker, a plain ``bytearray`` otherwise) with ``exchange_interval >
-    0`` enables the pruning exchange instead: the kernel refreshes its
-    snapshot of the flags every ``exchange_interval`` pairs and compares
-    pair by pair with ``compare()``, because which directions a pair
-    still needs depends on marks published meanwhile.
+    Serial ``NL`` is this kernel over all pairs.
     """
     start, stop = span
     n = len(groups)
     dominated = np.zeros(n, dtype=bool)
     strong = np.zeros(n, dtype=bool)
-    skipped = 0
-    if flags is None or exchange_interval <= 0:
-        if columns is None:
-            raise ValueError("two-phase chunks need the dataset's record columns")
-        for low in range(start, stop, SPAN_PAIRS):
-            i, j = pair_arrays(low, min(stop, low + SPAN_PAIRS), n)
-            d12, d12_strong, d21, d21_strong = comparator.compare_batch(
-                columns, i, j
-            )
-            dominated[j[d12]] = True
-            strong[j[d12_strong]] = True
-            dominated[i[d21]] = True
-            strong[i[d21_strong]] = True
-    else:
-        local = bytes(flags)
-        since_refresh = 0
-        for i, j in iter_pairs(start, stop, n):
-            if since_refresh >= exchange_interval:
-                local = bytes(flags)
-                since_refresh = 0
-            since_refresh += 1
-            if prune_policy == "paper":
-                if (local[i] | local[j]) & _FLAG_STRONG:
-                    skipped += 1
-                    continue
-                need_forward = need_backward = True
-            else:
-                need_forward = not local[j] & _FLAG_DOMINATED
-                need_backward = not local[i] & _FLAG_DOMINATED
-                if not (need_forward or need_backward):
-                    skipped += 1
-                    continue
-            outcome = comparator.compare(
-                groups[i],
-                groups[j],
-                need_forward=need_forward,
-                need_backward=need_backward,
-            )
-            # Mark, and publish the monotonic mark (benign unlocked
-            # read-modify-write: a lost bit only costs pruning, never
-            # correctness).
-            for loser, marked, firm in (
-                (j, outcome.d12, outcome.d12_strong),
-                (i, outcome.d21, outcome.d21_strong),
-            ):
-                if firm:
-                    strong[loser] = True
-                    flags[loser] |= _FLAG_DOMINATED | _FLAG_STRONG
-                elif marked:
-                    dominated[loser] = True
-                    flags[loser] |= _FLAG_DOMINATED
-    return (
-        np.flatnonzero(dominated | strong).tolist(),
-        np.flatnonzero(strong).tolist(),
-        skipped,
-    )
+    for low in range(start, stop, SPAN_PAIRS):
+        i, j = pair_arrays(low, min(stop, low + SPAN_PAIRS), n)
+        d12, d12_strong, d21, d21_strong = comparator.compare_batch(columns, i, j)
+        dominated[j[d12]] = True
+        strong[j[d12_strong]] = True
+        dominated[i[d21]] = True
+        strong[i[d21_strong]] = True
+    return np.flatnonzero(dominated | strong).tolist(), np.flatnonzero(strong).tolist()
 
 
 def compare_candidate_span(
@@ -401,8 +318,7 @@ class ChunkKernel:
     comparator per chunk and runs the same kernel over the same
     deterministic span, so a chunk's outcome — marks *and* work
     counters — does not depend on where it ran.  ``columns`` (built here
-    when missing) feed the batch kernel; exchange-mode pair chunks
-    without shared ``flags`` keep private ones.
+    when missing) feed the batch kernel.
     """
 
     def __init__(
@@ -414,21 +330,15 @@ class ChunkKernel:
         index=None,
         order: Optional[Sequence[int]] = None,
         columns: Optional[RecordColumns] = None,
-        flags=None,
         trace: Optional[TraceContext] = None,
     ):
-        exchange = kind == "pairs" and config.exchange_interval > 0
-        if columns is None and not exchange:
+        if columns is None:
             columns = RecordColumns.of_groups(groups)
-        if flags is None and exchange:
-            flags = bytearray(len(groups))
         self.groups = groups
-        self.config = config
         self.kind = kind
         self.index = index
         self.order = order
         self.columns = columns
-        self.flags = flags
         self.comparator = GroupComparator(
             GammaThresholds(config.gamma),
             use_stopping_rule=config.use_stopping_rule,
@@ -459,7 +369,6 @@ class ChunkKernel:
             pid=os.getpid(),
         )
         started = time.perf_counter()
-        skipped = 0
         window_queries = 0
         index_candidates = 0
         with chunk_span:
@@ -474,21 +383,13 @@ class ChunkKernel:
                 )
                 dominated, strong, window_queries, index_candidates = found
             else:
-                dominated, strong, skipped = compare_span(
-                    self.groups,
-                    comparator,
-                    span,
-                    prune_policy=self.config.prune_policy,
-                    flags=self.flags,
-                    exchange_interval=self.config.exchange_interval,
-                    columns=self.columns,
+                dominated, strong = compare_span(
+                    self.groups, comparator, span, columns=self.columns
                 )
             if chunk_span.is_recording:
                 chunk_span.set_attribute("dominated", len(dominated))
                 chunk_span.set_attribute("comparisons", comparator.comparisons)
                 chunk_span.set_attribute("pairs_examined", comparator.pairs_examined)
-                if skipped:
-                    chunk_span.set_attribute("pairs_skipped", skipped)
                 if window_queries:
                     chunk_span.set_attribute("window_queries", window_queries)
                     chunk_span.set_attribute("index_candidates", index_candidates)
@@ -501,7 +402,6 @@ class ChunkKernel:
             pairs_examined=comparator.pairs_examined,
             bbox_shortcuts=comparator.bbox_shortcuts,
             stopping_rule_exits=comparator.stopping_rule_exits,
-            pairs_skipped=skipped,
             elapsed_seconds=time.perf_counter() - started,
             worker_pid=os.getpid(),
             window_queries=window_queries,
@@ -648,10 +548,6 @@ def run_spans(
             )
             token = _QUERY_TOKEN
             pool.attach(token, groups, timeout=pool_timeout)
-        flags = None
-        if kind == "pairs" and config.exchange_interval > 0 and shm_available():
-            arena = stack.enter_context(ShmArena())
-            flags = arena.share(np.zeros(len(groups), dtype=np.uint8))
         index_key = order_key = None
         if index is not None:
             index_key = pool.pin_index(token, index, timeout=pool_timeout)
@@ -664,7 +560,6 @@ def run_spans(
             kind=kind,
             index_key=index_key,
             order_key=order_key,
-            flags=flags,
             pool_timeout=pool_timeout,
             on_failure=on_failure,
             progress=progress,

@@ -6,7 +6,7 @@ m x m group-comparison matrix (Equation 3 of the paper): the unordered pairs
 row-major *linear index* so it can be
 
 * cut into contiguous, near-equal chunks for a worker pool
-  (:func:`chunk_ranges` + :func:`iter_pairs`), and
+  (:func:`chunk_ranges` + :func:`pair_arrays`), and
 * sampled without replacement for cheap dataset diagnostics
   (:func:`sample_pair_indices`, used by the adaptive dispatcher's overlap
   estimator).
@@ -27,7 +27,7 @@ Linear layout (``n = 4``)::
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "pair_count",
     "index_of_pair",
     "pair_from_index",
-    "iter_pairs",
     "pair_arrays",
     "chunk_ranges",
     "sample_pair_indices",
@@ -73,25 +72,9 @@ def pair_from_index(k: int, n: int) -> Tuple[int, int]:
     return i, j
 
 
-def iter_pairs(start: int, stop: int, n: int) -> Iterator[Tuple[int, int]]:
-    """Yield the pairs with linear indices ``start <= k < stop``.
-
-    Decodes ``start`` once and then walks the triangle incrementally, so the
-    per-pair cost is O(1) regardless of where the chunk sits.
-    """
-    if start >= stop:
-        return
-    i, j = pair_from_index(start, n)
-    for _ in range(stop - start):
-        yield i, j
-        j += 1
-        if j >= n:
-            i += 1
-            j = i + 1
-
-
 def pair_arrays(start: int, stop: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``i`` and ``j`` arrays of the pairs :func:`iter_pairs` yields.
+    """The ``i`` and ``j`` arrays of the pairs with linear indices
+    ``start <= k < stop``, in linear order.
 
     Decodes both ends exactly and lays out the rows between them, so it
     costs O(rows + pairs) numpy work however large ``n`` is.

@@ -22,9 +22,7 @@ created before the pool and finalized in a ``finally``.
 A :class:`~repro.engine.pool.PersistentPool` keeps one arena per
 attached dataset (plus pinned index/order arrays) open for as long as
 the pool lives — one query, or a whole engine session — and releases
-them deterministically on ``close()`` / ``detach()``.  A pooled
-exchange-mode ``PAR`` query adds one writable segment, its pruning
-flags, for the length of the query.
+them deterministically on ``close()`` / ``detach()``.
 
 Attach-side quirk: CPython's ``resource_tracker`` (bpo-39959) registers
 *attached* segments as if the attaching process owned them, producing
@@ -36,7 +34,7 @@ attaching; only the creating arena unlinks.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,7 +52,6 @@ __all__ = [
     "GroupShipment",
     "shm_available",
     "attach_array",
-    "detach",
     "detach_all",
     "ship_groups",
     "load_groups",
@@ -182,16 +179,15 @@ def _attach_untracked(name: str):
         resource_tracker.register = original
 
 
-def attach_array(ref: ArrayRef, *, writable: bool = False) -> np.ndarray:
-    """Map the segment behind *ref* and return an ndarray view of it,
-    read-only unless *writable* (the pool's exchange flags)."""
+def attach_array(ref: ArrayRef) -> np.ndarray:
+    """Map the segment behind *ref* and return a read-only ndarray view."""
 
     seg = _ATTACHED.get(ref.name)
     if seg is None:
         seg = _attach_untracked(ref.name)
         _ATTACHED[ref.name] = seg
     view = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=seg.buf)
-    view.flags.writeable = writable
+    view.flags.writeable = False
     return view
 
 
@@ -200,16 +196,6 @@ def _close(seg) -> None:
         seg.close()
     except Exception:  # pragma: no cover - best-effort cleanup
         pass
-
-
-def detach(name: str) -> None:
-    """Close one attached segment (without unlinking; the owner does that).
-
-    A view still in use keeps the mapping until the process exits."""
-
-    seg = _ATTACHED.pop(name, None)
-    if seg is not None:
-        _close(seg)
 
 
 def detach_all() -> None:

@@ -82,13 +82,9 @@ def explain_dataset(
     explicitly forced algorithm, so the tree always shows the comparison.
     """
     from ..core.execution import coerce_execution
-    from ..core.groups import GroupedDataset
 
     if dims is not None:
-        columns = tuple(int(d) for d in dims)
-        dataset = GroupedDataset(
-            {group.key: group.values[:, columns] for group in dataset.groups}
-        )
+        dataset = dataset.project(dims)
     logical = logical_for_dataset(
         dataset, gamma=gamma, algorithm=algorithm, dims=dims, measures=measures
     )

@@ -1,13 +1,11 @@
 """Tests for the anytime aggregate skyline."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import anytime as anytime_module
+from repro.core.algorithms import make_algorithm
 from repro.core.anytime import AnytimeAggregateSkyline, GroupStatus
 from repro.core.comparator import RecordColumns, pair_counts
 from repro.core.groups import GroupedDataset
@@ -53,6 +51,11 @@ class TestBasics:
         anytime = AnytimeAggregateSkyline(chain)
         assert anytime.status("top") is GroupStatus.CONFIRMED
         assert anytime.status("low") is GroupStatus.EXCLUDED
+
+    def test_status_of_an_unknown_key_names_it(self, chain):
+        anytime = AnytimeAggregateSkyline(chain)
+        with pytest.raises(KeyError, match="unknown group 'zz'"):
+            anytime.status("zz")
 
 
 class TestProgressiveRefinement:
@@ -160,31 +163,39 @@ class TestProgressIntegration:
         assert engine.pairs_examined <= engine.pair_budget
 
 
+def tiny_input():
+    """The end-to-end benchmark's ``oneshot-tiny`` input 0: 500 groups,
+    249,500 ordered pairs."""
+    return generate_grouped(
+        SyntheticSpec(
+            n_records=1000,
+            avg_group_size=2,
+            dimensions=3,
+            distribution="anticorrelated",
+            seed=41,
+        )
+    )
+
+
 class TestBulkSeeding:
     def test_only_undecided_pairs_get_a_probe(self):
-        # The end-to-end benchmark's oneshot-tiny input 0: 500 groups,
-        # 249,500 ordered pairs, nearly all decided by their bounds.
-        dataset = generate_grouped(
-            SyntheticSpec(
-                n_records=1000,
-                avg_group_size=2,
-                dimensions=3,
-                distribution="anticorrelated",
-                seed=41,
-            )
-        )
-        made = []
+        # Nearly every pair is decided by its bounds; the kernel rounds
+        # hold one column per pair left open.
+        anytime = AnytimeAggregateSkyline(tiny_input(), 0.5)
+        held = anytime._open[:, anytime._first :]
+        assert held.shape[1] == 396
+        assert anytime.pair_budget == int(held[1].sum()) == 1102
 
-        class Counting(anytime_module._DirectionalCount):
-            def __init__(self, *args):
-                made.append(args)
-                super().__init__(*args)
-
-        with mock.patch.object(anytime_module, "_DirectionalCount", Counting):
-            anytime = AnytimeAggregateSkyline(dataset, 0.5)
-        assert len(made) == 396
-        probes = anytime._probes.values()
-        assert anytime.pair_budget == sum(probe.pending for probe in probes) == 1102
+    def test_without_bounding_boxes_every_pair_is_refined(self):
+        # No bounds decide anything: all 249,500 pairs go through the
+        # kernel rounds, and the answer is NL's.
+        dataset = tiny_input()
+        anytime = AnytimeAggregateSkyline(dataset, 0.5, use_bbox=False)
+        assert anytime.pair_budget == 998_000
+        keys = anytime.run()
+        assert anytime.pairs_examined == 796_620
+        nl = make_algorithm("NL", 0.5).compute(dataset)
+        assert sorted(keys) == sorted(nl.keys)
 
     def test_pair_budget_counts_undecided_pairs_only(self):
         # "a" over "b": 5 of the 6 pairs are known to dominate from the

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import anytime as anytime_module
 from repro.core import comparator as comparator_module
 from repro.core.anytime import AnytimeAggregateSkyline
 from repro.core.comparator import (
@@ -211,12 +210,86 @@ class ReferenceComparator:
         return flags, pairs, shortcut
 
 
-class ReferenceProbe(ReferenceCount):
-    """:class:`ReferenceCount` behind the ``(numerator, denominator)``
-    ``decide`` signature the anytime refiner calls."""
+class PerPairRefiner:
+    """The anytime refiner with one :class:`ReferenceCount` per ordered
+    pair, kept as the reference its kernel rounds must reproduce.
 
-    def decide(self, threshold):
-        return super().decide(Fraction(*threshold))
+    Pairs the Figure-9 bounds decide get no advance (one that holds
+    excludes its target); ``step`` walks the open pairs in order and
+    advances each by one block while the spend before it is below the
+    budget, skips (and drops) pairs onto decided groups, keeps those past
+    the budget in order, and refreshes every status after each pass.
+    """
+
+    def __init__(self, dataset, gamma, block_size, use_bbox):
+        self.gamma = GammaThresholds(gamma).gamma
+        self.block_size = block_size
+        groups = dataset.groups
+        self.keys = [group.key for group in groups]
+        n = len(groups)
+        self.status = ["undecided"] * n
+        self.pairs_examined = 0
+        self.pair_budget = 0
+        self.probes = {}
+        self.by_target = [[] for _ in range(n)]
+        self.open = []
+        for j in range(n):
+            for i in range(n):
+                if i == j:
+                    continue
+                probe = ReferenceCount(groups[i], groups[j], use_bbox)
+                verdict = probe.decide(self.gamma)
+                if verdict:
+                    self.status[j] = "excluded"
+                elif verdict is None:
+                    self.pair_budget += probe.pending
+                    self.probes[(i, j)] = probe
+                    self.by_target[j].append(probe)
+                    self.open.append((i, j))
+        self.refresh()
+
+    @property
+    def done(self):
+        return "undecided" not in self.status
+
+    def step(self, pair_budget):
+        spent = 0
+        while spent < pair_budget and not self.done:
+            progressed = False
+            still_open = []
+            for i, j in self.open:
+                if spent >= pair_budget:
+                    still_open.append((i, j))
+                    continue
+                if self.status[j] != "undecided":
+                    continue
+                probe = self.probes[(i, j)]
+                advanced = probe.advance(self.block_size)
+                spent += advanced
+                progressed = progressed or advanced > 0
+                if probe.decide(self.gamma) is None:
+                    still_open.append((i, j))
+            self.open = still_open
+            self.refresh()
+            if not progressed:
+                break
+        self.pairs_examined += spent
+
+    def refresh(self):
+        for j, probes in enumerate(self.by_target):
+            if self.status[j] != "undecided":
+                continue
+            found = {probe.decide(self.gamma) for probe in probes}
+            if True in found:
+                self.status[j] = "excluded"
+            elif None not in found:
+                self.status[j] = "confirmed"
+
+    def confirmed(self):
+        return [k for k, s in zip(self.keys, self.status) if s == "confirmed"]
+
+    def excluded(self):
+        return [k for k, s in zip(self.keys, self.status) if s == "excluded"]
 
 
 def counters(comparator):
@@ -503,43 +576,47 @@ class TestReferenceKernel:
                 assert expected <= Fraction(int(known[p] + open_[p]), total)
                 assert Fraction(int(exact[p]), total) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=5),
-        st.integers(min_value=1, max_value=3),
-        st.sampled_from(GAMMAS),
-        st.sampled_from(BLOCK_SIZES),
-        st.booleans(),
-        st.integers(min_value=0, max_value=100_000),
-    )
-    def test_anytime_refinement_matches_reference(
-        self, n_groups, d, gamma, block_size, use_bbox, seed
-    ):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_anytime_refinement_matches_reference(self, data):
+        # Every trail and pair budget equals the per-pair refiner's, with
+        # and without bounding boxes, for budgets below one block and
+        # above it, and for a γ exactly equal to a pair fraction.
+        n_groups = data.draw(st.integers(min_value=2, max_value=8))
+        d = data.draw(st.integers(min_value=1, max_value=3))
+        seed = data.draw(st.integers(min_value=0, max_value=100_000))
         rng = np.random.default_rng(seed)
+        sizes = [int(rng.integers(1, 16)) for _ in range(n_groups)]
         dataset = GroupedDataset(
             {
-                f"g{k}": rng.integers(
-                    0, 4, size=(int(rng.integers(1, 16)), d)
-                ).astype(float)
-                for k in range(n_groups)
+                f"g{k}": rng.integers(0, 4, size=(size, d)).astype(float)
+                for k, size in enumerate(sizes)
             }
         )
+        total = sizes[0] * sizes[1]
+        at_a_pair = Fraction(
+            data.draw(st.integers(min_value=(total + 1) // 2, max_value=total)), total
+        )
+        gamma = data.draw(st.sampled_from([*GAMMAS, max(at_a_pair, Fraction(1, 2))]))
+        block_size = data.draw(st.sampled_from(BLOCK_SIZES))
+        budget = data.draw(st.integers(min_value=1, max_value=3 * block_size))
+        use_bbox = data.draw(st.booleans())
 
-        def refine():
-            anytime = AnytimeAggregateSkyline(
+        def refine(refiner):
+            trail = [(refiner.confirmed(), refiner.excluded(), 0)]
+            while not refiner.done:
+                refiner.step(pair_budget=budget)
+                trail.append(
+                    (refiner.confirmed(), refiner.excluded(), refiner.pairs_examined)
+                )
+            return refiner.pair_budget, trail
+
+        refined = refine(
+            AnytimeAggregateSkyline(
                 dataset, gamma, block_size=block_size, use_bbox=use_bbox
             )
-            trail = [(anytime.confirmed(), anytime.excluded(), 0)]
-            while not anytime.done:
-                anytime.step(pair_budget=3 * block_size)
-                trail.append(
-                    (anytime.confirmed(), anytime.excluded(), anytime.pairs_examined)
-                )
-            return trail
-
-        refined = refine()
-        with mock.patch.object(anytime_module, "_DirectionalCount", ReferenceProbe):
-            expected = refine()
+        )
+        expected = refine(PerPairRefiner(dataset, gamma, block_size, use_bbox))
         assert refined == expected
 
 

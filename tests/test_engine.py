@@ -357,6 +357,27 @@ def test_dims_projection_is_resident_and_exact(dataset):
             engine.query(handle, gamma=GAMMA, dims=(1, 1))
 
 
+@pytest.mark.parametrize("dims", [(-1,), (0, 0), (5,)])
+def test_bad_dims_raise_on_every_path(dataset, dims):
+    # Negative, repeated and out-of-range entries are refused alike,
+    # wherever a projection is built.
+    from repro.plan import explain_dataset
+
+    with pytest.raises(ValueError, match="dims"):
+        dataset.project(dims)
+    with pytest.raises(ValueError, match="dims"):
+        aggregate_skyline(dataset, gamma=GAMMA, dims=dims)
+    with pytest.raises(ValueError, match="dims"):
+        explain_dataset(dataset, gamma=GAMMA, dims=dims)
+    with SkylineEngine(ExecutionConfig(workers=1)) as engine:
+        handle = engine.attach(dataset)
+        for data in (handle, dataset):
+            with pytest.raises(ValueError, match="dims"):
+                engine.query(data, gamma=GAMMA, dims=dims)
+            with pytest.raises(ValueError, match="dims"):
+                engine.explain(data, gamma=GAMMA, dims=dims)
+
+
 def test_submit_batch_matches_individual_queries(dataset):
     specs = [
         {"gamma": 0.5, "algorithm": "LO"},
@@ -451,25 +472,6 @@ def test_partitioned_pool_returns_serial_keys(dataset, start_method, monkeypatch
         dataset, gamma=GAMMA, partitions=4, execution="workers=2"
     )
     assert pooled.keys == serial.keys
-
-
-def test_exchange_mode_par_runs_warm(dataset):
-    """Exchange-mode PAR (shared pruning flags) runs on the resident pool:
-    it counts as a warm query, and under the safe policy returns exactly
-    serial NL's keys, on every repeat."""
-    nl = aggregate_skyline(dataset, gamma=GAMMA, algorithm="NL")
-    execution = ExecutionConfig(workers=2, exchange_interval=4)
-    with SkylineEngine(execution) as engine:
-        handle = engine.attach(dataset)
-        pids = list(engine.worker_pids)
-        for _ in range(2):
-            result = engine.query(
-                handle, gamma=GAMMA, algorithm="PAR", prune_policy="safe"
-            )
-            assert result.keys == nl.keys
-        assert engine.stats.warm_queries == 2
-        assert engine.stats.cold_queries == 0
-        assert engine.worker_pids == pids
 
 
 def test_partitioned_legacy_kwargs_raise(dataset):

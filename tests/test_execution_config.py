@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from repro import ExecutionConfig, aggregate_skyline, make_algorithm
+from repro.cli import main
 from repro.core.algorithms.indexed import IndexedAlgorithm
 from repro.core.algorithms.parallel import ParallelSkylineAlgorithm
 from repro.core.execution import coerce_execution, normalize_options, suggest
@@ -43,7 +44,6 @@ class TestExecutionConfig:
         assert config.workers is None
         assert config.scheduler == "static"
         assert config.shm is None
-        assert config.exchange_interval == 0
         assert config.pool_timeout == 300.0
         assert not config.parallel
 
@@ -63,10 +63,10 @@ class TestExecutionConfig:
             {"workers": -1},
             {"workers": True},
             {"workers": 2.0},
-            {"exchange_interval": -1},
-            {"exchange_interval": 1.5},
+            {"max_retries": -1},
+            {"max_retries": 1.5},
             {"workers": "2"},
-            {"exchange_interval": True},
+            {"max_retries": True},
             {"pool_timeout": 0.0},
             {"pool_timeout": -3},
             {"shm": "yes"},
@@ -123,13 +123,13 @@ class TestExecutionConfig:
         assert ExecutionConfig().to_dict() == {}
         assert ExecutionConfig(workers=2).to_dict() == {"workers": 2}
         full = ExecutionConfig(
-            workers=3, scheduler="stealing", shm=True, exchange_interval=7
+            workers=3, scheduler="stealing", shm=True, max_retries=7
         )
         assert full.to_dict() == {
             "workers": 3,
             "scheduler": "stealing",
             "shm": True,
-            "exchange_interval": 7,
+            "max_retries": 7,
         }
 
     def test_dict_round_trip(self):
@@ -152,8 +152,8 @@ class TestExecutionConfig:
             ("shm=auto", ExecutionConfig(shm=None)),
             ("shm=true", ExecutionConfig(shm=True)),
             ("shm=off", ExecutionConfig(shm=False)),
-            ("exchange_interval=16,pool_timeout=5.5",
-             ExecutionConfig(exchange_interval=16, pool_timeout=5.5)),
+            ("max_retries=16,pool_timeout=5.5",
+             ExecutionConfig(max_retries=16, pool_timeout=5.5)),
         ],
     )
     def test_from_spec(self, spec, expected):
@@ -167,6 +167,35 @@ class TestExecutionConfig:
             ExecutionConfig.from_dict({"chunk_size": 16})
         with pytest.raises(ValueError, match="unknown execution option 'chunk_size'"):
             ExecutionConfig.from_spec("workers=2,chunk_size=16")
+
+    def test_removed_exchange_interval_is_an_unknown_option(self, tmp_path):
+        # PAR's pruning exchange is gone; so is its interval, on every
+        # surface that took it.
+        with pytest.raises(TypeError, match="exchange_interval"):
+            ExecutionConfig(exchange_interval=4)  # type: ignore[call-arg]
+        unknown = "unknown execution option 'exchange_interval'"
+        for shape in ({"exchange_interval": 4}, "workers=2,exchange_interval=4"):
+            with pytest.raises(ValueError, match=unknown):
+                coerce_execution(shape)
+        with pytest.raises(ValueError, match=unknown):
+            ExecutionConfig.from_dict({"exchange_interval": 4})
+        with pytest.raises(ValueError, match=unknown):
+            ExecutionConfig.from_spec("exchange_interval=4")
+        csv = tmp_path / "t.csv"
+        csv.write_text("g,a\nx,1\ny,2\n")
+        with pytest.raises(ValueError, match=unknown):
+            main(
+                [
+                    "skyline", "--csv", str(csv), "--group-by", "g",
+                    "--of", "a:max", "--algorithm", "PAR",
+                    "--execution", "exchange_interval=4",
+                ]
+            )
+        with pytest.raises(
+            TypeError, match="unknown option 'exchange_interval' for algorithm 'PAR'"
+        ) as raised:
+            make_algorithm("PAR", 0.5, exchange_interval=4)
+        assert "execution=" not in str(raised.value)
 
     def test_from_spec_rejects_malformed_items(self):
         with pytest.raises(ValueError):
@@ -197,7 +226,7 @@ REMOVED_EXECUTION_OPTIONS = {
     "workers": 2,
     "scheduler": "stealing",
     "shm": False,
-    "exchange_interval": 4,
+    "max_retries": 4,
     "pool_timeout": 60.0,
 }
 
@@ -275,7 +304,7 @@ class TestMakeAlgorithmGate:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("workers", 1), ("exchange_interval", 4), ("pool_timeout", 60.0)],
+        [("workers", 1), ("max_retries", 4), ("pool_timeout", 60.0)],
     )
     def test_par_execution_kwargs_raise(self, key, value):
         with pytest.raises(TypeError, match="execution="):

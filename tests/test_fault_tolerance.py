@@ -113,7 +113,6 @@ def outcome_key(outcome):
         tuple(outcome.strong),
         outcome.comparisons,
         outcome.pairs_examined,
-        outcome.pairs_skipped,
         outcome.bbox_shortcuts,
         outcome.stopping_rule_exits,
         outcome.index_candidates,

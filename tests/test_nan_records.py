@@ -108,6 +108,42 @@ class TestReproduction:
         assert profile.degree("b") == Fraction(2, 3)
 
 
+class TestProjection:
+    """A ``dims=`` projection keeps ``allow_non_finite``: the reproduction
+    with a third, constant dimension, projected back onto the first two."""
+
+    @pytest.fixture
+    def dataset(self):
+        return GroupedDataset(
+            {
+                key: [[*record, 1.0] for record in records]
+                for key, records in REPRODUCTION.items()
+            },
+            allow_non_finite=True,
+        )
+
+    def test_project(self, dataset):
+        projected = dataset.project((0, 1))
+        assert projected.allow_non_finite
+        assert np.array_equal(
+            projected.matrix, dataset.matrix[:, :2], equal_nan=True
+        )
+
+    def test_every_dims_path(self, dataset):
+        from repro.plan import explain_dataset
+
+        dims = (0, 1)
+        result = aggregate_skyline(dataset, gamma=0.5, algorithm="NL", dims=dims)
+        assert result.keys == ["a", "c"]
+        assert "project dims [0, 1]" in explain_dataset(dataset, gamma=0.5, dims=dims)
+        with SkylineEngine(ExecutionConfig(workers=1)) as engine:
+            handle = engine.attach(dataset)
+            for data in (handle, dataset):
+                result = engine.query(data, gamma=0.5, algorithm="NL", dims=dims)
+                assert result.keys == ["a", "c"]
+                assert "project dims [0, 1]" in engine.explain(data, gamma=0.5, dims=dims)
+
+
 class TestRandomDatasets:
     def test_every_algorithm_serially(self):
         for dataset, gamma in nan_datasets():

@@ -31,7 +31,7 @@ from repro.core.gamma import GammaThresholds
 from repro.core.groups import GroupedDataset
 from repro.parallel import executor as executor_module
 from repro.parallel.executor import compare_span
-from repro.parallel.partition import iter_pairs, pair_count
+from repro.parallel.partition import pair_count, pair_from_index
 
 COMPARATOR_COUNTERS = (
     "comparisons",
@@ -82,6 +82,20 @@ class PerPairSI(PerPairRows, SortedAlgorithm):
     pass
 
 
+def iter_pairs(start, stop, n):
+    """The pairs with linear indices ``start <= k < stop``, one at a time:
+    the reference pair order of :func:`repro.parallel.partition.pair_arrays`."""
+    if start >= stop:
+        return
+    i, j = pair_from_index(start, n)
+    for _ in range(stop - start):
+        yield i, j
+        j += 1
+        if j >= n:
+            i += 1
+            j = i + 1
+
+
 def per_pair_span(groups, comparator, span):
     """A two-phase chunk with one ``compare()`` per pair; its marks."""
     dominated, strong = set(), set()
@@ -95,7 +109,7 @@ def per_pair_span(groups, comparator, span):
                 dominated.add(loser)
             if firm:
                 strong.add(loser)
-    return sorted(dominated), sorted(strong), 0
+    return sorted(dominated), sorted(strong)
 
 
 def counters(comparator):
@@ -209,5 +223,5 @@ def test_batched_loops_match_per_pair_loops(config):
 def test_two_phase_chunks_need_columns():
     dataset = GroupedDataset({"a": [[1.0]], "b": [[2.0]]})
     comparator = GroupComparator(GammaThresholds(0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="columns"):
         compare_span(dataset.groups, comparator, (0, 1))

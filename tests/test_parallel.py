@@ -1,11 +1,9 @@
 """Tests for the parallel subsystem (repro.parallel + the PAR algorithm).
 
-The determinism contract under test: with ``exchange_interval == 0`` (the
-default two-phase scheme) ``PAR`` must be bit-identical to serial ``NL`` —
-same skyline, same group-comparison count, same record-pair count — for any
-worker count and under either pruning policy.  With pruning exchange on,
-``safe`` stays exactly the Definition-2 skyline and ``paper`` may only be a
-superset (the serial TR guarantee).
+The determinism contract under test: ``PAR`` (a two-phase scheme) must be
+bit-identical to serial ``NL`` — same skyline, same group-comparison count,
+same record-pair count — for any worker count, under either pruning policy
+and either scheduler.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from repro.parallel import (
     WorkerConfig,
     chunk_ranges,
     index_of_pair,
-    iter_pairs,
     pair_count,
     pair_from_index,
     resolve_workers,
@@ -45,7 +42,7 @@ from repro.parallel import (
 )
 from repro.parallel.executor import WORKERS_ENV_VAR
 from tests.conftest import exact_aggregate_skyline, random_grouped_dataset
-from tests.test_pair_loops import PerPairNL
+from tests.test_pair_loops import PerPairNL, iter_pairs
 
 DISTRIBUTIONS = ("independent", "correlated", "anticorrelated")
 POLICIES = ("paper", "safe")
@@ -255,6 +252,27 @@ class TestParallelEquivalence:
                 == reference.stats.stopping_rule_exits
             ), context
 
+    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
+    @pytest.mark.parametrize("prune_policy", POLICIES)
+    def test_every_counter_equals_nested_loop(
+        self, scheduler, prune_policy, datasets
+    ):
+        # One way to run PAR: keys and every counter are serial NL's for
+        # any worker count, policy and scheduler.
+        dataset = datasets["anticorrelated"]
+        reference = make_algorithm("NL", 0.5, prune_policy=prune_policy).compute(
+            dataset
+        )
+        for workers in (1, 2):
+            result = make_algorithm(
+                "PAR",
+                0.5,
+                prune_policy=prune_policy,
+                execution=ExecutionConfig(workers=workers, scheduler=scheduler),
+            ).compute(dataset)
+            assert result.keys == reference.keys, workers
+            assert _counters(result) == _counters(reference), workers
+
     @pytest.mark.parametrize(
         "dims, block_size, prune_policy, workers",
         [
@@ -346,49 +364,6 @@ class TestParallelEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Pruning exchange (exchange_interval > 0)
-# ---------------------------------------------------------------------------
-
-
-class TestPruningExchange:
-    def test_safe_policy_stays_exact(self, datasets):
-        dataset = datasets["anticorrelated"]
-        expected = make_algorithm(
-            "NL", 0.5, prune_policy="safe"
-        ).compute(dataset)
-        for workers in (1, 2):
-            result = make_algorithm(
-                "PAR",
-                0.5,
-                prune_policy="safe",
-                execution=ExecutionConfig(workers=workers, exchange_interval=4),
-            ).compute(dataset)
-            assert result.as_set() == expected.as_set(), workers
-
-    def test_paper_policy_is_superset(self, datasets):
-        dataset = datasets["correlated"]
-        expected = exact_aggregate_skyline(dataset, 0.5)
-        result = make_algorithm(
-            "PAR",
-            0.5,
-            prune_policy="paper",
-            execution=ExecutionConfig(workers=2, exchange_interval=4),
-        ).compute(dataset)
-        assert result.as_set() >= expected
-
-    def test_exchange_can_skip_work(self, datasets):
-        dataset = datasets["correlated"]
-        full = make_algorithm("PAR", 0.5, execution="workers=1").compute(dataset)
-        pruned = make_algorithm(
-            "PAR", 0.5, execution="workers=1,exchange_interval=1"
-        ).compute(dataset)
-        assert (
-            pruned.stats.record_pairs_examined
-            <= full.stats.record_pairs_examined
-        )
-
-
-# ---------------------------------------------------------------------------
 # Pool mechanics / failure modes
 # ---------------------------------------------------------------------------
 
@@ -426,8 +401,9 @@ class TestExecutor:
         # PAR takes no chunk-count option: static chunks per worker are fixed.
         with pytest.raises(TypeError):
             ParallelSkylineAlgorithm(0.5, chunks_per_worker=4)
-        with pytest.raises(ValueError):
-            ParallelSkylineAlgorithm(0.5, execution={"exchange_interval": -1})
+        # The pruning exchange is gone: its interval is an unknown option.
+        with pytest.raises(ValueError, match="unknown execution option 'exchange_interval'"):
+            ParallelSkylineAlgorithm(0.5, execution={"exchange_interval": 4})
         with pytest.raises(ValueError):
             ParallelSkylineAlgorithm(0.5, execution={"pool_timeout": 0.0})
 
@@ -445,7 +421,7 @@ class TestExecutor:
 #: (algorithm, execution options) of every chunked run shape.
 CHUNKED_RUNS = (
     ("PAR", {}),
-    ("PAR", {"exchange_interval": 1}),
+    ("PAR", {"scheduler": "stealing"}),
     ("IN", {}),
     ("LO", {}),
 )
@@ -517,16 +493,7 @@ class TestOneChunkPath:
             execution=ExecutionConfig(workers=2, **options),
         ).compute(dataset)
         assert result.keys == pooled.keys
-        if options.get("exchange_interval"):
-            # Exchange counters depend on which marks a pool's workers see
-            # in time; inline, every span sees the marks of the spans
-            # before it, so it prunes and reconciles.
-            assert result.stats.groups_skipped > 0
-            assert result.stats.group_comparisons == sum(
-                outcome.comparisons for outcome in run.outcomes
-            )
-        else:
-            assert _counters(result) == _counters(pooled)
+        assert _counters(result) == _counters(pooled)
 
     @pytest.mark.parametrize("name", ["PAR", "IN"])
     def test_pooled_runs_build_no_columns_in_the_parent(self, name, monkeypatch):

@@ -315,18 +315,13 @@ class TestShm:
 
     def test_pooled_run_leaves_no_segments_behind(self, anticorrelated):
         """A one-shot pooled IN/LO/PAR query closes its pool: no worker
-        process, pool thread or ``/dev/shm`` segment (data, index, order,
-        exchange flags) outlives it."""
+        process, pool thread or ``/dev/shm`` segment (data, index, order)
+        outlives it."""
         before = _live_segments()
         threads = {thread.ident for thread in threading.enumerate()}
-        for name, options in (
-            ("IN", {}),
-            ("LO", {}),
-            ("PAR", {}),
-            ("PAR", {"exchange_interval": 4}),
-        ):
+        for name in ("IN", "LO", "PAR"):
             result = make_algorithm(
-                name, execution=ExecutionConfig(workers=2, shm=True, **options)
+                name, execution=ExecutionConfig(workers=2, shm=True)
             ).compute(anticorrelated)
             assert len(result) > 0
             assert _live_segments() <= before, name
